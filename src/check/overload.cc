@@ -719,7 +719,7 @@ void RunWalFaultFlood(Ctx& ctx, const OverloadOracleOptions& options) {
   core::XmlSource recovered(ctx.source_options);
   (void)recovered.AddDtdText("mail", kMailDtd);
   store::WalOptions wal_options;
-  wal_options.dir = ctx.dir;
+  wal_options.dir = server.manager().WalDirFor("default");
   StatusOr<std::unique_ptr<store::Wal>> wal =
       store::RecoverSource(recovered, wal_options, nullptr);
   if (!wal.ok()) {
@@ -807,7 +807,7 @@ void RunEvictionRecovery(Ctx& ctx, const OverloadOracleOptions& options) {
     core::XmlSource recovered(ctx.source_options);
     (void)recovered.AddDtdText("mail", kMailDtd);
     store::WalOptions wal_options;
-    wal_options.dir = ctx.dir;
+    wal_options.dir = server.manager().WalDirFor("default");
     StatusOr<std::unique_ptr<store::Wal>> wal =
         store::RecoverSource(recovered, wal_options, nullptr);
     if (!wal.ok()) {

@@ -128,11 +128,7 @@ Status Follower::Start() {
   DTDEVOLVE_RETURN_IF_ERROR(ParseBaseUrl(config_.url, &host_, &port_));
   for (const std::string& tenant : config_.tenants) {
     TenantState& state = tenants_[tenant];
-    // Backward-compatible single-"default" replicas keep unlabeled
-    // series, like every other shard metric.
-    const obs::Labels labels = manager_->single_default()
-                                   ? obs::Labels{}
-                                   : obs::Labels{{"tenant", tenant}};
+    const obs::Labels& labels = manager_->MetricLabelsFor(tenant);
     state.lag = &registry_->GetGauge(
         "dtdevolve_replication_lag_lsn",
         "Primary WAL head LSN minus the replica's applied LSN", labels);

@@ -63,7 +63,6 @@ SourceManagerOptions ManagerOptions(const ServerOptions& options) {
   manager_options.jobs = options.jobs;
   manager_options.queue_capacity = options.queue_capacity;
   manager_options.batch_max = options.batch_max;
-  manager_options.snapshot_dir = options.snapshot_dir;
   manager_options.wal_dir = options.wal_dir;
   manager_options.fsync_policy = options.fsync_policy;
   manager_options.fsync_interval = options.fsync_interval;
@@ -80,11 +79,17 @@ SourceManagerOptions ManagerOptions(const ServerOptions& options) {
   manager_options.health_probe_interval = options.health_probe_interval;
   if (!options.follow_url.empty()) {
     // A replica owns no durable state — the primary does. Its shards
-    // run WAL-less and snapshot-less, fed only by replicated records.
+    // run WAL-less, fed only by replicated records.
     manager_options.wal_dir.clear();
-    manager_options.snapshot_dir.clear();
   }
   return manager_options;
+}
+
+/// True when no-tenant `/stats` and `/dtds` keep the shapes a
+/// single-tenant server has always served: a lone shard named "default".
+bool ServesNoTenantShapes(const SourceManager& manager) {
+  const std::vector<std::string> tenants = manager.TenantNames();
+  return tenants.size() == 1 && tenants[0] == "default";
 }
 
 /// Serializes one tenant's stats as the flat JSON object `/stats` has
@@ -205,8 +210,6 @@ Status IngestServer::AddTenantDtdText(const std::string& tenant,
                                       std::string_view dtd_text) {
   return manager_.AddTenantDtdText(tenant, name, dtd_text);
 }
-
-Status IngestServer::SnapshotNow() { return manager_.SnapshotNow(); }
 
 Status IngestServer::CheckpointNow(uint64_t* captured_lsn) {
   return manager_.CheckpointAll(captured_lsn);
@@ -360,7 +363,7 @@ void IngestServer::Wait() {
   // thread drains — listener down, idle connections dropped, in-flight
   // responses (keep-alive included) flushed; (3) the replication thread
   // stops; (4) the workers drain and join — after this no completion
-  // callback can fire — then the final checkpoint/sync + snapshot;
+  // callback can fire — then the final WAL sync + checkpoint;
   // (5) the fds close, which is safe exactly because nothing above can
   // touch the wake pipe anymore.
   manager_.ResumeIngest();
@@ -996,7 +999,7 @@ HttpResponse IngestServer::HandleTenants() {
 HttpResponse IngestServer::HandleDtds(const HttpRequest& request) {
   const std::string tenant = request.QueryValue("tenant");
   if (request.path == "/dtds") {
-    if (tenant.empty() && !manager_.single_default()) {
+    if (tenant.empty() && !ServesNoTenantShapes(manager_)) {
       // Aggregate rollup: every tenant's DTD list keyed by tenant name.
       std::string body = "{\"tenants\":{";
       bool first_tenant = true;
@@ -1117,14 +1120,14 @@ HttpResponse IngestServer::HandleCandidates(const HttpRequest& request) {
 
 HttpResponse IngestServer::HandleStats(const HttpRequest& request) {
   const std::string tenant = request.QueryValue("tenant");
-  if (!tenant.empty() || manager_.single_default()) {
+  if (!tenant.empty() || ServesNoTenantShapes(manager_)) {
     StatusOr<SourceManager::TenantStats> stats = manager_.StatsFor(tenant);
     if (!stats.ok()) {
       return {404, "application/json", {},
               "{\"error\":\"" + JsonEscape(stats.status().message()) +
                   "\"}\n"};
     }
-    // Single-"default" mode serves the exact historical shape (no
+    // A lone "default" shard serves the exact historical shape (no
     // tenant key); an explicit ?tenant= adds the tenant name.
     return {200, "application/json", {},
             StatsJson(*stats, /*include_tenant=*/!tenant.empty()) + "\n"};

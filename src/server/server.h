@@ -28,7 +28,8 @@ struct ServerOptions {
   /// `port()` after `Start`).
   uint16_t port = 8080;
   /// Tenant shard names (see SourceManagerOptions::tenants). Empty runs
-  /// a single backward-compatible "default" tenant.
+  /// one shard named "default", which keeps the unlabeled metrics and
+  /// the no-tenant `/stats` and `/dtds` shapes.
   std::vector<std::string> tenants;
   /// Scoring threads; one `util::ThreadPool` is shared across every
   /// tenant shard for the server's lifetime.
@@ -76,27 +77,20 @@ struct ServerOptions {
   /// Cadence of the degraded-shard recovery probe (a real WAL append
   /// that replays as a no-op); zero disables probing.
   std::chrono::milliseconds health_probe_interval{200};
-  /// Directory for extended-DTD snapshots (one `<name>.dtdstate` per
-  /// DTD, under a per-tenant subdirectory unless single-"default"):
-  /// written atomically on shutdown (and via `SnapshotNow`), restored
-  /// over the seed DTDs on `Start`. Empty disables persistence. A
-  /// snapshot that fails to parse at boot is quarantined (renamed to
-  /// `<name>.dtdstate.corrupt`, counted, reported in `boot_warnings`)
-  /// and the server continues from the seed DTD.
-  std::string snapshot_dir;
-
   // --- Crash durability (store/wal.h, store/checkpoint.h) -----------------
 
   /// Directory for the write-ahead logs and their checkpoints — one
-  /// independent lineage per tenant shard (a subdirectory per tenant
-  /// unless single-"default"). Empty disables the WAL. When set, every
-  /// accepted `/ingest` body is appended to its shard's log — and,
-  /// under `fsync_policy == kAlways`, fsynced — *before* the 202/200
-  /// ack, so an acked document survives a crash; `Start` then recovers
-  /// each shard's checkpoint plus WAL tail instead of restoring
-  /// `snapshot_dir`. An append failure (e.g. disk full) answers 503
-  /// with `Retry-After` and raises the `dtdevolve_degraded` gauge until
-  /// an append succeeds again.
+  /// independent lineage per tenant shard, in `<wal_dir>/<tenant>/`
+  /// (`SourceManager::WalDirFor`). Empty disables persistence. When
+  /// set, every accepted `/ingest` body is appended to its shard's log
+  /// — and, under `fsync_policy == kAlways`, fsynced — *before* the
+  /// 202/200 ack, so an acked document survives a crash; `Start` then
+  /// recovers each shard's checkpoint plus WAL tail, induced DTDs
+  /// included. With `fsync_policy == kNone` an ack costs no fsync, and
+  /// the graceful stop still fsyncs the log and checkpoints. An append
+  /// failure (e.g. disk full) answers 503 with `Retry-After` and raises
+  /// the `dtdevolve_degraded` gauge until an append succeeds again. A
+  /// corrupt checkpoint fails `Start` with an error naming the DTD.
   std::string wal_dir;
   store::FsyncPolicy fsync_policy = store::FsyncPolicy::kAlways;
   /// Fsync cadence under `FsyncPolicy::kInterval`.
@@ -137,9 +131,8 @@ struct ServerOptions {
   /// Non-empty runs this server as a read-only follower of the primary
   /// at this URL ("http://host:port" or "host:port"): it bootstraps
   /// every tenant from the primary's latest checkpoint, then streams
-  /// and applies WAL records. Writes answer 403; `wal_dir` and
-  /// `snapshot_dir` are ignored (the replica owns no durable state —
-  /// the primary does).
+  /// and applies WAL records. Writes answer 403; `wal_dir` is ignored
+  /// (the replica owns no durable state — the primary does).
   std::string follow_url;
   /// Poll cadence of the follower when it is caught up (a follower with
   /// a full page in hand polls again immediately).
@@ -192,8 +185,8 @@ struct ServerOptions {
 ///                           count — per tenant, plus aggregate totals
 ///                           and a per-tenant rollup when multi-tenant.
 ///   GET /metrics            Prometheus text exposition (per-shard
-///                           series carry a {tenant="..."} label unless
-///                           single-"default").
+///                           series carry a {tenant="..."} label, except
+///                           on a lone "default" shard).
 ///   GET /healthz            200 "ok".
 ///   GET /replication/checkpoint?tenant=
 ///                           the tenant's latest durable checkpoint as
@@ -221,8 +214,8 @@ struct ServerOptions {
 /// the stop completed: the listener closes, idle keep-alive connections
 /// are dropped, connections with a response in flight (including parked
 /// `?wait=1` requests and already-pipelined requests) are served to
-/// completion, every queue drains through the loop, and the
-/// extended-DTD state is snapshotted. A failed `Start` cleans up after
+/// completion, every queue drains through the loop, and every shard's
+/// WAL is fsynced and checkpointed. A failed `Start` cleans up after
 /// itself fully (no leaked fds, no half-recovered shards) and may be
 /// retried.
 ///
@@ -270,14 +263,10 @@ class IngestServer {
   void PauseIngest();
   void ResumeIngest();
 
-  /// Writes one atomic snapshot per DTD per shard into `snapshot_dir`.
-  /// No-op without a snapshot dir. Also called by the graceful stop.
-  Status SnapshotNow();
-
   /// Checkpoints every shard at its last applied LSN and truncates its
   /// WAL through it. No-op without a WAL. `captured_lsn` (optional)
-  /// receives the LSN the checkpoint actually captured — meaningful in
-  /// single-tenant mode. Called by the periodic checkpoint thread and
+  /// receives the LSN the checkpoint actually captured — meaningful
+  /// with one shard. Called by the periodic checkpoint thread and
   /// by the graceful stop.
   Status CheckpointNow(uint64_t* captured_lsn = nullptr);
 
@@ -289,7 +278,7 @@ class IngestServer {
     return manager_.recovery_report(tenant);
   }
 
-  /// Non-fatal boot findings (quarantined snapshots, torn WAL tails)
+  /// Non-fatal boot findings (torn WAL tails)
   /// across every shard — the operator-visible "warn" half of
   /// warn-and-continue.
   const std::vector<std::string>& boot_warnings() const {

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 
 #include "dtd/dtd_writer.h"
-#include "evolve/persist.h"
 #include "io/file.h"
 #include "store/evict_record.h"
 #include "store/induce_record.h"
@@ -22,6 +22,21 @@ constexpr int kRingPointsPerShard = 64;
 bool IsSafeComponentChar(char c) {
   return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
          (c >= '0' && c <= '9') || c == '-' || c == '_' || c == '.';
+}
+
+/// True when `dir` holds a checkpoint meta or WAL segment file directly,
+/// instead of in per-shard subdirectories.
+bool HasTopLevelWalFiles(const std::string& dir) {
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    if (!entry.is_regular_file(ec)) continue;
+    const std::string name = entry.path().filename().string();
+    if (name == "checkpoint.meta" ||
+        (name.starts_with("wal-") && name.ends_with(".log"))) {
+      return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace
@@ -70,7 +85,9 @@ SourceManager::SourceManager(core::SourceOptions source_options,
   if (options_.jobs == 0) options_.jobs = util::ThreadPool::DefaultJobs();
   if (options_.batch_max == 0) options_.batch_max = 1;
   if (options_.tenants.empty()) options_.tenants = {"default"};
-  backcompat_ =
+  // A lone "default" shard keeps the unlabeled series single-tenant
+  // servers have always exported; storage and routing never look at it.
+  const bool unlabeled =
       options_.tenants.size() == 1 && options_.tenants[0] == "default";
 
   // One score cache for the whole process: entries are keyed by
@@ -104,6 +121,7 @@ SourceManager::SourceManager(core::SourceOptions source_options,
     auto shard = std::make_unique<Shard>(source_options_);
     shard->name = tenant;
     shard->dir_component = SafeFileComponent(tenant);
+    if (!unlabeled) shard->labels = {{"tenant", tenant}};
     // Resolve the shard's quota once: named override over process
     // default, negative override fields inheriting.
     TenantQuota quota;
@@ -214,36 +232,26 @@ SourceManager::Shard* SourceManager::RouteIngest(const std::string& tenant,
 }
 
 std::string SourceManager::WalDirFor(const std::string& tenant) const {
+  const Shard* shard = ResolveReadShard(tenant);
+  return shard == nullptr ? "" : WalDirFor(*shard);
+}
+
+std::string SourceManager::WalDirFor(const Shard& shard) const {
   if (options_.wal_dir.empty()) return "";
-  const Shard* shard = ResolveReadShard(tenant);
-  if (shard == nullptr) return "";
-  if (backcompat_) return options_.wal_dir;
-  return options_.wal_dir + "/" + shard->dir_component;
+  return options_.wal_dir + "/" + shard.dir_component;
 }
 
-std::string SourceManager::SnapshotDirFor(const std::string& tenant) const {
-  if (options_.snapshot_dir.empty()) return "";
-  const Shard* shard = ResolveReadShard(tenant);
-  if (shard == nullptr) return "";
-  if (backcompat_) return options_.snapshot_dir;
-  return options_.snapshot_dir + "/" + shard->dir_component;
-}
-
-std::string SourceManager::SnapshotPathFor(const Shard& shard,
-                                           const std::string& name) const {
-  std::string dir = options_.snapshot_dir;
-  if (!backcompat_) dir += "/" + shard.dir_component;
-  return dir + "/" + SafeFileComponent(name) + ".dtdstate";
+const obs::Labels& SourceManager::MetricLabelsFor(
+    const std::string& tenant) const {
+  static const obs::Labels kNone;
+  const Shard* shard = FindShard(tenant);
+  return shard == nullptr ? kNone : shard->labels;
 }
 
 void SourceManager::WireShardMetrics(Shard& shard, obs::Registry* registry) {
   if (shard.metrics_wired) return;
   shard.metrics_wired = true;
-  // Backward-compatible single-"default" mode keeps the original
-  // unlabeled series; every other configuration gets one series per
-  // tenant plus the usual Prometheus sum() rollup on the scrape side.
-  const obs::Labels labels =
-      backcompat_ ? obs::Labels{} : obs::Labels{{"tenant", shard.name}};
+  const obs::Labels& labels = shard.labels;
 
   core::SourceMetrics metrics;
   metrics.documents_processed = &registry->GetCounter(
@@ -337,102 +345,53 @@ void SourceManager::WireShardMetrics(Shard& shard, obs::Registry* registry) {
   shard.checkpoint_lsn_gauge = &registry->GetGauge(
       "dtdevolve_checkpoint_lsn", "LSN of the last durable checkpoint",
       labels);
-  shard.snapshots_quarantined = &registry->GetCounter(
-      "dtdevolve_snapshots_quarantined_total",
-      "Corrupt snapshots renamed aside at boot", labels);
-}
-
-Status SourceManager::RestoreShardSnapshots(Shard& shard) {
-  if (options_.snapshot_dir.empty() || shard.snapshots_restored) {
-    return Status::Ok();
-  }
-  shard.snapshots_restored = true;
-  for (const std::string& name : shard.source->DtdNames()) {
-    const std::string path = SnapshotPathFor(shard, name);
-    StatusOr<evolve::ExtendedDtd> restored = evolve::LoadExtendedDtdFile(path);
-    if (!restored.ok()) {
-      // A missing snapshot is the normal first boot.
-      if (restored.status().code() == Status::Code::kNotFound) continue;
-      // A truncated or corrupt snapshot must not take the whole server
-      // down — quarantine it aside (preserving the evidence), count it,
-      // warn, and continue from the seed DTD.
-      Status moved = io::Rename(path, path + ".corrupt");
-      std::string warning = "quarantined corrupt snapshot " + path + " (" +
-                            restored.status().message() + ")";
-      if (!moved.ok()) warning += "; quarantine rename failed";
-      if (!backcompat_) warning = "tenant " + shard.name + ": " + warning;
-      boot_warnings_.push_back(std::move(warning));
-      if (shard.snapshots_quarantined != nullptr) {
-        shard.snapshots_quarantined->Increment();
-      }
-      continue;
-    }
-    DTDEVOLVE_RETURN_IF_ERROR(
-        shard.source->RestoreExtended(name, std::move(*restored)));
-  }
-  return Status::Ok();
 }
 
 Status SourceManager::StartShard(Shard& shard, obs::Registry* registry) {
   WireShardMetrics(shard, registry);
+  // Recovery runs exactly once per shard — a retried Start must not
+  // replay the WAL tail onto the already-recovered source.
+  if (options_.wal_dir.empty() || shard.recovered) return Status::Ok();
 
-  if (!options_.snapshot_dir.empty() && !backcompat_) {
-    DTDEVOLVE_RETURN_IF_ERROR(
-        io::CreateDir(options_.snapshot_dir + "/" + shard.dir_component));
-  }
+  store::WalOptions wal_options;
+  wal_options.dir = WalDirFor(shard);
+  wal_options.fsync_policy = options_.fsync_policy;
+  wal_options.fsync_interval = options_.fsync_interval;
+  wal_options.segment_bytes = options_.wal_segment_bytes;
+  shard.recovery_report = {};
+  StatusOr<std::unique_ptr<store::Wal>> wal = store::RecoverSource(
+      *shard.source, wal_options, &shard.recovery_report);
+  if (!wal.ok()) return wal.status();
+  shard.wal = std::move(*wal);
+  shard.recovered = true;
 
-  if (!options_.wal_dir.empty()) {
-    if (!shard.recovered) {
-      store::WalOptions wal_options;
-      wal_options.dir = backcompat_
-                            ? options_.wal_dir
-                            : options_.wal_dir + "/" + shard.dir_component;
-      wal_options.fsync_policy = options_.fsync_policy;
-      wal_options.fsync_interval = options_.fsync_interval;
-      wal_options.segment_bytes = options_.wal_segment_bytes;
-      shard.recovery_report = {};
-      StatusOr<std::unique_ptr<store::Wal>> wal = store::RecoverSource(
-          *shard.source, wal_options, &shard.recovery_report);
-      if (!wal.ok()) return wal.status();
-      shard.wal = std::move(*wal);
-      // Recovery ran exactly once for this shard — a retried Start must
-      // not replay the WAL tail onto the already-recovered source.
-      shard.recovered = true;
-
-      const obs::Labels labels =
-          backcompat_ ? obs::Labels{} : obs::Labels{{"tenant", shard.name}};
-      store::WalMetrics wal_metrics;
-      wal_metrics.appends = &registry->GetCounter(
-          "dtdevolve_wal_appends_total", "WAL records appended", labels);
-      wal_metrics.append_bytes = &registry->GetCounter(
-          "dtdevolve_wal_append_bytes_total", "WAL bytes appended", labels);
-      wal_metrics.append_errors = &registry->GetCounter(
-          "dtdevolve_wal_append_errors_total", "WAL appends that failed",
-          labels);
-      wal_metrics.fsyncs = &registry->GetCounter(
-          "dtdevolve_wal_fsyncs_total", "WAL fsync calls", labels);
-      wal_metrics.rotations = &registry->GetCounter(
-          "dtdevolve_wal_rotations_total", "WAL segment rotations", labels);
-      wal_metrics.truncated_segments = &registry->GetCounter(
-          "dtdevolve_wal_truncated_segments_total",
-          "WAL segments dropped by checkpoint truncation", labels);
-      shard.wal->set_metrics(wal_metrics);
-      registry
-          ->GetCounter("dtdevolve_wal_replayed_records_total",
-                       "WAL records replayed during boot recovery", labels)
-          .Increment(shard.recovery_report.replayed_records);
-      shard.applied_lsn = shard.recovery_report.last_applied_lsn;
-      shard.last_checkpoint_lsn = shard.recovery_report.checkpoint_lsn;
-      shard.checkpoint_lsn_gauge->Set(
-          static_cast<double>(shard.recovery_report.checkpoint_lsn));
-      if (!shard.recovery_report.warning.empty()) {
-        std::string warning = shard.recovery_report.warning;
-        if (!backcompat_) warning = "tenant " + shard.name + ": " + warning;
-        boot_warnings_.push_back(std::move(warning));
-      }
-    }
-  } else {
-    DTDEVOLVE_RETURN_IF_ERROR(RestoreShardSnapshots(shard));
+  const obs::Labels& labels = shard.labels;
+  store::WalMetrics wal_metrics;
+  wal_metrics.appends = &registry->GetCounter(
+      "dtdevolve_wal_appends_total", "WAL records appended", labels);
+  wal_metrics.append_bytes = &registry->GetCounter(
+      "dtdevolve_wal_append_bytes_total", "WAL bytes appended", labels);
+  wal_metrics.append_errors = &registry->GetCounter(
+      "dtdevolve_wal_append_errors_total", "WAL appends that failed", labels);
+  wal_metrics.fsyncs = &registry->GetCounter(
+      "dtdevolve_wal_fsyncs_total", "WAL fsync calls", labels);
+  wal_metrics.rotations = &registry->GetCounter(
+      "dtdevolve_wal_rotations_total", "WAL segment rotations", labels);
+  wal_metrics.truncated_segments = &registry->GetCounter(
+      "dtdevolve_wal_truncated_segments_total",
+      "WAL segments dropped by checkpoint truncation", labels);
+  shard.wal->set_metrics(wal_metrics);
+  registry
+      ->GetCounter("dtdevolve_wal_replayed_records_total",
+                   "WAL records replayed during boot recovery", labels)
+      .Increment(shard.recovery_report.replayed_records);
+  shard.applied_lsn = shard.recovery_report.last_applied_lsn;
+  shard.last_checkpoint_lsn = shard.recovery_report.checkpoint_lsn;
+  shard.checkpoint_lsn_gauge->Set(
+      static_cast<double>(shard.recovery_report.checkpoint_lsn));
+  if (!shard.recovery_report.warning.empty()) {
+    boot_warnings_.push_back("tenant " + shard.name + ": " +
+                             shard.recovery_report.warning);
   }
   return Status::Ok();
 }
@@ -442,13 +401,16 @@ Status SourceManager::Start(obs::Registry* registry) {
     return Status::FailedPrecondition("source manager already started");
   }
 
-  if (!options_.snapshot_dir.empty()) {
-    // Snapshots are written lazily (shutdown / SnapshotNow); create the
-    // directories up front so a missing one fails the boot loudly
-    // instead of the final snapshot silently.
-    DTDEVOLVE_RETURN_IF_ERROR(io::CreateDir(options_.snapshot_dir));
-  }
-  if (!options_.wal_dir.empty() && !backcompat_) {
+  if (!options_.wal_dir.empty()) {
+    // Booting over the old layout would start an empty shard next to
+    // the acked state and silently drop it.
+    if (HasTopLevelWalFiles(options_.wal_dir)) {
+      return Status::FailedPrecondition(
+          "WAL directory " + options_.wal_dir +
+          " holds checkpoint.meta or wal-*.log files at its top level, the "
+          "layout of older single-tenant servers; move them into " +
+          options_.wal_dir + "/default/ and restart");
+    }
     // Per-shard WAL subdirectories hang off the root; Wal::Open creates
     // the leaf itself.
     DTDEVOLVE_RETURN_IF_ERROR(io::CreateDir(options_.wal_dir));
@@ -741,10 +703,7 @@ Status SourceManager::CheckpointShard(Shard& shard, uint64_t* captured_lsn) {
     std::lock_guard<std::mutex> lock(shard.state_mutex);
     data = store::CaptureCheckpoint(*shard.source, shard.applied_lsn);
   }
-  const std::string dir = backcompat_
-                              ? options_.wal_dir
-                              : options_.wal_dir + "/" + shard.dir_component;
-  Status written = store::WriteCheckpoint(dir, data);
+  Status written = store::WriteCheckpoint(WalDirFor(shard), data);
   if (written.ok()) written = shard.wal->TruncateThrough(data.lsn);
   if (!written.ok()) {
     if (shard.checkpoint_errors != nullptr) {
@@ -1054,25 +1013,6 @@ Status SourceManager::RejectCandidate(const std::string& tenant, uint64_t id) {
   return shard->source->RejectCandidate(id);
 }
 
-Status SourceManager::SnapshotShard(Shard& shard) {
-  std::lock_guard<std::mutex> lock(shard.state_mutex);
-  for (const std::string& name : shard.source->DtdNames()) {
-    DTDEVOLVE_RETURN_IF_ERROR(evolve::SaveExtendedDtdFile(
-        *shard.source->FindExtended(name), SnapshotPathFor(shard, name)));
-  }
-  return Status::Ok();
-}
-
-Status SourceManager::SnapshotNow() {
-  if (options_.snapshot_dir.empty()) return Status::Ok();
-  Status first_error;
-  for (const auto& shard : shards_) {
-    Status status = SnapshotShard(*shard);
-    if (!status.ok() && first_error.ok()) first_error = status;
-  }
-  return first_error;
-}
-
 void SourceManager::Drain() {
   if (started_) {
     for (const auto& shard : shards_) {
@@ -1103,16 +1043,12 @@ void SourceManager::Drain() {
 
     for (const auto& shard : shards_) {
       if (shard->wal == nullptr) continue;
-      if (options_.checkpoint_on_shutdown) {
-        CheckpointShard(*shard, nullptr);
-      } else {
-        // Crash-simulation mode: leave only the log behind, but make
-        // sure everything acked under a lazy fsync policy reaches the
-        // disk.
-        shard->wal->Sync();
-      }
+      // Everything acked under a lazy fsync policy reaches the disk
+      // first: if the final checkpoint fails (it is counted on
+      // checkpoint_errors), the log is the only durable copy.
+      shard->wal->Sync();
+      if (options_.checkpoint_on_shutdown) CheckpointShard(*shard, nullptr);
     }
-    SnapshotNow();
 
     if (pool_) pool_->Shutdown();
     started_ = false;
@@ -1236,13 +1172,11 @@ StatusOr<std::string> SourceManager::ExportCheckpointFor(
     return Status::FailedPrecondition(
         "replication requires a write-ahead log (--wal-dir)");
   }
-  const std::string dir = backcompat_
-                              ? options_.wal_dir
-                              : options_.wal_dir + "/" + shard->dir_component;
   // Under the checkpoint mutex a concurrent checkpoint can neither swap
-  // the meta nor unlink snapshot files mid-read.
+  // the meta nor unlink checkpoint files mid-read.
   std::lock_guard<std::mutex> io(shard->checkpoint_mutex);
-  StatusOr<store::CheckpointData> data = store::ReadCheckpoint(dir);
+  StatusOr<store::CheckpointData> data =
+      store::ReadCheckpoint(WalDirFor(*shard));
   if (!data.ok()) return data.status();
   return store::EncodeCheckpointBlob(*data);
 }
@@ -1258,9 +1192,6 @@ StatusOr<store::WalExport> SourceManager::ExportWalFor(
     return Status::FailedPrecondition(
         "replication requires a write-ahead log (--wal-dir)");
   }
-  const std::string dir = backcompat_
-                              ? options_.wal_dir
-                              : options_.wal_dir + "/" + shard->dir_component;
   // The checkpoint mutex holds off TruncateThrough, so segments cannot
   // be unlinked mid-scan. Appends still race at the tail — a torn final
   // frame simply ends the page.
@@ -1268,7 +1199,7 @@ StatusOr<store::WalExport> SourceManager::ExportWalFor(
   if (wal_next_lsn != nullptr) {
     *wal_next_lsn = shard->wal != nullptr ? shard->wal->next_lsn() : 0;
   }
-  return store::ExportWalRecords(dir, from_lsn, max_bytes);
+  return store::ExportWalRecords(WalDirFor(*shard), from_lsn, max_bytes);
 }
 
 Status SourceManager::BootstrapFromCheckpoint(

@@ -29,14 +29,13 @@
 
 namespace dtdevolve::server {
 
-/// Turns an arbitrary name (DTD or tenant, user-supplied) into a safe
-/// single path component. Unsafe characters are flattened to '_', and —
+/// Turns an arbitrary tenant name (user-supplied) into a safe single
+/// path component. Unsafe characters are flattened to '_', and —
 /// because flattening is lossy — any name the sanitizer had to change
 /// gets an 8-hex-digit CRC32 of the *original* name appended, so
-/// distinct names can never collide on disk ("a/b" and "a_b" used to
-/// map to the same snapshot file, silently overwriting each other).
-/// Names that are already safe come back verbatim, which keeps every
-/// pre-existing on-disk layout valid.
+/// distinct tenants can never share a directory ("a/b" and "a_b" would
+/// otherwise both read "a_b"). Names that are already safe come back
+/// verbatim, which keeps every pre-existing on-disk layout valid.
 std::string SafeFileComponent(const std::string& name);
 
 /// What to do when a shard's unclassified repository exceeds its quota:
@@ -68,12 +67,11 @@ const char* ShardHealthName(ShardHealth health);
 /// Configuration of a `SourceManager`. Mirrors the durability half of
 /// `ServerOptions`; the HTTP half stays with `IngestServer`.
 struct SourceManagerOptions {
-  /// Tenant (shard) names. Empty means the single tenant "default",
-  /// which runs in backward-compatible mode: unlabeled metrics and
-  /// snapshots/WAL directly in `snapshot_dir` / `wal_dir`. Any other
-  /// configuration labels every per-shard metric with {tenant="<name>"}
-  /// and gives each shard its own `<dir>/<tenant>/` subdirectory, i.e.
-  /// its own WAL + checkpoint lineage.
+  /// Tenant (shard) names. Empty means the single tenant "default".
+  /// Every shard keeps its own WAL + checkpoint lineage in
+  /// `WalDirFor(tenant)`, i.e. `<wal_dir>/<tenant>/`. Per-shard metrics
+  /// carry {tenant="<name>"}, except for a lone "default" shard, whose
+  /// series stay unlabeled.
   std::vector<std::string> tenants;
   /// Scoring threads of the process-wide pool shared by every shard.
   size_t jobs = 1;
@@ -81,7 +79,8 @@ struct SourceManagerOptions {
   size_t queue_capacity = 256;
   /// Most documents drained into one `ProcessBatch` round per shard.
   size_t batch_max = 64;
-  std::string snapshot_dir;
+  /// Root of every shard's WAL + checkpoint directory; empty disables
+  /// durability.
   std::string wal_dir;
   store::FsyncPolicy fsync_policy = store::FsyncPolicy::kAlways;
   std::chrono::milliseconds fsync_interval{100};
@@ -119,11 +118,13 @@ struct SourceManagerOptions {
 /// the full per-shard pipeline lifecycle that used to live inside
 /// `IngestServer`: recovery on `Start`, a bounded ingest queue drained
 /// by a dedicated worker per shard, periodic checkpointing, graceful
-/// drain, and snapshot/checkpoint on shutdown.
+/// drain, and a WAL sync plus checkpoint on shutdown.
 ///
 /// What is per shard (fully independent between tenants):
 ///   * the `XmlSource` (DTD set, repository, counters),
-///   * the WAL + checkpoint lineage (`wal_dir/<tenant>/`),
+///   * the WAL + checkpoint lineage (`WalDirFor(tenant)`),
+///   * the metric labels (`{tenant="<name>"}`, none for a lone
+///     "default" shard),
 ///   * the ingest queue, its worker thread, and the `ingest_order_mutex`
 ///     that makes LSN order equal apply order — so two tenants' writes
 ///     never serialize against each other,
@@ -225,16 +226,22 @@ class SourceManager {
                           std::string_view dtd_text);
 
   /// Wires metrics into `registry`, creates the storage directories,
-  /// recovers every shard (checkpoint + WAL tail, or snapshot restore),
-  /// and spawns the per-shard workers plus the checkpoint thread.
-  /// Idempotent per shard across a failed-then-retried `Start`: a shard
-  /// that already recovered is never replayed a second time.
+  /// recovers every shard (checkpoint + WAL tail), and spawns the
+  /// per-shard workers plus the checkpoint thread. Fails, touching
+  /// nothing, when `wal_dir` itself holds `checkpoint.meta` or
+  /// `wal-*.log` files: that is the layout single-tenant servers used
+  /// before every shard got its own directory, and the files belong in
+  /// `<wal_dir>/default/`. Idempotent per shard across a
+  /// failed-then-retried `Start`: a shard that already recovered is
+  /// never replayed a second time.
   Status Start(obs::Registry* registry);
 
   /// Graceful stop: drains every queue through the loop, joins the
-  /// workers and the checkpoint thread, takes the final checkpoint (or
-  /// WAL sync) and snapshots, and shuts the pool down. Safe to call
-  /// when `Start` never ran or already failed.
+  /// workers and the checkpoint thread, fsyncs every WAL (whatever the
+  /// fsync policy, so the acked tail is durable even if the final
+  /// checkpoint fails), takes the final checkpoint unless
+  /// `checkpoint_on_shutdown` is off, and shuts the pool down. Safe to
+  /// call when `Start` never ran or already failed.
   void Drain();
 
   bool started() const { return started_; }
@@ -280,9 +287,10 @@ class SourceManager {
   /// True when every shard is `kOk` — the write-path readiness signal.
   bool AllShardsOk() const;
 
-  /// True when running in backward-compatible single-"default" mode
-  /// (unlabeled metrics, root-level storage directories).
-  bool single_default() const { return backcompat_; }
+  /// The labels every per-shard metric series of `tenant` carries:
+  /// {tenant="<name>"}, or none for a lone "default" shard. Empty for
+  /// unknown tenants.
+  const obs::Labels& MetricLabelsFor(const std::string& tenant) const;
 
   std::vector<std::string> TenantNames() const;
   bool HasTenant(const std::string& tenant) const;
@@ -326,10 +334,6 @@ class SourceManager {
   /// accepts are durable.
   Status RejectCandidate(const std::string& tenant, uint64_t id);
 
-  /// Writes one atomic snapshot per DTD per shard. No-op without a
-  /// snapshot dir.
-  Status SnapshotNow();
-
   /// Checkpoints one tenant and truncates its WAL through the captured
   /// LSN. `captured_lsn` (optional) receives the LSN the checkpoint
   /// actually captured — the caller must track *that*, not the LSN it
@@ -338,7 +342,7 @@ class SourceManager {
                           uint64_t* captured_lsn = nullptr);
   /// Checkpoints every shard; returns the first error. With several
   /// shards `captured_lsn` is the last shard's (it is only meaningful
-  /// in single-tenant mode).
+  /// with one shard).
   Status CheckpointAll(uint64_t* captured_lsn = nullptr);
 
   /// Boot recovery findings of one tenant (empty = first shard).
@@ -353,9 +357,11 @@ class SourceManager {
   /// `Drain`); nullptr for unknown tenants. Empty = first shard.
   const core::XmlSource* source(const std::string& tenant = "") const;
 
-  /// Storage locations, mainly for tests asserting the on-disk layout.
+  /// The directory holding one tenant's WAL segments and checkpoints:
+  /// `<wal_dir>/<SafeFileComponent(tenant)>`. Empty `tenant` resolves
+  /// like anonymous reads; empty result without a WAL dir or for an
+  /// unresolvable tenant.
   std::string WalDirFor(const std::string& tenant) const;
-  std::string SnapshotDirFor(const std::string& tenant) const;
 
   // --- Replication (primary side) ------------------------------------------
 
@@ -418,6 +424,8 @@ class SourceManager {
 
     std::string name;
     std::string dir_component;  // SafeFileComponent(name)
+    /// Labels of every per-shard metric series, fixed at construction.
+    obs::Labels labels;
 
     /// Behind a pointer (XmlSource is not movable) so a follower
     /// re-bootstrap can swap in a freshly rebuilt source under
@@ -428,8 +436,7 @@ class SourceManager {
     std::vector<std::pair<std::string, std::string>> seed_dtds;
     std::unique_ptr<store::Wal> wal;
     store::RecoveryReport recovery_report;
-    bool recovered = false;           // WAL recovery already ran
-    bool snapshots_restored = false;  // snapshot restore already ran
+    bool recovered = false;  // WAL recovery already ran
     bool metrics_wired = false;
 
     /// Spans capacity check → WAL append → enqueue, so this shard's
@@ -482,7 +489,7 @@ class SourceManager {
     bool draining = false;
     std::thread worker;
 
-    // Hot-path metric handles (tenant-labeled unless backcompat).
+    // Hot-path metric handles (labeled with `labels`).
     obs::Counter* requests_rejected = nullptr;
     obs::Counter* rate_limited = nullptr;
     obs::Counter* doc_too_large = nullptr;
@@ -495,7 +502,6 @@ class SourceManager {
     obs::Counter* checkpoints = nullptr;
     obs::Counter* checkpoint_errors = nullptr;
     obs::Gauge* checkpoint_lsn_gauge = nullptr;
-    obs::Counter* snapshots_quarantined = nullptr;
   };
 
   Shard* FindShard(const std::string& tenant);
@@ -521,8 +527,8 @@ class SourceManager {
 
   Status StartShard(Shard& shard, obs::Registry* registry);
   void WireShardMetrics(Shard& shard, obs::Registry* registry);
-  Status RestoreShardSnapshots(Shard& shard);
-  Status SnapshotShard(Shard& shard);
+  /// The one function that builds a shard's storage path.
+  std::string WalDirFor(const Shard& shard) const;
   Status CheckpointShard(Shard& shard, uint64_t* captured_lsn);
   void IngestWorker(Shard& shard);
   void ProcessPending(Shard& shard, std::vector<PendingDoc> pending);
@@ -543,12 +549,9 @@ class SourceManager {
   /// The degraded/read-only recovery probe: appends a no-op (empty
   /// eviction) record; success clears the health state.
   void HealthProbeLoop();
-  std::string SnapshotPathFor(const Shard& shard,
-                              const std::string& name) const;
 
   core::SourceOptions source_options_;
   SourceManagerOptions options_;
-  bool backcompat_ = false;
 
   /// Process-wide shared scoring infrastructure.
   std::unique_ptr<similarity::SubtreeScoreCache> shared_cache_;

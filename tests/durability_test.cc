@@ -1,9 +1,10 @@
 // Durability suite: the crash contract of the ingest server, end to end
 // over loopback sockets. An acked `/ingest` must survive a process
 // death (WAL recovery), checkpoints must bound replay, a full disk must
-// degrade — not lie — and a corrupt snapshot must quarantine, not brick
-// the boot. Fault injection (`io/fault.h`) stands in for the dying
-// disk. Multi-threaded end to end, so the suite runs under both the
+// degrade — not lie — a failed shutdown checkpoint must not cost the
+// acked tail, and a boot over corrupt or misplaced state must refuse
+// loudly instead of starting empty. Fault injection (`io/fault.h`)
+// stands in for the dying disk. Multi-threaded end to end, so the suite runs under both the
 // `durability` and `concurrency` ctest labels.
 
 #include <gtest/gtest.h>
@@ -19,7 +20,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 
@@ -275,35 +278,156 @@ TEST(DurabilityTest, WalAppendFailureAnswers503AndDegrades) {
   EXPECT_EQ(recovered.source().documents_processed(), 1u);
 }
 
-TEST(DurabilityTest, CorruptSnapshotIsQuarantinedNotFatal) {
-  const std::string dir = FreshDir("quarantine");
-  std::filesystem::create_directories(dir);
-  {
-    std::ofstream f(dir + "/mail.dtdstate");
-    f << "this is not a snapshot\n";
+/// Every file under `dir`, relative path → bytes.
+std::map<std::string, std::string> FilesUnder(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    files[std::filesystem::relative(entry.path(), dir).string()] =
+        bytes.str();
   }
-  ServerOptions options;
-  options.port = 0;
-  options.jobs = 2;
-  options.snapshot_dir = dir;
-  IngestServer server(EvolvingOptions(), options);
-  ASSERT_TRUE(server.AddDtdText("mail", kMailDtd).ok());
-  ASSERT_TRUE(server.Start().ok()) << "a corrupt snapshot must not brick "
-                                      "the boot";
+  return files;
+}
 
-  ASSERT_EQ(server.boot_warnings().size(), 1u);
-  EXPECT_NE(server.boot_warnings()[0].find("quarantined"), std::string::npos);
-  EXPECT_FALSE(std::filesystem::exists(dir + "/mail.dtdstate"));
-  EXPECT_TRUE(std::filesystem::exists(dir + "/mail.dtdstate.corrupt"));
-  ClientResponse metrics = Get(server.port(), "/metrics");
-  EXPECT_NE(
-      metrics.body.find("dtdevolve_snapshots_quarantined_total 1"),
-      std::string::npos);
-  // The server runs on the seed DTD as if this were a first boot.
-  EXPECT_EQ(Post(server.port(), "/ingest?wait=1", kConformingDoc).status,
-            200);
+/// The current value of an unlabeled counter in `server`'s registry.
+double CounterValue(IngestServer& server, const std::string& name) {
+  return server.metrics().GetCounter(name, "").Value();
+}
+
+TEST(DurabilityTest, ShutdownSyncsWalWhenFinalCheckpointFails) {
+  const std::string wal_dir = FreshDir("shutdown_sync");
+  ServerOptions options = CrashSimOptions(wal_dir);
+  options.fsync_policy = store::FsyncPolicy::kNone;
+  options.checkpoint_on_shutdown = true;
+  SourceDigest before;
+  {
+    IngestServer server(EvolvingOptions(), options);
+    ASSERT_TRUE(server.AddDtdText("mail", kMailDtd).ok());
+    ASSERT_TRUE(server.Start().ok());
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_EQ(Post(server.port(), "/ingest?wait=1", kConformingDoc).status,
+                200);
+      ASSERT_EQ(Post(server.port(), "/ingest?wait=1", kDriftedDoc).status,
+                200);
+    }
+    const double fsyncs = CounterValue(server, "dtdevolve_wal_fsyncs_total");
+    {
+      // The final checkpoint's first rename fails: the checkpoint is
+      // lost, so only an explicit WAL fsync keeps the acked tail.
+      io::FaultPlan plan;
+      plan.fail_at = 1;
+      plan.op_mask = static_cast<uint32_t>(io::FaultOp::kRename);
+      plan.error_code = EIO;
+      io::ScopedFaultPlan guard(plan);
+      server.Shutdown();
+      server.Wait();
+    }
+    EXPECT_EQ(CounterValue(server, "dtdevolve_checkpoint_errors_total"), 1);
+    EXPECT_GT(CounterValue(server, "dtdevolve_wal_fsyncs_total"), fsyncs)
+        << "shutdown left the acked WAL tail unsynced";
+    before = DigestOf(server);
+    EXPECT_EQ(before.processed, 6u);
+  }
+
+  IngestServer server(EvolvingOptions(), CrashSimOptions(wal_dir));
+  ASSERT_TRUE(server.AddDtdText("mail", kMailDtd).ok());
+  ASSERT_TRUE(server.Start().ok());
+  EXPECT_EQ(server.recovery_report().checkpoint_lsn, 0u);
+  EXPECT_EQ(server.recovery_report().replayed_records, 6u);
   server.Shutdown();
   server.Wait();
+  const SourceDigest after = DigestOf(server);
+  EXPECT_EQ(after.processed, before.processed);
+  EXPECT_EQ(after.classified, before.classified);
+  EXPECT_EQ(after.evolutions, before.evolutions);
+  EXPECT_EQ(after.mail_dtd, before.mail_dtd);
+}
+
+TEST(DurabilityTest, OldSingleTenantLayoutIsRefusedAtBoot) {
+  const std::string wal_dir = FreshDir("old_layout");
+  {
+    IngestServer server(EvolvingOptions(), CrashSimOptions(wal_dir));
+    ASSERT_TRUE(server.AddDtdText("mail", kMailDtd).ok());
+    ASSERT_TRUE(server.Start().ok());
+    EXPECT_EQ(server.manager().WalDirFor("default"), wal_dir + "/default");
+    ASSERT_EQ(Post(server.port(), "/ingest?wait=1", kDriftedDoc).status, 200);
+    ASSERT_TRUE(server.CheckpointNow().ok());
+    ASSERT_EQ(Post(server.port(), "/ingest?wait=1", kConformingDoc).status,
+              200);
+    server.Shutdown();
+    server.Wait();
+  }
+  // Recreate what an older single-tenant server left behind: the
+  // checkpoint and WAL segments directly in the WAL directory.
+  for (const auto& entry :
+       std::filesystem::directory_iterator(wal_dir + "/default")) {
+    std::filesystem::rename(entry.path(),
+                            wal_dir + "/" + entry.path().filename().string());
+  }
+  std::filesystem::remove(wal_dir + "/default");
+  const std::map<std::string, std::string> old_files = FilesUnder(wal_dir);
+  ASSERT_EQ(old_files.count("checkpoint.meta"), 1u);
+
+  {
+    IngestServer server(EvolvingOptions(), CrashSimOptions(wal_dir));
+    ASSERT_TRUE(server.AddDtdText("mail", kMailDtd).ok());
+    const Status started = server.Start();
+    ASSERT_FALSE(started.ok()) << "booted an empty shard over acked state";
+    EXPECT_NE(started.message().find(wal_dir + "/default/"),
+              std::string::npos)
+        << started.message();
+  }
+  EXPECT_EQ(FilesUnder(wal_dir), old_files);
+
+  // Moving the files where the message says boots the acked state.
+  std::filesystem::create_directory(wal_dir + "/default");
+  for (const auto& [name, bytes] : old_files) {
+    std::filesystem::rename(wal_dir + "/" + name,
+                            wal_dir + "/default/" + name);
+  }
+  IngestServer server(EvolvingOptions(), CrashSimOptions(wal_dir));
+  ASSERT_TRUE(server.AddDtdText("mail", kMailDtd).ok());
+  ASSERT_TRUE(server.Start().ok());
+  EXPECT_EQ(server.recovery_report().checkpoint_lsn, 1u);
+  EXPECT_EQ(server.recovery_report().replayed_records, 1u);
+  server.Shutdown();
+  server.Wait();
+  EXPECT_EQ(server.source().documents_processed(), 2u);
+}
+
+TEST(DurabilityTest, CorruptCheckpointFailsBootNamingTheDtd) {
+  const std::string wal_dir = FreshDir("corrupt_checkpoint");
+  ServerOptions options = CrashSimOptions(wal_dir);
+  options.checkpoint_on_shutdown = true;
+  {
+    IngestServer server(EvolvingOptions(), options);
+    ASSERT_TRUE(server.AddDtdText("mail", kMailDtd).ok());
+    ASSERT_TRUE(server.Start().ok());
+    ASSERT_EQ(Post(server.port(), "/ingest?wait=1", kDriftedDoc).status, 200);
+    server.Shutdown();
+    server.Wait();
+  }
+  // The graceful stop checkpointed at LSN 1; "mail" is DTD index 0.
+  const std::string snapshot = wal_dir + "/default/ckpt-1-0.dtdstate";
+  ASSERT_TRUE(std::filesystem::exists(snapshot));
+  {
+    std::ofstream f(snapshot, std::ios::trunc);
+    f << "this is not an extended DTD\n";
+  }
+  const std::map<std::string, std::string> files = FilesUnder(wal_dir);
+
+  IngestServer server(EvolvingOptions(), options);
+  ASSERT_TRUE(server.AddDtdText("mail", kMailDtd).ok());
+  const Status started = server.Start();
+  ASSERT_FALSE(started.ok()) << "booted past a corrupt checkpoint";
+  EXPECT_NE(started.message().find("'mail'"), std::string::npos)
+      << started.message();
+  // Nothing was renamed, rewritten or truncated: the evidence stays.
+  EXPECT_EQ(FilesUnder(wal_dir), files);
 }
 
 TEST(DurabilityTest, RecvTimeoutReleasesAStalledConnection) {

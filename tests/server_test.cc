@@ -1,6 +1,6 @@
 // Server suite: drives a real IngestServer over loopback sockets —
 // ephemeral ports, so suites can run in parallel. Covers the endpoint
-// surface, queue backpressure, and the graceful-shutdown snapshot
+// surface, queue backpressure, and the graceful-shutdown checkpoint
 // round-trip. Multi-threaded end to end, hence under the `concurrency`
 // ctest label for TSan runs.
 
@@ -12,12 +12,10 @@
 #include <netinet/in.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -50,6 +48,15 @@ const char* kDriftedDoc =
     "<mail><envelope><from>a</from><to>b</to><subject>s</subject>"
     "<cc>c</cc></envelope><body>hello</body>"
     "<attachment>x</attachment></mail>";
+
+// Two foreign families that can never classify against the mail DTD —
+// repeated verbatim so each family clusters into one structural group.
+const char* kInvoiceDoc =
+    "<invoice><customer>c</customer><item><sku>s</sku><qty>1</qty></item>"
+    "<total>9</total></invoice>";
+const char* kPlaylistDoc =
+    "<playlist><owner>o</owner><track><artist>a</artist><song>t</song>"
+    "</track></playlist>";
 
 struct ClientResponse {
   int status = 0;
@@ -295,16 +302,18 @@ TEST(ServerTest, ConcurrentClientsAllGetServed) {
   server.Wait();
 }
 
-TEST(ServerTest, GracefulShutdownSnapshotsAndRestartRestores) {
-  const std::string dir = testing::TempDir() + "server_snapshots";
-  std::remove((dir + "/mail.dtdstate").c_str());
-  ::rmdir(dir.c_str());
-  ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0) << std::strerror(errno);
+TEST(ServerTest, GracefulShutdownCheckpointsAndRestartRestores) {
+  const std::string dir = testing::TempDir() + "server_graceful_wal";
+  std::filesystem::remove_all(dir);
+
+  ServerOptions options = EphemeralOptions();
+  options.wal_dir = dir;
+  options.fsync_policy = store::FsyncPolicy::kNone;
+  options.checkpoint_interval = std::chrono::milliseconds(0);
 
   std::string evolved_dtd;
+  std::string induced_dtd;
   {
-    ServerOptions options = EphemeralOptions();
-    options.snapshot_dir = dir;
     IngestServer server(EvolvingOptions(), options);
     ASSERT_TRUE(server.AddDtdText("mail", kMailDtd).ok());
     ASSERT_TRUE(server.Start().ok());
@@ -324,34 +333,59 @@ TEST(ServerTest, GracefulShutdownSnapshotsAndRestartRestores) {
     EXPECT_NE(dtd.body.find("attachment"), std::string::npos);
     evolved_dtd = dtd.body;
 
+    // A foreign family fills the repository; its induced DTD joins the
+    // live set before the shutdown.
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_EQ(Post(server.port(), "/ingest?wait=1", kInvoiceDoc).status,
+                200);
+    }
+    ASSERT_EQ(Post(server.port(), "/dtds/induce", "").status, 200);
+    ClientResponse candidates = Get(server.port(), "/dtds/candidates");
+    const size_t id_pos = candidates.body.find("\"id\":");
+    ASSERT_NE(id_pos, std::string::npos) << candidates.body;
+    const std::string id = std::to_string(
+        std::strtoull(candidates.body.c_str() + id_pos + 5, nullptr, 10));
+    ClientResponse accepted =
+        Post(server.port(), "/dtds/candidates/" + id + "/accept", "");
+    ASSERT_EQ(accepted.status, 200) << accepted.body;
+    ClientResponse induced = Get(server.port(), "/dtds/induced-invoice");
+    ASSERT_EQ(induced.status, 200);
+    induced_dtd = induced.body;
+
     server.Shutdown();
     server.Wait();
   }
 
-  // A fresh server seeded with the ORIGINAL DTD restores the evolved
-  // extended state from the snapshot.
+  // A fresh server seeded with the ORIGINAL DTD only restores the
+  // evolved mail state and re-creates the induced DTD from the shutdown
+  // checkpoint, with no WAL tail left to replay.
   {
-    ServerOptions options = EphemeralOptions();
-    options.snapshot_dir = dir;
     IngestServer restarted(EvolvingOptions(), options);
     ASSERT_TRUE(restarted.AddDtdText("mail", kMailDtd).ok());
     ASSERT_TRUE(restarted.Start().ok());
+    EXPECT_GT(restarted.recovery_report().checkpoint_lsn, 0u);
+    EXPECT_EQ(restarted.recovery_report().replayed_records, 0u);
 
     ClientResponse dtd = Get(restarted.port(), "/dtds/mail");
     EXPECT_EQ(dtd.status, 200);
     EXPECT_EQ(dtd.body, evolved_dtd);
 
+    ClientResponse induced = Get(restarted.port(), "/dtds/induced-invoice");
+    EXPECT_EQ(induced.status, 200);
+    EXPECT_EQ(induced.body, induced_dtd);
+    ClientResponse fresh =
+        Post(restarted.port(), "/ingest?wait=1", kInvoiceDoc);
+    EXPECT_NE(fresh.body.find("\"classified\":true"), std::string::npos)
+        << fresh.body;
+
     restarted.Shutdown();
     restarted.Wait();
   }
-  std::remove((dir + "/mail.dtdstate").c_str());
-  ::rmdir(dir.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ServerTest, ShutdownDrainsQueuedDocumentsBeforeStopping) {
-  ServerOptions options = EphemeralOptions();
-  options.snapshot_dir = "";
-  IngestServer server(EvolvingOptions(), options);
+  IngestServer server(EvolvingOptions(), EphemeralOptions());
   ASSERT_TRUE(server.AddDtdText("mail", kMailDtd).ok());
   ASSERT_TRUE(server.Start().ok());
 
@@ -450,89 +484,6 @@ TEST(ServerTest, ConflictingContentLengthHeadersAreRejected) {
   server.Wait();
   EXPECT_EQ(server.source().documents_processed(), 1u);
 }
-
-TEST(ServerTest, CollidingDtdNamesKeepDistinctSnapshots) {
-  const char* kNoteDtd = R"(
-    <!ELEMENT note (heading, text)>
-    <!ELEMENT heading (#PCDATA)>
-    <!ELEMENT text (#PCDATA)>
-  )";
-  std::string dir = ::testing::TempDir() + "server_test_colliding_names";
-  ::mkdir(dir.c_str(), 0755);
-
-  // "a/b" and "a_b" sanitize to the same file stem; before the fix the
-  // second snapshot overwrote the first and a restart restored the
-  // wrong DTD's state under both names.
-  {
-    ServerOptions options = EphemeralOptions();
-    options.snapshot_dir = dir;
-    IngestServer server(EvolvingOptions(), options);
-    ASSERT_TRUE(server.AddDtdText("a/b", kMailDtd).ok());
-    ASSERT_TRUE(server.AddDtdText("a_b", kNoteDtd).ok());
-    ASSERT_TRUE(server.Start().ok());
-    // Evolve "a/b" so its state is unmistakably the mail lineage.
-    ASSERT_EQ(Post(server.port(), "/ingest?wait=1", kConformingDoc).status,
-              200);
-    ASSERT_EQ(Post(server.port(), "/ingest?wait=1", kDriftedDoc).status, 200);
-    server.Shutdown();
-    server.Wait();
-  }
-
-  size_t snapshots = 0;
-  if (DIR* d = ::opendir(dir.c_str())) {
-    while (dirent* entry = ::readdir(d)) {
-      const std::string name = entry->d_name;
-      if (name.size() > 9 && name.rfind(".dtdstate") == name.size() - 9) {
-        ++snapshots;
-      }
-    }
-    ::closedir(d);
-  }
-  EXPECT_EQ(snapshots, 2u);
-
-  {
-    ServerOptions options = EphemeralOptions();
-    options.snapshot_dir = dir;
-    IngestServer restarted(EvolvingOptions(), options);
-    ASSERT_TRUE(restarted.AddDtdText("a/b", kMailDtd).ok());
-    ASSERT_TRUE(restarted.AddDtdText("a_b", kNoteDtd).ok());
-    ASSERT_TRUE(restarted.Start().ok());
-
-    ClientResponse mail = Get(restarted.port(), "/dtds/a/b");
-    EXPECT_EQ(mail.status, 200);
-    EXPECT_NE(mail.body.find("<!ELEMENT mail"), std::string::npos);
-    EXPECT_NE(mail.body.find("attachment"), std::string::npos)
-        << "evolved mail state lost: " << mail.body;
-
-    ClientResponse note = Get(restarted.port(), "/dtds/a_b");
-    EXPECT_EQ(note.status, 200);
-    EXPECT_NE(note.body.find("<!ELEMENT note"), std::string::npos)
-        << "note state clobbered by the colliding name: " << note.body;
-
-    restarted.Shutdown();
-    restarted.Wait();
-  }
-
-  if (DIR* d = ::opendir(dir.c_str())) {
-    while (dirent* entry = ::readdir(d)) {
-      const std::string name = entry->d_name;
-      if (name != "." && name != "..") {
-        std::remove((dir + "/" + name).c_str());
-      }
-    }
-    ::closedir(d);
-  }
-  ::rmdir(dir.c_str());
-}
-
-// Two foreign families that can never classify against the mail DTD —
-// repeated verbatim so each family clusters into one structural group.
-const char* kInvoiceDoc =
-    "<invoice><customer>c</customer><item><sku>s</sku><qty>1</qty></item>"
-    "<total>9</total></invoice>";
-const char* kPlaylistDoc =
-    "<playlist><owner>o</owner><track><artist>a</artist><song>t</song>"
-    "</track></playlist>";
 
 TEST(ServerTest, InductionLifecycleOverHttp) {
   core::SourceOptions source_options = EvolvingOptions();

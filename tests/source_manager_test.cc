@@ -141,8 +141,9 @@ std::string TenantOf(const ClientResponse& response) {
 }
 
 TEST(SourceManagerTest, SafeFileComponentKeepsCollidingNamesDistinct) {
-  // Clean names pass through untouched — the single-tenant snapshot
-  // layout (`mail.dtdstate`) must not change.
+  // Clean names pass through untouched — a tenant's WAL directory is
+  // `<wal_dir>/<name>/`, so "default" must stay `default/`.
+  EXPECT_EQ(SafeFileComponent("default"), "default");
   EXPECT_EQ(SafeFileComponent("mail"), "mail");
   EXPECT_EQ(SafeFileComponent("invoice-v2"), "invoice-v2");
   // Names that sanitize to the same stem must stay distinct files.

@@ -10,7 +10,7 @@
 //                        [--merge-threshold M] [--min-cluster-size N]
 //                        [--min-coverage C] [--accept] <xml-file>...
 //   dtdevolve serve      <dtd-file>... [--port P] [--jobs N]
-//                        [--snapshot-dir D] [--sigma S] [--tau T]
+//                        [--wal-dir D] [--sigma S] [--tau T]
 //                        [--psi P] [--mu M] [--tenants LIST|N]
 //                        [--tenant-config FILE]
 //                        [--auto-induce-threshold N]
@@ -25,6 +25,11 @@
 //
 // Unknown `--flags` are usage errors everywhere; `serve` additionally
 // rejects non-positive --port/--jobs.
+//
+// `serve` persists through `--wal-dir D` only: each tenant's WAL and
+// checkpoints live in D/<tenant>/ (D/default/ for a single-tenant
+// server). `--fsync-policy none` skips the per-document fsync; a
+// graceful stop still fsyncs the log and checkpoints.
 
 #include <csignal>
 #include <cstdio>
@@ -98,9 +103,8 @@ int Usage() {
                "  dtdevolve xsd        <dtd>\n"
                "  dtdevolve diff       <old-dtd> <new-dtd>\n"
                "  dtdevolve serve      <dtd>... [--port P] [--jobs N] "
-               "[--snapshot-dir D]\n"
-               "                       [--sigma S] [--tau T] [--psi P] "
-               "[--mu M]\n"
+               "[--sigma S] [--tau T]\n"
+               "                       [--psi P] [--mu M]\n"
                "                       [--wal-dir D] [--fsync-policy "
                "always|interval|none]\n"
                "                       [--fsync-interval-ms N] "
@@ -723,11 +727,6 @@ int CmdServe(std::vector<std::string> args) {
       server_options.jobs = static_cast<size_t>(value);
       continue;
     }
-    if (args[i] == "--snapshot-dir") {
-      if (i + 1 >= args.size()) return Usage();
-      server_options.snapshot_dir = args[++i];
-      continue;
-    }
     if (args[i] == "--wal-dir") {
       if (i + 1 >= args.size()) return Usage();
       server_options.wal_dir = args[++i];
@@ -937,10 +936,9 @@ int CmdServe(std::vector<std::string> args) {
       const dtdevolve::store::RecoveryReport& recovery =
           server.recovery_report(tenant);
       std::fprintf(stderr,
-                   "dtdevolve serve: %s%srecovered checkpoint lsn %llu, "
+                   "dtdevolve serve: %s: recovered checkpoint lsn %llu, "
                    "replayed %zu WAL record(s)\n",
-                   server.manager().single_default() ? "" : tenant.c_str(),
-                   server.manager().single_default() ? "" : ": ",
+                   tenant.c_str(),
                    static_cast<unsigned long long>(recovery.checkpoint_lsn),
                    recovery.replayed_records);
     }
