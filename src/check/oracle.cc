@@ -862,24 +862,32 @@ std::string FingerprintDiff(const Fingerprint& expected,
 }
 
 struct DurableRun {
-  size_t acked = 0;        // appends that returned OK and were applied
+  size_t acked = 0;        // records committed and applied
+  size_t written = 0;      // records whose write was attempted
   bool completed = false;  // reached the end without a fault firing
 };
 
-/// One durable-pipeline execution over `texts` in `dir`: WAL append
+/// Records per commit in the group-commit leg of the crash sweep.
+constexpr size_t kCrashGroupSize = 3;
+
+/// One durable-pipeline execution over `texts` in `dir`: WAL commit
 /// before every apply, a checkpoint (plus WAL truncation) every
-/// `checkpoint_every` acked documents. Stops at the first failed append
-/// — from the crash point on the simulated process is dead to the disk,
-/// so continuing would be fiction. Mirrors the ingest server's ordering
-/// exactly; the server itself cannot be swept this densely because a
-/// real crash point would have to kill real threads. With `induction`
-/// the run ends with the candidate lifecycle — induce, then WAL-append
-/// an induce-accept record before each apply, the server's accept
-/// ordering — so the sweep's crash points land on that record type too.
+/// `checkpoint_every` acked documents. With `group` 1 each document is
+/// one `Append`; above 1, `group` documents are written before one
+/// `Commit` covers them all, then they are applied — the server's group
+/// commit. Stops at the first failed write or commit — from the crash
+/// point on the simulated process is dead to the disk, so continuing
+/// would be fiction. Mirrors the ingest server's ordering exactly; the
+/// server itself cannot be swept this densely because a real crash
+/// point would have to kill real threads. With `induction` the run ends
+/// with the candidate lifecycle — induce, then WAL-append an
+/// induce-accept record before each apply, the server's accept ordering
+/// — so the sweep's crash points land on that record type too.
 DurableRun RunDurablePipeline(const Scenario& scenario,
                               const std::vector<std::string>& texts,
                               const std::string& dir,
-                              uint64_t checkpoint_every, bool induction) {
+                              uint64_t checkpoint_every, bool induction,
+                              size_t group) {
   DurableRun run;
   core::XmlSource src(scenario.options);
   for (const auto& [name, dtd] : scenario.dtds) {
@@ -899,12 +907,22 @@ DurableRun RunDurablePipeline(const Scenario& scenario,
       (void)(*wal)->TruncateThrough(lsn);
     }
   };
-  for (const std::string& text : texts) {
-    StatusOr<uint64_t> lsn = (*wal)->Append(text);
-    if (!lsn.ok()) return run;
-    (void)src.ProcessText(text);
-    ++run.acked;
-    maybe_checkpoint(*lsn);
+  for (size_t begin = 0; begin < texts.size(); begin += group) {
+    const size_t end = std::min(texts.size(), begin + group);
+    std::vector<uint64_t> lsns;
+    for (size_t i = begin; i < end; ++i) {
+      ++run.written;
+      StatusOr<uint64_t> lsn =
+          group == 1 ? (*wal)->Append(texts[i]) : (*wal)->Write(texts[i]);
+      if (!lsn.ok()) return run;
+      lsns.push_back(*lsn);
+    }
+    if (group > 1 && !(*wal)->Commit(lsns.back()).ok()) return run;
+    for (size_t i = begin; i < end; ++i) {
+      (void)src.ProcessText(texts[i]);
+      ++run.acked;
+      maybe_checkpoint(lsns[i - begin]);
+    }
   }
   if (induction) {
     src.InduceCandidates();
@@ -913,6 +931,7 @@ DurableRun RunDurablePipeline(const Scenario& scenario,
       if (best == nullptr) break;
       const std::string record =
           store::EncodeInduceAcceptRecord(best->name, best->ext);
+      ++run.written;
       StatusOr<uint64_t> lsn = (*wal)->Append(record);
       if (!lsn.ok()) return run;
       StatusOr<core::XmlSource::AcceptOutcome> outcome =
@@ -952,6 +971,137 @@ std::string CrashTempDir(uint64_t seed, uint64_t point) {
            std::to_string(seed) + "-" + std::to_string(point) + "-" +
            std::to_string(counter.fetch_add(1))))
       .string();
+}
+
+/// One leg of the crash sweep: a clean pass that counts the run's
+/// faultable I/O ops and checks the durable pipeline against the plain
+/// sequential replay, then one crashed run per chosen op. With `group`
+/// 1 the recovered state must be the acked prefix or acked + 1 (the one
+/// in-flight append). With a larger group every written record of the
+/// crashed group may have reached the disk, so any prefix between the
+/// acked and the written count passes.
+template <typename AddViolation>
+void SweepCrashLeg(const Scenario& scenario,
+                   const std::vector<std::string>& texts,
+                   const std::vector<Fingerprint>& prefix_fps,
+                   const CrashOracleOptions& options, size_t group,
+                   uint64_t scenario_seed, uint64_t* crash_points,
+                   AddViolation add_violation) {
+  const uint64_t total_applies = prefix_fps.size() - 1;
+  io::FaultInjector& injector = io::FaultInjector::Instance();
+  size_t violations = 0;
+  auto violate = [&](uint64_t op, std::string detail,
+                     const char* invariant = "crash-recovery") {
+    ++violations;
+    add_violation(op, std::move(detail), invariant);
+  };
+
+  // Clean pass: count the run's faultable I/O ops (a fail_at of 0 never
+  // fires) and sanity-check that the durable pipeline lands on the same
+  // state as the plain sequential replay.
+  uint64_t total_ops = 0;
+  {
+    const std::string dir = CrashTempDir(scenario_seed, 0);
+    std::filesystem::remove_all(dir);
+    injector.Arm(io::FaultPlan{});
+    DurableRun clean = RunDurablePipeline(scenario, texts, dir,
+                                          options.checkpoint_every,
+                                          options.induction, group);
+    total_ops = injector.ops_seen();
+    injector.Disarm();
+    if (!clean.completed) {
+      violate(0, "clean durable run did not complete");
+    } else {
+      StatusOr<Fingerprint> recovered = RecoverFingerprint(scenario, dir);
+      if (!recovered.ok()) {
+        violate(0, "clean-run recovery failed: " +
+                       recovered.status().message());
+      } else if (*recovered != prefix_fps.back()) {
+        violate(0, "clean durable run diverged from sequential replay: " +
+                       FingerprintDiff(prefix_fps.back(), *recovered));
+      }
+    }
+    std::filesystem::remove_all(dir);
+    if (violations > 0) return;
+  }
+
+  const uint64_t wanted = options.max_crash_points == 0
+                              ? total_ops
+                              : std::min(options.max_crash_points, total_ops);
+  const uint64_t stride =
+      wanted == 0 ? 1 : std::max<uint64_t>(1, total_ops / wanted);
+  for (uint64_t op = 1;
+       op <= total_ops && violations < kMaxViolationsPerScenario;
+       op += stride) {
+    if (crash_points != nullptr) ++*crash_points;
+    const std::string dir = CrashTempDir(scenario_seed, op);
+    std::filesystem::remove_all(dir);
+
+    io::FaultPlan plan;
+    plan.fail_at = op;
+    plan.crash = true;
+    // Vary the failure flavor deterministically: ENOSPC vs EIO, and a
+    // torn prefix of 0, 1/3, 2/3 or all of the failing write's bytes
+    // (a fully persisted write whose ack never returned is the
+    // in-flight case the allowance below exists for).
+    plan.error_code = (op % 2 == 0) ? ENOSPC : EIO;
+    plan.torn_fraction = static_cast<double>(op % 4) / 3.0;
+    injector.Arm(plan);
+    DurableRun run = RunDurablePipeline(scenario, texts, dir,
+                                        options.checkpoint_every,
+                                        options.induction, group);
+    injector.Disarm();
+
+    StatusOr<Fingerprint> recovered = RecoverFingerprint(scenario, dir);
+    if (!recovered.ok()) {
+      violate(op, "recovery after crash at op " + std::to_string(op) +
+                      " (acked " + std::to_string(run.acked) +
+                      "): " + recovered.status().message());
+      std::filesystem::remove_all(dir);
+      continue;
+    }
+    bool matched = false;
+    std::string expected;
+    if (group == 1) {
+      // At-least-once ack: the recovered state is the acked prefix, or —
+      // when the crash fell between a record's last byte and its fsync
+      // returning — the acked prefix plus that single durable-but-unacked
+      // document.
+      const bool exact = *recovered == prefix_fps[run.acked];
+      const bool in_flight = run.acked < total_applies &&
+                             *recovered == prefix_fps[run.acked + 1];
+      matched = exact || in_flight;
+      expected = "the acked prefix nor acked+1";
+    } else {
+      // A crashed group may have left any prefix of its written records
+      // on disk: the recovered state lies between the acked and the
+      // written prefix.
+      const size_t written = std::min<size_t>(run.written, total_applies);
+      for (size_t j = run.acked; j <= written && !matched; ++j) {
+        matched = *recovered == prefix_fps[j];
+      }
+      expected = "any prefix between acked and written (" +
+                 std::to_string(run.written) + ")";
+    }
+    if (!matched) {
+      violate(op, "crash at op " + std::to_string(op) + " (acked " +
+                      std::to_string(run.acked) +
+                      " documents): recovered state matches neither " +
+                      expected + " — " +
+                      FingerprintDiff(prefix_fps[run.acked], *recovered));
+    } else {
+      StatusOr<Fingerprint> again = RecoverFingerprint(scenario, dir);
+      if (!again.ok()) {
+        violate(op, "second recovery failed: " + again.status().message(),
+                "recovery-idempotence");
+      } else if (*again != *recovered) {
+        violate(op, "second recovery diverged from the first: " +
+                        FingerprintDiff(*recovered, *again),
+                "recovery-idempotence");
+      }
+    }
+    std::filesystem::remove_all(dir);
+  }
 }
 
 }  // namespace
@@ -1019,103 +1169,17 @@ ScenarioResult RunCrashScenario(uint64_t scenario_seed,
     }
     result.evolutions = reference.evolutions_performed();
   }
-  const uint64_t total_applies = prefix_fps.size() - 1;
-
-  io::FaultInjector& injector = io::FaultInjector::Instance();
-
-  // Clean pass: count the run's faultable I/O ops (a fail_at of 0 never
-  // fires) and sanity-check that the durable pipeline lands on the same
-  // state as the plain sequential replay.
-  uint64_t total_ops = 0;
-  {
-    const std::string dir = CrashTempDir(scenario_seed, 0);
-    std::filesystem::remove_all(dir);
-    injector.Arm(io::FaultPlan{});
-    DurableRun clean = RunDurablePipeline(scenario, texts, dir,
-                                          options.checkpoint_every,
-                                          options.induction);
-    total_ops = injector.ops_seen();
-    injector.Disarm();
-    if (!clean.completed) {
-      add_violation(0, "clean durable run did not complete");
-    } else {
-      StatusOr<Fingerprint> recovered = RecoverFingerprint(scenario, dir);
-      if (!recovered.ok()) {
-        add_violation(0, "clean-run recovery failed: " +
-                             recovered.status().message());
-      } else if (*recovered != prefix_fps.back()) {
-        add_violation(0, "clean durable run diverged from sequential "
-                         "replay: " +
-                             FingerprintDiff(prefix_fps.back(), *recovered));
-      }
-    }
-    std::filesystem::remove_all(dir);
-    if (!result.violations.empty()) return result;
-  }
-
-  const uint64_t wanted = options.max_crash_points == 0
-                              ? total_ops
-                              : std::min(options.max_crash_points, total_ops);
-  const uint64_t stride =
-      wanted == 0 ? 1 : std::max<uint64_t>(1, total_ops / wanted);
-  for (uint64_t op = 1;
-       op <= total_ops &&
-       result.violations.size() < kMaxViolationsPerScenario;
-       op += stride) {
-    if (crash_points != nullptr) ++*crash_points;
-    const std::string dir = CrashTempDir(scenario_seed, op);
-    std::filesystem::remove_all(dir);
-
-    io::FaultPlan plan;
-    plan.fail_at = op;
-    plan.crash = true;
-    // Vary the failure flavor deterministically: ENOSPC vs EIO, and a
-    // torn prefix of 0, 1/3, 2/3 or all of the failing write's bytes
-    // (a fully persisted write whose ack never returned is the
-    // in-flight case the allowance below exists for).
-    plan.error_code = (op % 2 == 0) ? ENOSPC : EIO;
-    plan.torn_fraction = static_cast<double>(op % 4) / 3.0;
-    injector.Arm(plan);
-    DurableRun run = RunDurablePipeline(scenario, texts, dir,
-                                        options.checkpoint_every,
-                                        options.induction);
-    injector.Disarm();
-
-    StatusOr<Fingerprint> recovered = RecoverFingerprint(scenario, dir);
-    if (!recovered.ok()) {
-      add_violation(op, "recovery after crash at op " + std::to_string(op) +
-                            " (acked " + std::to_string(run.acked) +
-                            "): " + recovered.status().message());
-      std::filesystem::remove_all(dir);
-      continue;
-    }
-    // At-least-once ack: the recovered state is the acked prefix, or —
-    // when the crash fell between a record's last byte and its fsync
-    // returning — the acked prefix plus that single durable-but-unacked
-    // document.
-    const bool exact = *recovered == prefix_fps[run.acked];
-    const bool in_flight = run.acked < total_applies &&
-                           *recovered == prefix_fps[run.acked + 1];
-    if (!exact && !in_flight) {
-      add_violation(op, "crash at op " + std::to_string(op) + " (acked " +
-                            std::to_string(run.acked) +
-                            " documents): recovered state matches neither "
-                            "the acked prefix nor acked+1 — " +
-                            FingerprintDiff(prefix_fps[run.acked],
-                                            *recovered));
-    } else {
-      StatusOr<Fingerprint> again = RecoverFingerprint(scenario, dir);
-      if (!again.ok()) {
-        add_violation(op, "second recovery failed: " +
-                              again.status().message(),
-                      "recovery-idempotence");
-      } else if (*again != *recovered) {
-        add_violation(op, "second recovery diverged from the first: " +
-                              FingerprintDiff(*recovered, *again),
-                      "recovery-idempotence");
-      }
-    }
-    std::filesystem::remove_all(dir);
+  // Two legs: one Append per document, then groups of kCrashGroupSize
+  // written before one Commit.
+  for (const size_t group : {size_t{1}, kCrashGroupSize}) {
+    const std::string leg =
+        group == 1 ? "append leg: " : "group-commit leg: ";
+    SweepCrashLeg(scenario, texts, prefix_fps, options, group, scenario_seed,
+                  crash_points, [&](uint64_t op, std::string detail,
+                                    const char* invariant) {
+                    add_violation(op, leg + detail, invariant);
+                  });
+    if (!result.violations.empty()) break;
   }
   return result;
 }

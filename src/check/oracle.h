@@ -89,20 +89,24 @@ OracleReport RunOracle(const OracleOptions& options = {});
 // --- Crash-recovery oracle --------------------------------------------------
 
 /// Options of the crash-recovery sweep (`RunCrashOracle`). Each scenario
-/// first runs the durable pipeline — WAL append before every apply,
-/// periodic checkpoints — once cleanly to enumerate its faultable I/O
-/// operations, then re-runs it once per chosen crash point with the
+/// sweeps two legs of the durable pipeline — WAL commit before every
+/// apply, periodic checkpoints — one `Wal::Append` per document, then
+/// groups of three documents written before one `Wal::Commit` (the
+/// server's group commit). Each leg runs once cleanly to enumerate its
+/// faultable I/O operations, then once per chosen crash point with the
 /// fault injector (`io/fault.h`) set to crash there: the op fails (with
 /// EIO or ENOSPC, possibly persisting a torn prefix of a write) and
 /// every later I/O op fails too, as if the process had died. Recovery
 /// then boots from what is on disk, and the invariant is checked:
 ///
 ///   crash-recovery — the recovered pipeline state is byte-identical to
-///   sequentially replaying exactly the acked documents (those whose WAL
-///   append returned OK), or the acked documents plus the single
-///   in-flight one — a crash between a record's last byte and its fsync
-///   return leaves it durable but unacked, and at-least-once ack
-///   semantics admit exactly that one extra;
+///   sequentially replaying exactly the acked documents (those whose
+///   commit returned OK), or, in the append leg, the acked documents
+///   plus the single in-flight one — a crash between a record's last
+///   byte and its fsync return leaves it durable but unacked, and
+///   at-least-once ack semantics admit exactly that one extra. In the
+///   group-commit leg any prefix between the acked and the written
+///   documents passes: every record of the crashed group may be on disk;
 ///
 ///   recovery-idempotence — recovering a second time from the same
 ///   directory yields the same state (a crash mid-recovery is harmless).

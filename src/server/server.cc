@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -186,6 +187,28 @@ HttpResponse WaitOutcomeResponse(const core::XmlSource::ProcessOutcome& outcome,
   body += ",\"tenant\":\"" + JsonEscape(tenant) + "\"";
   body += "}\n";
   return {200, "application/json", {}, body};
+}
+
+/// The 202 of an async ingest.
+HttpResponse QueuedResponse(const std::string& tenant) {
+  return {202, "application/json", {},
+          "{\"queued\":true,\"tenant\":\"" + JsonEscape(tenant) + "\"}\n"};
+}
+
+/// The answer of an ingest whose waiter completed: 503 when its group
+/// commit failed, else the 202 (async) or the outcome (`?wait=1`).
+HttpResponse CompletedIngestResponse(
+    const SourceManager::IngestWaiter& waiter, const std::string& tenant,
+    int retry_after_seconds) {
+  if (!waiter.status.ok()) {
+    return {503,
+            "application/json",
+            {{"Retry-After", std::to_string(retry_after_seconds)}},
+            "{\"error\":\"write-ahead log commit failed: " +
+                JsonEscape(waiter.status.message()) + "\"}\n"};
+  }
+  if (waiter.commit_only) return QueuedResponse(tenant);
+  return WaitOutcomeResponse(waiter.outcome, tenant);
 }
 
 }  // namespace
@@ -456,6 +479,11 @@ void IngestServer::AcceptReady() {
       RejectConnection(fd);
       continue;
     }
+    // Responses are written whole, so Nagle only delays them: a
+    // pipelined request's answer would otherwise wait for the client's
+    // delayed ACK (about 40 ms).
+    const int nodelay = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
     auto conn = std::make_unique<Connection>();
     conn->fd = fd;
     conn->id = ++next_conn_id_;
@@ -951,25 +979,22 @@ IngestServer::RouteResult IngestServer::HandleIngest(
       break;
   }
 
-  if (!wait) {
-    return {false,
-            {202, "application/json", {},
-             "{\"queued\":true,\"tenant\":\"" + JsonEscape(enqueued.tenant) +
-                 "\"}\n"}};
-  }
-
-  // `?wait=1` without blocking the event thread: register a completion
-  // callback under the waiter's mutex. If the worker already finished
-  // (it can outrun us), answer synchronously instead.
+  // Without a WAL an async ingest is acked at once. Otherwise the ack
+  // waits — for the group commit (async) or the apply (`?wait=1`) —
+  // without blocking the event thread: register a completion callback
+  // under the waiter's mutex. If the worker already finished (it can
+  // outrun us), answer synchronously instead.
   std::shared_ptr<SourceManager::IngestWaiter> waiter = enqueued.waiter;
+  if (waiter == nullptr) return {false, QueuedResponse(enqueued.tenant)};
   const std::string path_label = PathLabel(request.path);
+  const int retry_after = options_.retry_after_seconds;
   {
     std::lock_guard<std::mutex> lock(waiter->mutex);
     if (!waiter->done) {
-      waiter->on_done = [this, fd, conn_id, keep_alive, waiter,
+      waiter->on_done = [this, fd, conn_id, keep_alive, waiter, retry_after,
                          tenant_name = enqueued.tenant, path_label] {
         HttpResponse response =
-            WaitOutcomeResponse(waiter->outcome, tenant_name);
+            CompletedIngestResponse(*waiter, tenant_name, retry_after);
         CountRequest(path_label, response.status);
         WaitCompletion completion;
         completion.fd = fd;
@@ -981,7 +1006,8 @@ IngestServer::RouteResult IngestServer::HandleIngest(
       return {true, {}};
     }
   }
-  return {false, WaitOutcomeResponse(waiter->outcome, enqueued.tenant)};
+  return {false,
+          CompletedIngestResponse(*waiter, enqueued.tenant, retry_after)};
 }
 
 HttpResponse IngestServer::HandleTenants() {

@@ -82,15 +82,18 @@ struct ServerOptions {
   /// Directory for the write-ahead logs and their checkpoints — one
   /// independent lineage per tenant shard, in `<wal_dir>/<tenant>/`
   /// (`SourceManager::WalDirFor`). Empty disables persistence. When
-  /// set, every accepted `/ingest` body is appended to its shard's log
-  /// — and, under `fsync_policy == kAlways`, fsynced — *before* the
-  /// 202/200 ack, so an acked document survives a crash; `Start` then
-  /// recovers each shard's checkpoint plus WAL tail, induced DTDs
-  /// included. With `fsync_policy == kNone` an ack costs no fsync, and
-  /// the graceful stop still fsyncs the log and checkpoints. An append
-  /// failure (e.g. disk full) answers 503 with `Retry-After` and raises
-  /// the `dtdevolve_degraded` gauge until an append succeeds again. A
-  /// corrupt checkpoint fails `Start` with an error naming the DTD.
+  /// set, every accepted `/ingest` body is written to its shard's log
+  /// and committed by the shard's worker — under `fsync_policy ==
+  /// kAlways`, fsynced, one fsync per group of queued documents —
+  /// *before* the 202/200 ack, so an acked document survives a crash;
+  /// `Start` then recovers each shard's checkpoint plus WAL tail,
+  /// induced DTDs included. With `fsync_policy == kNone` an ack costs no
+  /// fsync, and the graceful stop still fsyncs the log and checkpoints.
+  /// A write or fsync failure (e.g. disk full) answers 503 with
+  /// `Retry-After` — to every document of a failed fsync's group — and
+  /// raises the `dtdevolve_degraded` gauge until a commit succeeds
+  /// again. A corrupt checkpoint fails `Start` with an error naming the
+  /// DTD.
   std::string wal_dir;
   store::FsyncPolicy fsync_policy = store::FsyncPolicy::kAlways;
   /// Fsync cadence under `FsyncPolicy::kInterval`.
@@ -150,12 +153,13 @@ struct ServerOptions {
 ///                           queued; that shard's ingest worker drains
 ///                           its queue in batches through `ProcessBatch`
 ///                           on the shared pool. Replies 202 once
-///                           queued, or — with `?wait=1` — 200 with the
-///                           JSON outcome after the document was
-///                           applied (the connection is parked, never a
-///                           thread). 400 on parse errors, 404 for
-///                           unknown tenants, 503 + Retry-After when
-///                           the shard's queue is full.
+///                           queued and (with a WAL) committed, or —
+///                           with `?wait=1` — 200 with the JSON outcome
+///                           after the document was applied (the
+///                           connection is parked, never a thread). 400
+///                           on parse errors, 404 for unknown tenants,
+///                           503 + Retry-After when the shard's queue is
+///                           full or its WAL write or commit failed.
 ///   POST /ingest/{tenant}   same, routed to the named tenant. The
 ///                           `?tenant=` query is an equivalent spelling
 ///                           on the bare path. Anonymous traffic goes
@@ -193,9 +197,9 @@ struct ServerOptions {
 ///                           one blob (follower bootstrap). Primary
 ///                           only.
 ///   GET /replication/wal?tenant=&from_lsn=N[&max_bytes=M]
-///                           raw WAL frames with `lsn >= N`, cut at a
-///                           frame boundary; `X-Dtdevolve-Next-Lsn`
-///                           carries the live log head. 410 Gone when
+///                           raw durable WAL frames with `lsn >= N`, cut
+///                           at a frame boundary; `X-Dtdevolve-Next-Lsn`
+///                           carries the durable log head. 410 Gone when
 ///                           `N` was checkpoint-truncated — the
 ///                           follower re-bootstraps. Primary only.
 ///
@@ -203,9 +207,11 @@ struct ServerOptions {
 /// epoll — non-blocking sockets, per-connection input/output buffers,
 /// HTTP/1.1 keep-alive with pipelining (requests are parsed back to
 /// back out of the input buffer and answered strictly in order).
-/// `?wait=1` ingests never block the loop: the connection parks on the
-/// shard's `IngestWaiter` callback and the worker's completion is
-/// ferried back over a wake pipe. Slow or idle peers are closed on the
+/// Ingests never block the loop, which never fsyncs: the connection
+/// parks on the shard's `IngestWaiter` callback and the worker's
+/// completion (after the group commit, or after the apply for
+/// `?wait=1`) is ferried back over a wake pipe. Accepted sockets set
+/// `TCP_NODELAY` so a pipelined answer is not held by Nagle. Slow or idle peers are closed on the
 /// `*_timeout_seconds` deadlines.
 ///
 /// Lifecycle: `AddDtdText` seeds every shard (`AddTenantDtdText` one),

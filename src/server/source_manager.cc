@@ -39,6 +39,54 @@ bool HasTopLevelWalFiles(const std::string& dir) {
   return false;
 }
 
+/// Records per fsync: powers of two from 1 to 1024.
+std::vector<double> CommitDocsBounds() {
+  std::vector<double> bounds;
+  for (double docs = 1; docs <= 1024; docs *= 2) bounds.push_back(docs);
+  return bounds;
+}
+
+/// fsync latency: 1-2-5 steps from 1 µs to 10 s (an fsync on a fast
+/// disk is well under the 100 µs floor of `DefaultLatencyBounds`).
+std::vector<double> SyncSecondsBounds() {
+  std::vector<double> bounds;
+  for (double decade = 1e-6; decade < 10; decade *= 10) {
+    for (double step : {1.0, 2.0, 5.0}) bounds.push_back(decade * step);
+  }
+  bounds.push_back(10.0);
+  return bounds;
+}
+
+/// Moves the documents with an LSN above `durable` out of `docs` (an LSN-
+/// ordered batch or queue, so they are its tail).
+template <typename Docs>
+std::vector<typename Docs::value_type> TakeAbove(Docs& docs,
+                                                 uint64_t durable) {
+  auto first = std::find_if(docs.begin(), docs.end(),
+                            [durable](const auto& doc) {
+                              return doc.lsn > durable;
+                            });
+  std::vector<typename Docs::value_type> taken(
+      std::make_move_iterator(first), std::make_move_iterator(docs.end()));
+  docs.erase(first, docs.end());
+  return taken;
+}
+
+/// Publishes a waiter's completion and runs its callback outside the
+/// lock: the callback typically re-enters the server (completion queue
+/// + wake pipe) and must not hold the mutex a blocked `cv` waiter also
+/// needs.
+void CompleteWaiter(SourceManager::IngestWaiter& waiter) {
+  std::function<void()> on_done;
+  {
+    std::lock_guard<std::mutex> lock(waiter.mutex);
+    waiter.done = true;
+    on_done = std::move(waiter.on_done);
+    waiter.cv.notify_all();
+  }
+  if (on_done) on_done();
+}
+
 }  // namespace
 
 std::string SafeFileComponent(const std::string& name) {
@@ -375,6 +423,14 @@ Status SourceManager::StartShard(Shard& shard, obs::Registry* registry) {
       "dtdevolve_wal_append_errors_total", "WAL appends that failed", labels);
   wal_metrics.fsyncs = &registry->GetCounter(
       "dtdevolve_wal_fsyncs_total", "WAL fsync calls", labels);
+  wal_metrics.commit_docs = &registry->GetHistogram(
+      "dtdevolve_wal_commit_docs",
+      "WAL records made durable by one group-commit fsync",
+      CommitDocsBounds(), labels);
+  wal_metrics.sync_seconds = &registry->GetHistogram(
+      "dtdevolve_wal_sync_seconds",
+      "Seconds one group commit spent in fsync", SyncSecondsBounds(),
+      labels);
   wal_metrics.rotations = &registry->GetCounter(
       "dtdevolve_wal_rotations_total", "WAL segment rotations", labels);
   wal_metrics.truncated_segments = &registry->GetCounter(
@@ -516,19 +572,23 @@ SourceManager::EnqueueResult SourceManager::EnqueuePending(
   result.tenant = shard->name;
 
   pending.enqueued = std::chrono::steady_clock::now();
-  if (wait) pending.waiter = std::make_shared<IngestWaiter>();
+  if (wait || shard->wal != nullptr) {
+    // With the WAL on even an async ack waits: for the group commit.
+    pending.waiter = std::make_shared<IngestWaiter>();
+    pending.waiter->commit_only = !wait;
+  }
   result.waiter = pending.waiter;
 
   {
-    // Spans capacity check → WAL append → enqueue: concurrent ingests
+    // Spans capacity check → WAL write → enqueue: concurrent ingests
     // into THIS shard serialize here, so its queue (and therefore its
     // apply order) is exactly its LSN order — the invariant WAL replay
     // depends on. Other shards' ingests proceed in parallel.
     std::lock_guard<std::mutex> order(shard->ingest_order_mutex);
     if (shard->health.load(std::memory_order_relaxed) ==
         static_cast<int>(ShardHealth::kReadOnly)) {
-      // Appends failed repeatedly; stop hammering the dead disk. The
-      // recovery probe flips the shard back once an append succeeds.
+      // The WAL failed repeatedly; stop hammering the dead disk. The
+      // recovery probe flips the shard back once a record commits.
       shard->read_only_rejected->Increment();
       result.code = EnqueueCode::kReadOnly;
       result.waiter = nullptr;
@@ -564,21 +624,24 @@ SourceManager::EnqueueResult SourceManager::EnqueuePending(
       }
     }
     if (shard->wal != nullptr) {
-      // The ack contract: the record is in the log (fsynced under the
-      // `always` policy) before any 2xx leaves the server. When the
+      // Only the write happens here — no fsync on the event thread. The
+      // ack contract still holds: the worker commits the record (fsync
+      // under `always`, shared with every record queued meanwhile)
+      // before its waiter completes, so no 2xx leaves earlier. When the
       // disk says no, the document is NOT acked — the caller answers
       // 503 so the client retries, and the degraded gauge flags the
-      // condition until an append succeeds again.
-      StatusOr<uint64_t> lsn = shard->wal->Append(raw_body);
+      // condition until a commit succeeds again.
+      StatusOr<uint64_t> lsn = shard->wal->Write(raw_body);
       if (!lsn.ok()) {
-        NoteWalFailure(*shard);
+        // A refusal while a failed group awaits its rewind is not new
+        // evidence against the disk.
+        if (!shard->wal->commit_failed()) NoteWalFailure(*shard);
         shard->requests_rejected->Increment();
         result.code = EnqueueCode::kWalError;
         result.error = lsn.status().message();
         result.waiter = nullptr;
         return result;
       }
-      NoteWalSuccess(*shard);
       pending.lsn = *lsn;
     }
     {
@@ -597,8 +660,15 @@ void SourceManager::IngestWorker(Shard& shard) {
     {
       std::unique_lock<std::mutex> lock(shard.queue_mutex);
       shard.queue_cv.wait(lock, [&shard] {
-        return shard.draining || (!shard.paused && !shard.queue.empty());
+        return shard.draining || shard.rewind_requested ||
+               (!shard.paused && !shard.queue.empty());
       });
+      if (shard.rewind_requested) {
+        shard.rewind_requested = false;
+        lock.unlock();
+        RewindShard(shard);
+        continue;
+      }
       if (shard.queue.empty() && shard.draining) return;
       const size_t take = std::min(shard.queue.size(), options_.batch_max);
       pending.reserve(take);
@@ -612,8 +682,91 @@ void SourceManager::IngestWorker(Shard& shard) {
   }
 }
 
+void SourceManager::CommitPending(Shard& shard,
+                                  std::vector<PendingDoc>& pending) {
+  // The queue is in LSN order, so the last document's LSN covers the
+  // batch. While this fsync runs the event thread keeps queueing, and
+  // the next batch shares one fsync among all of those documents.
+  Status committed = shard.wal->Commit(pending.back().lsn);
+  if (committed.ok()) {
+    NoteWalSuccess(shard);
+  } else {
+    NoteWalFailure(shard);
+    RejectLost(shard, TakeAbove(pending, shard.wal->durable_lsn()),
+               committed);
+    RewindShard(shard);
+  }
+  for (PendingDoc& item : pending) {
+    if (item.waiter != nullptr && item.waiter->commit_only) {
+      CompleteWaiter(*item.waiter);
+    }
+  }
+}
+
+void SourceManager::RewindShard(Shard& shard) {
+  std::vector<PendingDoc> lost;
+  {
+    // Under the ingest-order mutex every enqueue is either done (its
+    // document is in the queue) or not started, so the queued documents
+    // above the durable LSN are all the lost ones. A failed rewind keeps
+    // the WAL refusing writes; the health probe asks again.
+    std::lock_guard<std::mutex> order(shard.ingest_order_mutex);
+    (void)shard.wal->Rewind();
+    std::lock_guard<std::mutex> lock(shard.queue_mutex);
+    lost = TakeAbove(shard.queue, shard.wal->durable_lsn());
+    shard.queue_depth->Set(static_cast<double>(shard.queue.size()));
+  }
+  RejectLost(shard, std::move(lost),
+             Status::Unavailable("write-ahead log group commit failed"));
+}
+
+void SourceManager::RequestRewind(Shard& shard) {
+  {
+    std::lock_guard<std::mutex> lock(shard.queue_mutex);
+    shard.rewind_requested = true;
+  }
+  shard.queue_cv.notify_all();
+}
+
+void SourceManager::RejectLost(Shard& shard, std::vector<PendingDoc> lost,
+                               const Status& status) {
+  for (PendingDoc& item : lost) {
+    shard.requests_rejected->Increment();
+    if (item.waiter == nullptr) continue;
+    {
+      std::lock_guard<std::mutex> lock(item.waiter->mutex);
+      item.waiter->status = status;
+    }
+    CompleteWaiter(*item.waiter);
+  }
+}
+
+StatusOr<uint64_t> SourceManager::LogRecord(Shard& shard,
+                                            std::string_view payload) {
+  StatusOr<uint64_t> lsn = shard.wal->Write(payload);
+  if (lsn.ok()) {
+    Status committed = shard.wal->Commit(*lsn);
+    if (!committed.ok()) {
+      // Queued documents may share the failed group; only the worker
+      // may rewind, between batches.
+      RequestRewind(shard);
+      lsn = committed;
+    }
+  }
+  if (lsn.ok()) {
+    NoteWalSuccess(shard);
+  } else {
+    NoteWalFailure(shard);
+  }
+  return lsn;
+}
+
 void SourceManager::ProcessPending(Shard& shard,
                                    std::vector<PendingDoc> pending) {
+  if (shard.wal != nullptr) {
+    CommitPending(shard, pending);
+    if (pending.empty()) return;
+  }
   // All-arena batches (the streaming default) drain through the
   // memo-first arena ProcessBatch; a mixed or DOM batch falls back to
   // the DOM path, converting any stray arena documents. Outcomes are
@@ -654,7 +807,7 @@ void SourceManager::ProcessPending(Shard& shard,
       if (item.lsn > shard.applied_lsn) shard.applied_lsn = item.lsn;
     }
     // Eviction records and recovery probes get LSNs out of band (they
-    // are applied at append time, not through the queue); fold any that
+    // are applied once logged, not through the queue); fold any that
     // became contiguous into the watermark so checkpoints cover them.
     AbsorbAppliedLsn(shard, shard.applied_lsn);
     // Auto-induction proposes — it never accepts. Gated on "no pending
@@ -674,21 +827,13 @@ void SourceManager::ProcessPending(Shard& shard,
   for (size_t i = 0; i < pending.size(); ++i) {
     shard.ingest_seconds->Observe(
         std::chrono::duration<double>(now - pending[i].enqueued).count());
-    if (pending[i].waiter != nullptr) {
-      IngestWaiter& waiter = *pending[i].waiter;
-      std::function<void()> on_done;
-      {
-        std::lock_guard<std::mutex> lock(waiter.mutex);
-        waiter.outcome = outcomes[i];
-        waiter.done = true;
-        // The callback runs outside the lock: it typically re-enters the
-        // server (completion queue + wake pipe) and must not hold the
-        // waiter mutex a blocked `cv` waiter also needs.
-        on_done = std::move(waiter.on_done);
-        waiter.cv.notify_all();
-      }
-      if (on_done) on_done();
+    IngestWaiter* waiter = pending[i].waiter.get();
+    if (waiter == nullptr || waiter->commit_only) continue;
+    {
+      std::lock_guard<std::mutex> lock(waiter->mutex);
+      waiter->outcome = outcomes[i];
     }
+    CompleteWaiter(*waiter);
   }
 }
 
@@ -759,9 +904,10 @@ void SourceManager::CheckpointLoop() {
 void SourceManager::NoteWalFailure(Shard& shard) {
   const uint64_t failures =
       shard.wal_failures.fetch_add(1, std::memory_order_relaxed) + 1;
-  // One failed append is a degraded shard (clients should retry); three
-  // in a row with no success in between means the disk is gone for now,
-  // and writes are refused up front instead of hammering it.
+  // One failed write or commit is a degraded shard (clients should
+  // retry); three in a row with no success in between means the disk is
+  // gone for now, and writes are refused up front instead of hammering
+  // it.
   const int next = failures >= 3 ? static_cast<int>(ShardHealth::kReadOnly)
                                  : static_cast<int>(ShardHealth::kDegraded);
   shard.health.store(next, std::memory_order_relaxed);
@@ -825,12 +971,8 @@ void SourceManager::EnforceRepositoryQuota(Shard& shard) {
     // are skipped, which also makes re-application after a checkpoint
     // a no-op.
     StatusOr<uint64_t> lsn =
-        shard.wal->Append(store::EncodeEvictRecord(victims));
-    if (!lsn.ok()) {
-      NoteWalFailure(shard);
-      return;
-    }
-    NoteWalSuccess(shard);
+        LogRecord(shard, store::EncodeEvictRecord(victims));
+    if (!lsn.ok()) return;
     evict_lsn = *lsn;
   }
   {
@@ -856,14 +998,19 @@ void SourceManager::HealthProbeLoop() {
           static_cast<int>(ShardHealth::kOk)) {
         continue;
       }
-      // The probe is an empty eviction record: a real append through
-      // the full WAL path (rotate/truncate self-healing included) that
-      // replays as a no-op. Success proves writes work again and
-      // reopens the shard.
+      if (shard->wal->commit_failed()) {
+        // A failed group whose rewind has not succeeded yet: the worker
+        // retries it (and the probe proper runs next round).
+        RequestRewind(*shard);
+        continue;
+      }
+      // The probe is an empty eviction record: a real write and commit
+      // through the full WAL path (rotate/truncate self-healing
+      // included) that replays as a no-op. Success proves writes work
+      // again and reopens the shard.
       StatusOr<uint64_t> lsn =
-          shard->wal->Append(store::EncodeEvictRecord({}));
+          LogRecord(*shard, store::EncodeEvictRecord({}));
       if (lsn.ok()) {
-        NoteWalSuccess(*shard);
         std::lock_guard<std::mutex> state(shard->state_mutex);
         AbsorbAppliedLsn(*shard, *lsn);
       } else {
@@ -971,17 +1118,23 @@ StatusOr<core::XmlSource::AcceptOutcome> SourceManager::AcceptCandidate(
 
   // The accept must land in the WAL *and* in the source at the same
   // position relative to ingested documents, or replay diverges from
-  // the live run. Holding the ingest-order mutex stops new appends;
+  // the live run. Holding the ingest-order mutex stops new writes;
   // waiting for applied_lsn to catch up with the log flushes everything
-  // already acked through the worker. Only then is "append the record,
+  // already written through the worker. Only then is "log the record,
   // apply the accept" the same sequence replay will see.
   std::lock_guard<std::mutex> order(shard->ingest_order_mutex);
   if (shard->wal != nullptr) {
-    const uint64_t last_acked = shard->wal->next_lsn() - 1;
     for (;;) {
+      // A failed group is rewound by the worker under the ingest-order
+      // mutex, so give it back rather than wait for documents that will
+      // never apply.
+      if (shard->wal->commit_failed()) {
+        return Status::Unavailable("write-ahead log group commit failed");
+      }
+      const uint64_t last_written = shard->wal->next_lsn() - 1;
       {
         std::lock_guard<std::mutex> state(shard->state_mutex);
-        if (shard->applied_lsn >= last_acked) break;
+        if (shard->applied_lsn >= last_written) break;
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
@@ -995,12 +1148,8 @@ StatusOr<core::XmlSource::AcceptOutcome> SourceManager::AcceptCandidate(
   if (shard->wal != nullptr) {
     const std::string record =
         store::EncodeInduceAcceptRecord(candidate->name, candidate->ext);
-    StatusOr<uint64_t> lsn = shard->wal->Append(record);
-    if (!lsn.ok()) {
-      NoteWalFailure(*shard);
-      return lsn.status();
-    }
-    NoteWalSuccess(*shard);
+    StatusOr<uint64_t> lsn = LogRecord(*shard, record);
+    if (!lsn.ok()) return lsn.status();
     shard->applied_lsn = *lsn;
   }
   return shard->source->AcceptCandidate(id, options_.jobs);
@@ -1193,13 +1342,17 @@ StatusOr<store::WalExport> SourceManager::ExportWalFor(
         "replication requires a write-ahead log (--wal-dir)");
   }
   // The checkpoint mutex holds off TruncateThrough, so segments cannot
-  // be unlinked mid-scan. Appends still race at the tail — a torn final
-  // frame simply ends the page.
+  // be unlinked mid-scan. Writes still race at the tail — a torn final
+  // frame simply ends the page. The durable LSN is read before the
+  // scan: records up to it never change.
   std::lock_guard<std::mutex> io(shard->checkpoint_mutex);
+  const uint64_t durable =
+      shard->wal != nullptr ? shard->wal->durable_lsn() : UINT64_MAX;
   if (wal_next_lsn != nullptr) {
-    *wal_next_lsn = shard->wal != nullptr ? shard->wal->next_lsn() : 0;
+    *wal_next_lsn = shard->wal != nullptr ? durable + 1 : 0;
   }
-  return store::ExportWalRecords(WalDirFor(*shard), from_lsn, max_bytes);
+  return store::ExportWalRecords(WalDirFor(*shard), from_lsn, max_bytes,
+                                 durable);
 }
 
 Status SourceManager::BootstrapFromCheckpoint(

@@ -56,10 +56,10 @@ struct TenantQuota {
 };
 
 /// Per-shard health: `kOk` serves everything; `kDegraded` means the
-/// last WAL append failed (writes are still attempted — one success
-/// clears the state); `kReadOnly` means appends failed repeatedly and
-/// writes are rejected outright until the recovery probe — a periodic
-/// no-op WAL append — succeeds. Reads work in every state.
+/// last WAL write or commit failed (writes are still attempted — one
+/// successful commit clears the state); `kReadOnly` means they failed
+/// repeatedly and writes are rejected outright until the recovery probe
+/// — a periodic no-op WAL record — commits. Reads work in every state.
 enum class ShardHealth { kOk = 0, kDegraded = 1, kReadOnly = 2 };
 
 const char* ShardHealthName(ShardHealth health);
@@ -109,7 +109,7 @@ struct SourceManagerOptions {
   /// Named overrides of the defaults above.
   std::map<std::string, TenantQuota> tenant_quotas;
 
-  /// Cadence of the recovery probe that retries a WAL append on
+  /// Cadence of the recovery probe that retries a WAL record on
   /// degraded/read-only shards; zero disables it.
   std::chrono::milliseconds health_probe_interval{200};
 };
@@ -142,16 +142,23 @@ struct SourceManagerOptions {
 /// `Drain` once, after the caller has stopped producing documents.
 class SourceManager {
  public:
-  /// Completion channel of a `wait`-mode enqueue. A caller may either
-  /// block on `cv` or register `on_done` (under `mutex`, after checking
-  /// `done` — the outcome may already have landed): the worker invokes
-  /// it exactly once, outside the lock, after publishing the outcome.
-  /// The event-loop server uses the callback so a wait-mode ingest never
-  /// parks the loop thread.
+  /// Completion channel of an enqueue that must not be acked yet. A
+  /// caller may either block on `cv` or register `on_done` (under
+  /// `mutex`, after checking `done` — the outcome may already have
+  /// landed): the worker invokes it exactly once, outside the lock,
+  /// after publishing the outcome. The event-loop server uses the
+  /// callback so an ingest never parks the loop thread.
   struct IngestWaiter {
     std::mutex mutex;
     std::condition_variable cv;
     bool done = false;
+    /// Async enqueue with the WAL on: completes as soon as the record is
+    /// durable (the group commit before the apply); `outcome` stays
+    /// empty. Otherwise it completes after the apply.
+    bool commit_only = false;
+    /// Not OK when the document's group commit failed: it was never
+    /// applied and must be answered 503.
+    Status status;
     core::XmlSource::ProcessOutcome outcome;
     std::function<void()> on_done;
   };
@@ -160,7 +167,7 @@ class SourceManager {
     kOk,
     kUnknownTenant,  // explicit tenant that no shard matches
     kQueueFull,      // shard at queue_capacity — back off and retry
-    kWalError,       // WAL append failed — NOT acked, shard degraded
+    kWalError,       // WAL write failed — NOT acked, shard degraded
     kRateLimited,    // token bucket empty — retry after the advertised delay
     kReadOnly,       // shard in read-only health state — writes rejected
   };
@@ -172,7 +179,9 @@ class SourceManager {
     std::string tenant;
     /// Failure detail for `kWalError`.
     std::string error;
-    /// Non-null iff `wait` was requested and the enqueue succeeded.
+    /// Non-null iff the enqueue succeeded and its ack must wait: `wait`
+    /// was requested (completes after the apply), or the WAL is on
+    /// (completes after the group commit made the record durable).
     std::shared_ptr<IngestWaiter> waiter;
   };
 
@@ -321,9 +330,10 @@ class SourceManager {
 
   /// Promotes a pending candidate into the tenant's live DTD set. The
   /// accept is WAL-logged (store/induce_record.h) *in LSN order*: new
-  /// ingest into the shard is held off while every already-acked
-  /// document is applied, then the record is appended and applied — so
-  /// crash replay reproduces exactly the live sequence. Every other
+  /// ingest into the shard is held off while every already-written
+  /// document is applied, then the record is logged and applied — so
+  /// crash replay reproduces exactly the live sequence. Fails while a
+  /// failed group commit waits for its rewind. Every other
   /// pending candidate of the tenant is retired (the set changed under
   /// them); re-run `InduceTenant` for fresh proposals.
   StatusOr<core::XmlSource::AcceptOutcome> AcceptCandidate(
@@ -375,9 +385,11 @@ class SourceManager {
 
   /// One page of the tenant's WAL from `from_lsn`, read under the
   /// checkpoint mutex (which holds off truncation, so segments cannot
-  /// vanish mid-scan; concurrent appends at the tail are fine — a torn
-  /// final frame just ends the page). `*wal_next_lsn` (optional)
-  /// receives the live log head, for lag math and gap detection.
+  /// vanish mid-scan; concurrent writes at the tail are fine — a torn
+  /// final frame just ends the page). Only durable records ship: a
+  /// record above the durable LSN may still be rewound by a failed group
+  /// commit and its LSN reused. `*wal_next_lsn` (optional) receives the
+  /// durable log head (durable LSN + 1), for lag math and gap detection.
   StatusOr<store::WalExport> ExportWalFor(const std::string& tenant,
                                           uint64_t from_lsn,
                                           uint64_t max_bytes,
@@ -439,9 +451,14 @@ class SourceManager {
     bool recovered = false;  // WAL recovery already ran
     bool metrics_wired = false;
 
-    /// Spans capacity check → WAL append → enqueue, so this shard's
-    /// apply order is exactly its LSN order. Never held while another
-    /// shard's is — tenants don't serialize against each other.
+    /// Spans capacity check → WAL write → enqueue, so this shard's
+    /// queue order, and so its apply order, is exactly its LSN order.
+    /// The write never fsyncs: the worker commits each batch before
+    /// applying it. A failed group commit is rewound under this mutex,
+    /// so no enqueue sits between its write and its push while the
+    /// queued documents above the durable LSN are failed. Never held
+    /// while another shard's is — tenants don't serialize against each
+    /// other.
     std::mutex ingest_order_mutex;
 
     // Resolved quota limits (0 = unlimited; tenant override over the
@@ -456,9 +473,9 @@ class SourceManager {
     double tokens = 0.0;
     std::chrono::steady_clock::time_point bucket_refilled;
 
-    /// Health state machine (values of `ShardHealth`): WAL append
-    /// failures walk ok → degraded → read_only; one successful append —
-    /// live ingest or the recovery probe — resets to ok.
+    /// Health state machine (values of `ShardHealth`): WAL write or
+    /// commit failures walk ok → degraded → read_only; one successful
+    /// commit — a batch or the recovery probe — resets to ok.
     std::atomic<int> health{0};
     std::atomic<uint64_t> wal_failures{0};  // consecutive
 
@@ -487,6 +504,8 @@ class SourceManager {
     std::deque<PendingDoc> queue;
     bool paused = false;
     bool draining = false;
+    /// A group commit outside the worker failed; the worker rewinds.
+    bool rewind_requested = false;
     std::thread worker;
 
     // Hot-path metric handles (labeled with `labels`).
@@ -520,7 +539,7 @@ class SourceManager {
   Shard* RouteIngest(const std::string& tenant, std::string_view root_tag);
 
   /// Representation-independent tail of `Enqueue`: admission, WAL
-  /// append and queue insertion for an already-built `PendingDoc`.
+  /// write and queue insertion for an already-built `PendingDoc`.
   EnqueueResult EnqueuePending(const std::string& tenant, PendingDoc pending,
                                std::string_view root_tag,
                                const std::string& raw_body, bool wait);
@@ -532,11 +551,28 @@ class SourceManager {
   Status CheckpointShard(Shard& shard, uint64_t* captured_lsn);
   void IngestWorker(Shard& shard);
   void ProcessPending(Shard& shard, std::vector<PendingDoc> pending);
+  /// Group-commits the batch's records before it is applied. On failure
+  /// answers every document above the durable LSN 503, drops it from
+  /// `pending`, and rewinds the shard.
+  void CommitPending(Shard& shard, std::vector<PendingDoc>& pending);
+  /// After a failed group commit: rewinds the WAL and fails every queued
+  /// document above the durable LSN. Runs on the shard's worker only,
+  /// so no popped batch is in flight when LSNs are reused.
+  void RewindShard(Shard& shard);
+  /// Hands a rewind to the shard's worker (commit failures elsewhere).
+  void RequestRewind(Shard& shard);
+  /// Answers documents whose group commit failed; they are never
+  /// applied.
+  void RejectLost(Shard& shard, std::vector<PendingDoc> lost,
+                  const Status& status);
+  /// Writes and commits one out-of-band record (eviction, accept,
+  /// probe), noting the outcome on the shard's health.
+  StatusOr<uint64_t> LogRecord(Shard& shard, std::string_view payload);
   void CheckpointLoop();
-  /// Notes a WAL append failure on `shard`: increments the consecutive
-  /// failure count and walks the health state machine.
+  /// Notes a WAL write or commit failure on `shard`: increments the
+  /// consecutive failure count and walks the health state machine.
   void NoteWalFailure(Shard& shard);
-  /// Notes a successful WAL append: health back to ok.
+  /// Notes a successful WAL commit: health back to ok.
   void NoteWalSuccess(Shard& shard);
   /// Folds `lsn` into the shard's applied watermark — directly when
   /// contiguous, via `applied_ahead` otherwise. Caller holds
@@ -546,8 +582,9 @@ class SourceManager {
   /// policy, WAL-logs the eviction, applies it. Caller holds
   /// `state_mutex`.
   void EnforceRepositoryQuota(Shard& shard);
-  /// The degraded/read-only recovery probe: appends a no-op (empty
-  /// eviction) record; success clears the health state.
+  /// The degraded/read-only recovery probe: logs a no-op (empty
+  /// eviction) record; success clears the health state. A shard whose
+  /// rewind failed gets it retried instead.
   void HealthProbeLoop();
 
   core::SourceOptions source_options_;

@@ -217,85 +217,77 @@ StatusOr<std::unique_ptr<Wal>> Wal::Open(WalOptions options,
       break;
     }
     segment.size = std::min<uint64_t>(offset, data.size());
+    segment.durable_size = segment.size;
     wal->segments_.push_back(std::move(segment));
   }
 
   wal->next_lsn_ = std::max(max_lsn + 1, std::max<uint64_t>(min_next_lsn, 1));
-  DTDEVOLVE_RETURN_IF_ERROR(wal->OpenActive(/*truncate_to_size=*/false));
+  wal->durable_lsn_ = wal->next_lsn_ - 1;
+  wal->synced_lsn_ = wal->durable_lsn_;
+  DTDEVOLVE_RETURN_IF_ERROR(wal->OpenActive());
   return wal;
 }
 
-Status Wal::OpenActive(bool /*truncate_to_size*/) {
-  if (segments_.empty()) {
+Status Wal::OpenActive() {
+  const bool fresh = segments_.empty();
+  if (fresh) {
     Segment segment;
     segment.seq = 1;
     segment.path = SegmentPath(1);
-    StatusOr<io::File> file = io::File::OpenForAppend(segment.path);
-    if (!file.ok()) return file.status();
-    active_ = std::move(*file);
     segments_.push_back(std::move(segment));
-    return io::FsyncDir(options_.dir);
   }
-  StatusOr<io::File> file = io::File::OpenForAppend(segments_.back().path);
+  Segment& active = segments_.back();
+  StatusOr<io::File> file = io::File::OpenForAppend(active.path);
   if (!file.ok()) return file.status();
-  active_ = std::move(*file);
-  return Status::Ok();
+  active.file = std::make_shared<io::File>(std::move(*file));
+  dir_synced_seq_ = active.seq;
+  return fresh ? io::FsyncDir(options_.dir) : Status::Ok();
 }
 
 Status Wal::RotateLocked() {
-  if (options_.fsync_policy != FsyncPolicy::kNone && active_.is_open()) {
-    // Best effort: the segment being retired should be on disk before
-    // the directory gains its successor.
-    (void)active_.Fsync();
-  }
-  (void)active_.Close();
   Segment segment;
-  segment.seq = segments_.empty() ? 1 : segments_.back().seq + 1;
+  segment.seq = segments_.back().seq + 1;
   segment.path = SegmentPath(segment.seq);
   StatusOr<io::File> file = io::File::OpenForAppend(segment.path);
   if (!file.ok()) return file.status();
-  active_ = std::move(*file);
+  segment.file = std::make_shared<io::File>(std::move(*file));
+  // The retiring segment keeps its file open until an fsync covers it;
+  // the new segment's directory entry is synced by the next commit.
+  Segment& retiring = segments_.back();
+  if (retiring.size == retiring.durable_size &&
+      retiring.last_lsn <= synced_lsn_) {
+    retiring.file.reset();
+  }
   segments_.push_back(std::move(segment));
-  DTDEVOLVE_RETURN_IF_ERROR(io::FsyncDir(options_.dir));
   if (metrics_.rotations != nullptr) metrics_.rotations->Increment();
   broken_ = false;
   return Status::Ok();
 }
 
-Status Wal::MaybeFsyncLocked() {
-  switch (options_.fsync_policy) {
-    case FsyncPolicy::kNone:
-      return Status::Ok();
-    case FsyncPolicy::kAlways:
-      break;
-    case FsyncPolicy::kInterval: {
-      const auto now = std::chrono::steady_clock::now();
-      if (now - last_fsync_ < options_.fsync_interval) return Status::Ok();
-      break;
-    }
-  }
-  DTDEVOLVE_RETURN_IF_ERROR(active_.Fsync());
-  last_fsync_ = std::chrono::steady_clock::now();
-  if (metrics_.fsyncs != nullptr) metrics_.fsyncs->Increment();
-  return Status::Ok();
+void Wal::CountError() {
+  if (metrics_.append_errors != nullptr) metrics_.append_errors->Increment();
 }
 
-StatusOr<uint64_t> Wal::Append(std::string_view payload) {
+StatusOr<uint64_t> Wal::Write(std::string_view payload) {
   std::lock_guard<std::mutex> lock(mutex_);
+  if (commit_failed_) {
+    CountError();
+    return Status::Unavailable(
+        "wal commit failed; records above LSN " +
+        std::to_string(durable_lsn_) + " wait for a rewind");
+  }
   if (broken_) {
     // Self-heal. First retry the cleanup that broke the WAL — cutting
     // the torn bytes restores the active segment in place. Failing
     // that, rotate: the fresh segment leaves the unframeable bytes
     // behind in the abandoned one, which replay treats as a torn tail
     // (and verifies against the LSN sequence).
-    if (active_.is_open() && active_.Truncate(segments_.back().size).ok()) {
+    if (segments_.back().file->Truncate(segments_.back().size).ok()) {
       broken_ = false;
     } else {
       Status rotated = RotateLocked();
       if (!rotated.ok()) {
-        if (metrics_.append_errors != nullptr) {
-          metrics_.append_errors->Increment();
-        }
+        CountError();
         return Status::Internal("wal broken and rotation failed: " +
                                 rotated.message());
       }
@@ -304,9 +296,7 @@ StatusOr<uint64_t> Wal::Append(std::string_view payload) {
   if (segments_.back().size >= options_.segment_bytes) {
     Status rotated = RotateLocked();
     if (!rotated.ok()) {
-      if (metrics_.append_errors != nullptr) {
-        metrics_.append_errors->Increment();
-      }
+      CountError();
       return rotated;
     }
   }
@@ -314,15 +304,14 @@ StatusOr<uint64_t> Wal::Append(std::string_view payload) {
   Segment& segment = segments_.back();
   const uint64_t lsn = next_lsn_;
   const std::string record = EncodeRecord(lsn, payload);
-  Status status = active_.Write(record);
-  if (status.ok()) status = MaybeFsyncLocked();
+  Status status = segment.file->Write(record);
   if (!status.ok()) {
-    if (metrics_.append_errors != nullptr) metrics_.append_errors->Increment();
-    // Cut any torn bytes back off so the next append stays framed. When
+    CountError();
+    // Cut any torn bytes back off so the next write stays framed. When
     // even that fails (crash simulation, dead disk) the WAL is broken
-    // until a rotation succeeds — the torn tail stays for recovery.
-    Status truncated = active_.Truncate(segment.size);
-    if (!truncated.ok()) broken_ = true;
+    // until a retried truncate or a rotation succeeds — the torn tail
+    // stays for recovery.
+    if (!segment.file->Truncate(segment.size).ok()) broken_ = true;
     return status;
   }
   segment.size += record.size();
@@ -336,12 +325,149 @@ StatusOr<uint64_t> Wal::Append(std::string_view payload) {
   return lsn;
 }
 
-Status Wal::Sync() {
+Status Wal::SyncGroup() {
+  struct Target {
+    uint64_t seq;
+    std::shared_ptr<io::File> file;
+    uint64_t size;
+  };
+  std::vector<Target> targets;
+  uint64_t target_lsn = 0;
+  uint64_t newest_seq = 0;
+  bool sync_dir = false;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (commit_failed_) {
+      return Status::Unavailable("wal commit failed; rewind first");
+    }
+    target_lsn = next_lsn_ - 1;
+    for (const Segment& segment : segments_) {
+      if (segment.file != nullptr) {
+        targets.push_back({segment.seq, segment.file, segment.size});
+      }
+    }
+    newest_seq = segments_.back().seq;
+    sync_dir = newest_seq > dir_synced_seq_;
+  }
+
+  // The group's fsync, with the append mutex released: writes keep
+  // landing behind `target_lsn` and wait for the next group.
+  const auto started = std::chrono::steady_clock::now();
+  Status status;
+  for (const Target& target : targets) {
+    status = target.file->Fsync();
+    if (!status.ok()) break;
+    if (metrics_.fsyncs != nullptr) metrics_.fsyncs->Increment();
+  }
+  if (status.ok() && sync_dir) status = io::FsyncDir(options_.dir);
+  const auto finished = std::chrono::steady_clock::now();
+
   std::lock_guard<std::mutex> lock(mutex_);
-  DTDEVOLVE_RETURN_IF_ERROR(active_.Fsync());
-  last_fsync_ = std::chrono::steady_clock::now();
-  if (metrics_.fsyncs != nullptr) metrics_.fsyncs->Increment();
+  if (!status.ok()) {
+    CountError();
+    // The kernel may have dropped the pages it failed to write, so no
+    // later fsync can vouch for this group: it is lost, and the log
+    // stays failed until `Rewind` cuts it.
+    if (target_lsn > durable_lsn_) commit_failed_ = true;
+    return status;
+  }
+  last_fsync_ = finished;
+  if (metrics_.sync_seconds != nullptr) {
+    metrics_.sync_seconds->Observe(
+        std::chrono::duration<double>(finished - started).count());
+  }
+  if (metrics_.commit_docs != nullptr && target_lsn > synced_lsn_) {
+    metrics_.commit_docs->Observe(
+        static_cast<double>(target_lsn - synced_lsn_));
+  }
+  synced_lsn_ = std::max(synced_lsn_, target_lsn);
+  durable_lsn_ = std::max(durable_lsn_, target_lsn);
+  if (sync_dir) dir_synced_seq_ = std::max(dir_synced_seq_, newest_seq);
+  for (const Target& target : targets) {
+    for (Segment& segment : segments_) {
+      if (segment.seq != target.seq) continue;
+      segment.durable_size = std::max(segment.durable_size, target.size);
+      // A retired segment fully covered by this fsync closes.
+      if (&segment != &segments_.back() && segment.size == target.size) {
+        segment.file.reset();
+      }
+    }
+  }
   return Status::Ok();
+}
+
+Status Wal::Commit(uint64_t lsn) {
+  std::lock_guard<std::mutex> group(commit_mutex_);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (durable_lsn_ >= lsn) return Status::Ok();
+    if (commit_failed_) {
+      return Status::Unavailable("wal commit failed; LSN " +
+                                 std::to_string(lsn) + " was not made durable");
+    }
+    if (lsn >= next_lsn_) {
+      return Status::FailedPrecondition("commit of unwritten LSN " +
+                                        std::to_string(lsn));
+    }
+    bool fsync = false;
+    switch (options_.fsync_policy) {
+      case FsyncPolicy::kNone:
+        break;
+      case FsyncPolicy::kAlways:
+        fsync = true;
+        break;
+      case FsyncPolicy::kInterval:
+        fsync = std::chrono::steady_clock::now() - last_fsync_ >=
+                options_.fsync_interval;
+        break;
+    }
+    if (!fsync) {
+      for (Segment& segment : segments_) segment.durable_size = segment.size;
+      durable_lsn_ = next_lsn_ - 1;
+      return Status::Ok();
+    }
+  }
+  return SyncGroup();
+}
+
+Status Wal::Rewind() {
+  std::lock_guard<std::mutex> group(commit_mutex_);
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!commit_failed_) return Status::Ok();
+  for (Segment& segment : segments_) {
+    const bool torn = broken_ && &segment == &segments_.back();
+    if (segment.size == segment.durable_size && !torn) continue;
+    // Bytes above the durable size were never fsynced, so the file is
+    // still open.
+    DTDEVOLVE_RETURN_IF_ERROR(segment.file->Truncate(segment.durable_size));
+    segment.size = segment.durable_size;
+    if (segment.size == 0) {
+      segment.first_lsn = 0;
+      segment.last_lsn = 0;
+    } else {
+      segment.last_lsn = std::min(segment.last_lsn, durable_lsn_);
+    }
+  }
+  broken_ = false;
+  next_lsn_ = durable_lsn_ + 1;
+  commit_failed_ = false;
+  return Status::Ok();
+}
+
+StatusOr<uint64_t> Wal::Append(std::string_view payload) {
+  StatusOr<uint64_t> lsn = Write(payload);
+  if (!lsn.ok()) return lsn;
+  Status committed = Commit(*lsn);
+  if (!committed.ok()) {
+    (void)Rewind();
+    return committed;
+  }
+  return lsn;
+}
+
+Status Wal::Sync() {
+  std::lock_guard<std::mutex> group(commit_mutex_);
+  return SyncGroup();
 }
 
 Status Wal::TruncateThrough(uint64_t lsn) {
@@ -354,7 +480,8 @@ Status Wal::TruncateThrough(uint64_t lsn) {
   }
   bool removed = false;
   for (size_t i = 0; i + 1 < segments_.size();) {
-    if (segments_[i].last_lsn != 0 && segments_[i].last_lsn <= lsn) {
+    // Empty retired segments (left by a rewind) go too.
+    if (segments_[i].last_lsn <= lsn) {
       Status status = io::Unlink(segments_[i].path);
       if (!status.ok() && status.code() != Status::Code::kNotFound) {
         return status;
@@ -368,13 +495,25 @@ Status Wal::TruncateThrough(uint64_t lsn) {
       ++i;
     }
   }
-  if (removed) return io::FsyncDir(options_.dir);
+  if (!removed) return Status::Ok();
+  DTDEVOLVE_RETURN_IF_ERROR(io::FsyncDir(options_.dir));
+  dir_synced_seq_ = segments_.back().seq;
   return Status::Ok();
 }
 
 uint64_t Wal::next_lsn() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return next_lsn_;
+}
+
+uint64_t Wal::durable_lsn() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return durable_lsn_;
+}
+
+bool Wal::commit_failed() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return commit_failed_;
 }
 
 size_t Wal::SegmentCount() const {
@@ -387,7 +526,8 @@ std::string EncodeWalRecord(uint64_t lsn, std::string_view payload) {
 }
 
 StatusOr<WalExport> ExportWalRecords(const std::string& dir,
-                                     uint64_t from_lsn, uint64_t max_bytes) {
+                                     uint64_t from_lsn, uint64_t max_bytes,
+                                     uint64_t max_lsn) {
   std::vector<uint64_t> seqs;
   DIR* handle = ::opendir(dir.c_str());
   if (handle == nullptr) {
@@ -446,6 +586,10 @@ StatusOr<WalExport> ExportWalRecords(const std::string& dir,
       }
       last_lsn = lsn;
       if (page.oldest_lsn == 0) page.oldest_lsn = lsn;
+      if (lsn > max_lsn) {
+        full = true;
+        break;
+      }
       if (lsn >= from_lsn) {
         // At least one frame always ships, so a single record larger
         // than `max_bytes` cannot wedge the stream.

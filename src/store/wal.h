@@ -15,8 +15,9 @@
 
 namespace dtdevolve::store {
 
-/// Durability discipline of one append. `kAlways` fsyncs before the
-/// append returns — an acked document survives power loss. `kInterval`
+/// Durability discipline of a commit (`Wal::Commit`). `kAlways` fsyncs
+/// before the commit returns — an acked document survives power loss;
+/// commits that wait at the same time share one fsync. `kInterval`
 /// fsyncs when the last fsync is older than `fsync_interval` (bounded
 /// loss window, much cheaper). `kNone` never fsyncs — the OS decides.
 enum class FsyncPolicy { kAlways, kInterval, kNone };
@@ -53,9 +54,14 @@ struct WalMetrics {
   obs::Counter* appends = nullptr;
   obs::Counter* append_bytes = nullptr;
   obs::Counter* append_errors = nullptr;
+  /// One increment per file fsync (`Sync` and `Commit`).
   obs::Counter* fsyncs = nullptr;
   obs::Counter* rotations = nullptr;
   obs::Counter* truncated_segments = nullptr;
+  /// Records made durable by one fsyncing commit (the group size).
+  obs::Histogram* commit_docs = nullptr;
+  /// Seconds one fsyncing commit spent in fsync.
+  obs::Histogram* sync_seconds = nullptr;
 };
 
 /// Append-only, length-prefixed, CRC32-checksummed write-ahead log over
@@ -63,28 +69,48 @@ struct WalMetrics {
 ///
 ///   [u32 payload length][u32 crc32(lsn || payload)][u64 lsn][payload]
 ///
-/// little-endian, with strictly increasing LSNs across segments. The ack
-/// contract of the ingest server rests on `Append`: a document whose
-/// append returned OK under `FsyncPolicy::kAlways` is recoverable after
-/// any crash. `Open` replays what a previous process left behind:
+/// little-endian, with strictly increasing LSNs across segments.
+///
+/// Writing is split from making durable (group commit). `Write` assigns
+/// the next LSN and `write()`s the frame under the append mutex; it
+/// never fsyncs. `Commit(lsn)` makes every record up to `lsn` durable
+/// under the fsync policy: one fsync, run *without* the append mutex,
+/// covers every record written before it started, so writers keep
+/// landing records while it runs and the next commit covers them all.
+/// The ack contract of the ingest server rests on `Commit`: a record
+/// whose commit returned OK under `FsyncPolicy::kAlways` is recoverable
+/// after any crash. `Append` is `Write` + `Commit` for single-writer
+/// callers.
+///
+/// A failed commit fails its whole group: every record above
+/// `durable_lsn()` is lost, and `Write` and `Commit` refuse to run until
+/// `Rewind` truncates the log back to its durable size and resets the
+/// next LSN to `durable_lsn() + 1`. So a record that was never committed
+/// never keeps its LSN, and the log on disk stays gapless.
+///
+/// `Open` replays what a previous process left behind:
 ///
 ///   * a torn final record (short bytes, or a checksum mismatch at the
-///     very tail) is truncated away with a warning — that append never
-///     returned OK, so nothing acked is lost and boot proceeds;
-///   * an *incomplete* frame ending a non-final segment (a broken append
+///     very tail) is truncated away with a warning — that record was
+///     never committed, so nothing acked is lost and boot proceeds;
+///   * an *incomplete* frame ending a non-final segment (a broken write
 ///     the WAL healed by rotating away from) is truncated too, but only
 ///     if the next record continues the LSN sequence without a gap — a
-///     failed append never consumes an LSN, so contiguity proves the
+///     failed write never consumes an LSN, so contiguity proves the
 ///     torn bytes were never acked;
 ///   * anything else — a complete record with a bad checksum below more
 ///     data, an LSN gap — is a hard error: the log lies about history
 ///     and silently dropping records would lose acked documents.
 ///
-/// A failed append truncates the segment back to its pre-append size so
-/// a torn tail never sits below later records (if even the truncate
-/// fails, the WAL turns `broken` and every later append fails until a
-/// rotation succeeds). Thread-safe: appends from concurrent connection
-/// threads serialize on an internal mutex, so LSN order is append order.
+/// A failed write truncates the segment back to its pre-write size so a
+/// torn tail never sits below later records (if even the truncate
+/// fails, the WAL turns `broken` and every later write fails until a
+/// retried truncate or a rotation succeeds). Thread-safe: writes
+/// serialize on the append mutex, so LSN order is write order; commits
+/// serialize on their own mutex, so at most one fsync group is in
+/// flight. A segment's file stays open until an fsync covered it, so a
+/// rotation or a checkpoint truncation during a commit never pulls a
+/// file out from under the fsync.
 class Wal {
  public:
   /// Opens (creating `options.dir` when missing), scans existing
@@ -95,10 +121,29 @@ class Wal {
                                              uint64_t min_next_lsn,
                                              WalReplay* replay);
 
-  /// Appends one record, honoring the fsync policy; returns its LSN.
+  /// Writes one record without making it durable; returns its LSN.
+  /// Rotates to a new segment first when the active one is full.
+  StatusOr<uint64_t> Write(std::string_view payload);
+
+  /// Makes every record with an LSN up to `lsn` durable under the fsync
+  /// policy. Returns at once when `durable_lsn() >= lsn`. The only
+  /// place the fsync policy is applied.
+  Status Commit(uint64_t lsn);
+
+  /// After a failed commit: truncates every segment back to its durable
+  /// size and resets the next LSN to `durable_lsn() + 1`. A no-op when
+  /// no commit failed. When a truncate fails the log stays failed and
+  /// the call can be retried. The caller must make sure nothing still
+  /// treats a record above `durable_lsn()` as live — its LSN is reused.
+  Status Rewind();
+
+  /// `Write` + `Commit`, rewinding when the commit fails, so a failed
+  /// append never consumes an LSN. Only for callers with no concurrent
+  /// writer: the rewind also cuts other threads' uncommitted records.
   StatusOr<uint64_t> Append(std::string_view payload);
 
-  /// Explicit fsync of the active segment (checkpoints, shutdown).
+  /// Explicit fsync of every written record, whatever the policy
+  /// (shutdown).
   Status Sync();
 
   /// Drops every segment whose records all have `lsn <= lsn` — called
@@ -107,6 +152,10 @@ class Wal {
   Status TruncateThrough(uint64_t lsn);
 
   uint64_t next_lsn() const;
+  /// Highest committed LSN: records up to it are never rewound.
+  uint64_t durable_lsn() const;
+  /// True between a failed commit and the `Rewind` that clears it.
+  bool commit_failed() const;
   const std::string& dir() const { return options_.dir; }
   /// Number of live segment files (tests; rotation behavior).
   size_t SegmentCount() const;
@@ -120,28 +169,43 @@ class Wal {
     uint64_t first_lsn = 0;  // 0 when empty
     uint64_t last_lsn = 0;
     uint64_t size = 0;
+    /// Bytes holding committed records; `Rewind` truncates back to it.
+    uint64_t durable_size = 0;
+    /// Open while the segment is active or holds bytes no fsync has
+    /// covered yet; shared so an fsync in flight keeps it alive.
+    std::shared_ptr<io::File> file;
   };
 
   explicit Wal(WalOptions options) : options_(std::move(options)) {}
 
   std::string SegmentPath(uint64_t seq) const;
-  Status OpenActive(bool truncate_to_size);
+  Status OpenActive();
   Status RotateLocked();
-  Status MaybeFsyncLocked();
+  /// Fsyncs every open segment (and the directory when a segment was
+  /// created since its last fsync) with the append mutex released, then
+  /// commits what it covered. Caller holds `commit_mutex_`, not `mutex_`.
+  Status SyncGroup();
+  void CountError();
 
   WalOptions options_;
   WalMetrics metrics_;
 
+  /// Serializes commits, syncs and rewinds; taken before `mutex_`.
+  std::mutex commit_mutex_;
+  /// The append mutex: guards everything below.
   mutable std::mutex mutex_;
   std::vector<Segment> segments_;  // ascending seq; last one is active
-  io::File active_;
   uint64_t next_lsn_ = 1;
+  uint64_t durable_lsn_ = 0;
+  uint64_t synced_lsn_ = 0;     // highest LSN an fsync covered
+  uint64_t dir_synced_seq_ = 0; // newest segment whose dir entry is synced
   bool broken_ = false;
+  bool commit_failed_ = false;
   std::chrono::steady_clock::time_point last_fsync_ =
       std::chrono::steady_clock::now();
 };
 
-/// Encodes one record exactly as `Append` lays it on disk (tests and the
+/// Encodes one record exactly as `Write` lays it on disk (tests and the
 /// replication oracle craft streams and torn tails with it).
 std::string EncodeWalRecord(uint64_t lsn, std::string_view payload);
 
@@ -159,15 +223,18 @@ struct WalExport {
   uint64_t oldest_lsn = 0;
 };
 
-/// Reads committed records with `lsn >= from_lsn` straight from the
+/// Reads records with `from_lsn <= lsn <= max_lsn` straight from the
 /// segment files of `dir`, capped near `max_bytes` (but always at least
-/// one frame when any qualifies). An undecodable tail on the *final*
-/// segment is the in-flight append of a live primary and simply ends the
+/// one frame when any qualifies). A live primary passes its durable LSN
+/// as `max_lsn`: a record above it may still be rewound by a failed
+/// commit, and its LSN reused. An undecodable tail on the *final*
+/// segment is the in-flight write of a live primary and simply ends the
 /// page; damage below that is an error. The caller must hold off
 /// checkpoint truncation while exporting (segments must not vanish
 /// mid-scan).
 StatusOr<WalExport> ExportWalRecords(const std::string& dir,
-                                     uint64_t from_lsn, uint64_t max_bytes);
+                                     uint64_t from_lsn, uint64_t max_bytes,
+                                     uint64_t max_lsn = UINT64_MAX);
 
 /// Decodes framed records out of a replication stream. Stops cleanly at
 /// the first torn or corrupt frame — a disconnect can cut a stream

@@ -1,6 +1,7 @@
 // The crash-recovery oracle itself (src/check): a small fault-injection
 // sweep must hold the crash-recovery and recovery-idempotence
-// invariants, enumerate a sensible number of crash points, and surface
+// invariants in both legs (per-document append and group commit),
+// enumerate a sensible number of crash points, and surface
 // violations with a replay command. Kept small — the durable pipeline
 // re-runs once per crash point — while `dtdevolve check
 // --crash-recovery` runs the full-width sweep.
@@ -27,6 +28,21 @@ TEST(CrashOracleTest, RecoveryMatchesAckedPrefixAcrossCrashPoints) {
   // Vacuity guard: the sweep must have injected real crashes.
   EXPECT_GE(report.crash_points, 16u);
   EXPECT_GT(report.documents, 0u);
+}
+
+TEST(CrashOracleTest, GroupCommitLegSweepsItsOwnCrashPoints) {
+  // Each scenario sweeps two legs: one append per document, then groups
+  // written before one commit. Each leg enumerates its own crash points.
+  CrashOracleOptions options;
+  options.scenarios = 1;
+  options.seed = 3;
+  options.max_documents = 10;
+  options.max_crash_points = 12;
+  options.checkpoint_every = 4;
+  uint64_t points = 0;
+  ScenarioResult result = RunCrashScenario(options.seed, options, &points);
+  EXPECT_TRUE(result.ok()) << FormatScenario(result);
+  EXPECT_GE(points, 2 * options.max_crash_points);
 }
 
 TEST(CrashOracleTest, InductionSweepCoversInduceAcceptRecords) {

@@ -2,8 +2,9 @@
 // over loopback sockets. An acked `/ingest` must survive a process
 // death (WAL recovery), checkpoints must bound replay, a full disk must
 // degrade — not lie — a failed shutdown checkpoint must not cost the
-// acked tail, and a boot over corrupt or misplaced state must refuse
-// loudly instead of starting empty. Fault injection (`io/fault.h`)
+// acked tail, a boot over corrupt or misplaced state must refuse
+// loudly instead of starting empty, and a failed group commit must fail
+// every document of its group. Fault injection (`io/fault.h`)
 // stands in for the dying disk. Multi-threaded end to end, so the suite runs under both the
 // `durability` and `concurrency` ctest labels.
 
@@ -25,6 +26,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "evolve/persist.h"
 #include "io/fault.h"
@@ -539,6 +541,80 @@ TEST(DurabilityTest, IdlePeriodsDoNotRewriteCheckpoints) {
 
   server.Shutdown();
   server.Wait();
+}
+
+TEST(DurabilityTest, FailedGroupCommitAnswers503ToTheWholeGroup) {
+  const std::string wal_dir = FreshDir("group_commit_fault");
+  ServerOptions options = CrashSimOptions(wal_dir);
+  // No recovery probe: the degraded state stays until a commit succeeds.
+  options.health_probe_interval = std::chrono::milliseconds(0);
+  IngestServer server(EvolvingOptions(), options);
+  ASSERT_TRUE(server.AddDtdText("mail", kMailDtd).ok());
+  ASSERT_TRUE(server.Start().ok());
+  ASSERT_EQ(Post(server.port(), "/ingest?wait=1", kConformingDoc).status, 200);
+
+  // Hold the worker so concurrent ingests pile up behind one commit.
+  constexpr int kGroup = 6;
+  server.PauseIngest();
+  std::vector<ClientResponse> group(kGroup);
+  std::vector<std::thread> clients;
+  for (int i = 0; i < kGroup; ++i) {
+    clients.emplace_back([&, i] {
+      group[i] = Post(server.port(), "/ingest?wait=1",
+                      i % 2 == 0 ? kConformingDoc : kDriftedDoc);
+    });
+  }
+  long queued = 0;
+  for (int i = 0; i < 500 && queued < kGroup; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    queued = MetricValue(Get(server.port(), "/metrics").body,
+                         "dtdevolve_ingest_queue_depth");
+  }
+  ASSERT_EQ(queued, kGroup);
+  {
+    // The group's one fsync fails: every document in it is lost.
+    io::FaultPlan plan;
+    plan.fail_at = 1;
+    plan.op_mask = static_cast<uint32_t>(io::FaultOp::kFsync);
+    plan.error_code = EIO;
+    io::ScopedFaultPlan guard(plan);
+    server.ResumeIngest();
+    for (std::thread& client : clients) client.join();
+  }
+  for (const ClientResponse& response : group) {
+    EXPECT_EQ(response.status, 503) << response.body;
+    EXPECT_NE(response.body.find("write-ahead log commit failed"),
+              std::string::npos)
+        << response.body;
+  }
+  ClientResponse metrics = Get(server.port(), "/metrics");
+  EXPECT_EQ(MetricValue(metrics.body, "dtdevolve_degraded"), 1);
+  EXPECT_EQ(MetricValue(metrics.body, "dtdevolve_documents_processed_total"),
+            1);
+
+  // The disk came back: the next documents commit and reuse the lost
+  // LSNs, and the shard is healthy again.
+  ASSERT_EQ(Post(server.port(), "/ingest?wait=1", kDriftedDoc).status, 200);
+  ASSERT_EQ(Post(server.port(), "/ingest?wait=1", kConformingDoc).status, 200);
+  metrics = Get(server.port(), "/metrics");
+  EXPECT_EQ(MetricValue(metrics.body, "dtdevolve_degraded"), 0);
+  server.Shutdown();
+  server.Wait();
+  const SourceDigest before = DigestOf(server);
+  EXPECT_EQ(before.processed, 3u);
+
+  // A restart recovers exactly the three documents that got a 200.
+  IngestServer recovered(EvolvingOptions(), CrashSimOptions(wal_dir));
+  ASSERT_TRUE(recovered.AddDtdText("mail", kMailDtd).ok());
+  ASSERT_TRUE(recovered.Start().ok());
+  EXPECT_EQ(recovered.recovery_report().replayed_records, 3u);
+  recovered.Shutdown();
+  recovered.Wait();
+  const SourceDigest after = DigestOf(recovered);
+  EXPECT_EQ(after.processed, before.processed);
+  EXPECT_EQ(after.classified, before.classified);
+  EXPECT_EQ(after.evolutions, before.evolutions);
+  EXPECT_EQ(after.mail_dtd, before.mail_dtd);
 }
 
 }  // namespace

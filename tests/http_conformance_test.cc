@@ -1,5 +1,5 @@
 // HTTP/1.1 conformance suite for the epoll event loop: keep-alive reuse,
-// pipelining order, read-stall and idle reaping, oversized-header
+// pipelining order and latency, read-stall and idle reaping, oversized-header
 // rejection, partial writes under socket-buffer pressure, and the
 // graceful-drain promise that an in-flight keep-alive response is
 // delivered before the connection closes. Multi-threaded end to end
@@ -12,11 +12,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cctype>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
 
@@ -262,6 +264,49 @@ TEST(HttpConformanceTest, PipelinedRequestsAreAnsweredInOrder) {
   server.Shutdown();
   server.Wait();
   EXPECT_EQ(server.source().documents_processed(), 2u);
+}
+
+TEST(HttpConformanceTest, PipelinedIngestAnswerIsNotHeldByNagle) {
+  // With the WAL on, each answer waits for its fsync, so the two answers
+  // below leave in separate writes.
+  ServerOptions options = EphemeralOptions();
+  options.wal_dir = ::testing::TempDir() + "http_conformance_nagle";
+  std::filesystem::remove_all(options.wal_dir);
+  IngestServer server(DefaultSource(), options);
+  ASSERT_TRUE(server.AddDtdText("mail", kMailDtd).ok());
+  ASSERT_TRUE(server.Start().ok());
+  const int fd = ConnectTo(server.port());
+  ASSERT_GE(fd, 0);
+  std::string buf;
+  // A warmed-up keep-alive connection: past the first segments the
+  // client's kernel delays its ACKs.
+  const std::string ingest = PostRequest("/ingest?wait=1", kConformingDoc);
+  for (int i = 0; i < 20; ++i) {
+    SendAll(fd, ingest);
+    ASSERT_EQ(ReadOne(fd, &buf).status, 200);
+  }
+
+  // Two `?wait=1` ingests in one send: the second answer is a small
+  // segment written while the first is still unacknowledged, which
+  // Nagle would hold until the client's delayed ACK (about 40 ms).
+  // Best of three, so one slow scheduling round cannot fail the test.
+  auto best = std::chrono::steady_clock::duration::max();
+  for (int round = 0; round < 3; ++round) {
+    const auto start = std::chrono::steady_clock::now();
+    SendAll(fd, ingest + ingest);
+    EXPECT_EQ(ReadOne(fd, &buf).status, 200);
+    EXPECT_EQ(ReadOne(fd, &buf).status, 200);
+    best = std::min(best, std::chrono::steady_clock::now() - start);
+  }
+  EXPECT_LT(best, std::chrono::milliseconds(20))
+      << "pipelined answers took "
+      << std::chrono::duration_cast<std::chrono::milliseconds>(best).count()
+      << " ms";
+
+  ::close(fd);
+  server.Shutdown();
+  server.Wait();
+  std::filesystem::remove_all(options.wal_dir);
 }
 
 TEST(HttpConformanceTest, SlowLorisIsReapedByTheReadDeadline) {

@@ -2,9 +2,9 @@
 // torn-frame tolerance at decode and export level, the replication
 // oracle's fault-injected sweep, and an end-to-end primary → follower
 // pair over real sockets — bootstrap from the checkpoint blob, WAL
-// streaming, read-only enforcement, lag reaching zero, and a follower
+// streaming, read-only enforcement, lag reaching zero, a follower
 // restart converging onto the same bytes after the primary truncated
-// its log.
+// its log, and only durable records ever shipping.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -255,16 +256,16 @@ ClientResponse Post(uint16_t port, const std::string& target,
                              std::to_string(body.size()) + "\r\n\r\n" + body);
 }
 
-/// Polls `fetch` until `want(body)` or ~10 s pass; returns the last body.
+/// Polls `fetch` until `want(value)` or ~10 s pass; returns the last
+/// value.
 template <typename Fetch, typename Want>
-std::string PollUntil(Fetch fetch, Want want) {
-  std::string body;
-  for (int attempt = 0; attempt < 1000; ++attempt) {
-    body = fetch();
-    if (want(body)) return body;
+auto PollUntil(Fetch fetch, Want want) {
+  auto value = fetch();
+  for (int attempt = 0; attempt < 1000 && !want(value); ++attempt) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    value = fetch();
   }
-  return body;
+  return value;
 }
 
 void RemoveTree(const std::string& path) {
@@ -439,6 +440,84 @@ TEST(ReplicationTest, FollowerRestartConvergesAfterCheckpointTruncation) {
     follower.Wait();
   }
 
+  primary.Shutdown();
+  primary.Wait();
+  RemoveTree(wal_dir);
+}
+
+TEST(ReplicationTest, FollowerNeverReceivesRecordsAboveTheDurableLsn) {
+  const std::string wal_dir = ::testing::TempDir() + "replication_primary_c";
+  RemoveTree(wal_dir);
+
+  server::ServerOptions primary_options;
+  primary_options.port = 0;
+  primary_options.jobs = 2;
+  primary_options.wal_dir = wal_dir;
+  primary_options.fsync_policy = store::FsyncPolicy::kAlways;
+  server::IngestServer primary(EvolvingOptions(), primary_options);
+  ASSERT_TRUE(primary.AddDtdText("mail", kMailDtd).ok());
+  ASSERT_TRUE(primary.Start().ok());
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(Post(primary.port(), "/ingest?wait=1", kConformingDoc).status,
+              200);
+  }
+
+  server::ServerOptions follower_options;
+  follower_options.port = 0;
+  follower_options.jobs = 2;
+  follower_options.follow_url =
+      "http://127.0.0.1:" + std::to_string(primary.port());
+  follower_options.follow_poll_interval = std::chrono::milliseconds(10);
+  server::IngestServer follower(EvolvingOptions(), follower_options);
+  ASSERT_TRUE(follower.AddDtdText("mail", kMailDtd).ok());
+  ASSERT_TRUE(follower.Start().ok());
+  PollUntil([&] { return follower.manager().AppliedLsnFor("default"); },
+            [](uint64_t lsn) { return lsn == 2; });
+  ASSERT_EQ(follower.manager().AppliedLsnFor("default"), 2u);
+
+  // Hold the commit open: with the worker paused, new documents are
+  // written to the primary's log but not committed, so their async 202s
+  // wait and a failed fsync could still rewind them.
+  primary.PauseIngest();
+  std::vector<std::atomic<int>> statuses(3);
+  std::vector<std::thread> clients;
+  for (size_t i = 0; i < statuses.size(); ++i) {
+    clients.emplace_back([&, i] {
+      statuses[i] = Post(primary.port(), "/ingest", kDriftedDoc).status;
+    });
+  }
+  PollUntil([&] { return Get(primary.port(), "/metrics").body; },
+            [](const std::string& body) {
+              return body.find("\ndtdevolve_ingest_queue_depth 3\n") !=
+                     std::string::npos;
+            });
+  uint64_t next_lsn = 0;
+  StatusOr<store::WalExport> page = primary.manager().ExportWalFor(
+      "default", 1, 1 << 20, &next_lsn);
+  ASSERT_TRUE(page.ok()) << page.status().ToString();
+  EXPECT_EQ(next_lsn, 3u) << "the advertised head must be durable + 1";
+  size_t consumed = 0;
+  const std::vector<store::WalRecord> shipped =
+      store::DecodeWalStream(page->bytes, &consumed);
+  ASSERT_EQ(shipped.size(), 2u);
+  EXPECT_EQ(shipped.back().lsn, 2u);
+  // Many follower polls later, nothing above the durable LSN arrived.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_EQ(follower.manager().AppliedLsnFor("default"), 2u);
+  for (const auto& status : statuses) {
+    EXPECT_EQ(status.load(), 0) << "acked before the commit";
+  }
+
+  // The commit lands: the 202s go out and the records ship.
+  primary.ResumeIngest();
+  for (std::thread& client : clients) client.join();
+  for (const auto& status : statuses) EXPECT_EQ(status.load(), 202);
+  PollUntil([&] { return follower.manager().AppliedLsnFor("default"); },
+            [](uint64_t lsn) { return lsn == 5; });
+  EXPECT_EQ(follower.manager().AppliedLsnFor("default"), 5u);
+
+  follower.Shutdown();
+  follower.Wait();
   primary.Shutdown();
   primary.Wait();
   RemoveTree(wal_dir);

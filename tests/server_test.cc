@@ -237,6 +237,79 @@ TEST(ServerTest, MetricsScrapeExposesPipelineCounters) {
   server.Wait();
 }
 
+/// The sample value of one exact series line ("name{labels}") in a
+/// /metrics scrape, or -1 when absent.
+double SeriesValue(const std::string& metrics, const std::string& series) {
+  const std::string needle = "\n" + series + " ";
+  const size_t pos = metrics.find(needle);
+  if (pos == std::string::npos) return -1;
+  return std::atof(metrics.c_str() + pos + needle.size());
+}
+
+TEST(ServerTest, QueuedIngestsShareOneGroupCommitFsync) {
+  const std::string dir = testing::TempDir() + "server_group_commit";
+  std::filesystem::remove_all(dir);
+  ServerOptions options = EphemeralOptions();
+  options.wal_dir = dir;
+  options.fsync_policy = store::FsyncPolicy::kAlways;
+  options.checkpoint_interval = std::chrono::milliseconds(0);
+  IngestServer server(EvolvingOptions(), options);
+  ASSERT_TRUE(server.AddDtdText("mail", kMailDtd).ok());
+  ASSERT_TRUE(server.Start().ok());
+  ASSERT_EQ(Post(server.port(), "/ingest?wait=1", kConformingDoc).status,
+            200);
+
+  // Four async ingests queue up behind the paused worker; their 202s
+  // wait for the commit, which then covers all four with one fsync.
+  server.PauseIngest();
+  std::vector<std::thread> clients;
+  std::vector<int> statuses(4, 0);
+  for (size_t i = 0; i < statuses.size(); ++i) {
+    clients.emplace_back([&, i] {
+      statuses[i] = Post(server.port(), "/ingest", kConformingDoc).status;
+    });
+  }
+  std::string metrics;
+  for (int i = 0; i < 500; ++i) {
+    metrics = Get(server.port(), "/metrics").body;
+    if (SeriesValue(metrics, "dtdevolve_ingest_queue_depth") == 4) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(SeriesValue(metrics, "dtdevolve_ingest_queue_depth"), 4);
+  const double fsyncs = SeriesValue(metrics, "dtdevolve_wal_fsyncs_total");
+  EXPECT_EQ(fsyncs, 1);
+  server.ResumeIngest();
+  for (std::thread& client : clients) client.join();
+  for (int status : statuses) EXPECT_EQ(status, 202);
+
+  metrics = Get(server.port(), "/metrics").body;
+  EXPECT_EQ(SeriesValue(metrics, "dtdevolve_wal_fsyncs_total"), fsyncs + 1);
+  // Records per fsync: the lone first ingest, then the group of four.
+  EXPECT_EQ(SeriesValue(metrics, "dtdevolve_wal_commit_docs_count"), 2);
+  EXPECT_EQ(SeriesValue(metrics, "dtdevolve_wal_commit_docs_sum"), 5);
+  EXPECT_EQ(SeriesValue(metrics, "dtdevolve_wal_commit_docs_bucket{le=\"1\"}"),
+            1);
+  EXPECT_EQ(SeriesValue(metrics, "dtdevolve_wal_commit_docs_bucket{le=\"2\"}"),
+            1);
+  EXPECT_EQ(SeriesValue(metrics, "dtdevolve_wal_commit_docs_bucket{le=\"4\"}"),
+            2);
+  EXPECT_EQ(
+      SeriesValue(metrics, "dtdevolve_wal_commit_docs_bucket{le=\"1024\"}"),
+      2);
+  // fsync time, with buckets from 1 µs to 10 s.
+  EXPECT_EQ(SeriesValue(metrics, "dtdevolve_wal_sync_seconds_count"), 2);
+  EXPECT_GE(
+      SeriesValue(metrics, "dtdevolve_wal_sync_seconds_bucket{le=\"1e-06\"}"),
+      0);
+  EXPECT_EQ(
+      SeriesValue(metrics, "dtdevolve_wal_sync_seconds_bucket{le=\"10\"}"),
+      2);
+
+  server.Shutdown();
+  server.Wait();
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ServerTest, FullQueueAnswers503WithRetryAfter) {
   ServerOptions options = EphemeralOptions();
   options.queue_capacity = 2;

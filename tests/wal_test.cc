@@ -8,18 +8,22 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dtd/dtd_parser.h"
 #include "evolve/persist.h"
 #include "io/fault.h"
 #include "io/file.h"
+#include "obs/metrics.h"
 #include "store/wal.h"
 
 namespace dtdevolve::store {
@@ -335,6 +339,203 @@ TEST(WalTest, BrokenWalSelfHealsByRotatingWhenTruncateKeepsFailing) {
   EXPECT_EQ(reopened.records[1].lsn, 2u);
   EXPECT_TRUE(reopened.tail_truncated);
   EXPECT_NE(reopened.warning.find("torn"), std::string::npos);
+}
+
+// --- Group commit ------------------------------------------------------------
+
+/// Every record of the log in `dir`, as a fresh open replays it.
+std::vector<WalRecord> Reopen(const WalOptions& options) {
+  WalReplay replay;
+  std::unique_ptr<Wal> wal = MustOpen(options, &replay);
+  EXPECT_FALSE(replay.tail_truncated) << replay.warning;
+  return replay.records;
+}
+
+TEST(WalTest, OneCommitMakesTheWholeGroupDurableWithOneFsync) {
+  const std::string dir = FreshDir("group");
+  obs::Registry registry;
+  WalMetrics metrics;
+  metrics.fsyncs = &registry.GetCounter("fsyncs", "");
+  metrics.commit_docs =
+      &registry.GetHistogram("commit_docs", "", {1, 2, 4, 8});
+  std::unique_ptr<Wal> wal = MustOpen(OptionsFor(dir), nullptr);
+  ASSERT_NE(wal, nullptr);
+  wal->set_metrics(metrics);
+
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(wal->Write("doc " + std::to_string(i)).ok());
+  }
+  EXPECT_EQ(wal->durable_lsn(), 0u);
+  EXPECT_EQ(metrics.fsyncs->Value(), 0u) << "Write must never fsync";
+  // Committing the first record covers everything written before it.
+  ASSERT_TRUE(wal->Commit(1).ok());
+  EXPECT_EQ(wal->durable_lsn(), 3u);
+  EXPECT_EQ(metrics.fsyncs->Value(), 1u);
+  ASSERT_TRUE(wal->Commit(3).ok());
+  EXPECT_EQ(metrics.fsyncs->Value(), 1u) << "a durable LSN commits for free";
+  EXPECT_EQ(metrics.commit_docs->Count(), 1u);
+  EXPECT_EQ(metrics.commit_docs->Sum(), 3.0);
+  EXPECT_FALSE(wal->Commit(4).ok()) << "LSN 4 was never written";
+}
+
+TEST(WalTest, FailedCommitRewindsTheGroupAndReusesItsLsns) {
+  const std::string dir = FreshDir("rewind");
+  const WalOptions options = OptionsFor(dir);
+  std::unique_ptr<Wal> wal = MustOpen(options, nullptr);
+  ASSERT_NE(wal, nullptr);
+  ASSERT_TRUE(wal->Append("kept 1").ok());
+  ASSERT_TRUE(wal->Append("kept 2").ok());
+
+  ASSERT_TRUE(wal->Write("lost 3").ok());
+  StatusOr<uint64_t> lost = wal->Write("lost 4");
+  ASSERT_TRUE(lost.ok());
+  EXPECT_EQ(*lost, 4u);
+  {
+    io::FaultPlan plan;
+    plan.fail_at = 1;
+    plan.op_mask = static_cast<uint32_t>(io::FaultOp::kFsync);
+    plan.error_code = EIO;
+    io::ScopedFaultPlan guard(plan);
+    EXPECT_FALSE(wal->Commit(*lost).ok());
+  }
+  // The whole group is gone; nothing stacks on it until the rewind.
+  EXPECT_EQ(wal->durable_lsn(), 2u);
+  EXPECT_TRUE(wal->commit_failed());
+  EXPECT_FALSE(wal->Write("refused").ok());
+  EXPECT_FALSE(wal->Commit(3).ok());
+
+  ASSERT_TRUE(wal->Rewind().ok());
+  EXPECT_FALSE(wal->commit_failed());
+  EXPECT_EQ(wal->next_lsn(), 3u);
+  StatusOr<uint64_t> reused = wal->Append("after 3");
+  ASSERT_TRUE(reused.ok()) << reused.status().ToString();
+  EXPECT_EQ(*reused, 3u) << "the first failed LSN is reused";
+  wal.reset();
+
+  const std::vector<WalRecord> records = Reopen(options);
+  ASSERT_EQ(records.size(), 3u);
+  for (uint64_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].lsn, i + 1);
+  }
+  EXPECT_EQ(records[0].payload, "kept 1");
+  EXPECT_EQ(records[1].payload, "kept 2");
+  EXPECT_EQ(records[2].payload, "after 3");
+}
+
+TEST(WalTest, FailedCommitAcrossARotationRewindsEverySegment) {
+  const std::string dir = FreshDir("rewind_rotate");
+  WalOptions options = OptionsFor(dir);
+  options.segment_bytes = 48;  // about two records per segment
+  std::unique_ptr<Wal> wal = MustOpen(options, nullptr);
+  ASSERT_NE(wal, nullptr);
+  ASSERT_TRUE(wal->Append("durable record").ok());
+  // The uncommitted group spans several segments.
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(wal->Write("group record " + std::to_string(i)).ok());
+  }
+  ASSERT_GT(wal->SegmentCount(), 2u);
+  {
+    io::FaultPlan plan;
+    plan.fail_at = 2;  // the second segment's fsync
+    plan.op_mask = static_cast<uint32_t>(io::FaultOp::kFsync);
+    io::ScopedFaultPlan guard(plan);
+    EXPECT_FALSE(wal->Commit(6).ok());
+  }
+  EXPECT_EQ(wal->durable_lsn(), 1u);
+  ASSERT_TRUE(wal->Rewind().ok());
+  ASSERT_TRUE(wal->Append("after the rewind").ok());
+  // Segments the rewind emptied go with the next checkpoint truncation.
+  ASSERT_TRUE(wal->TruncateThrough(0).ok());
+  wal.reset();
+
+  const std::vector<WalRecord> records = Reopen(options);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].lsn, 1u);
+  EXPECT_EQ(records[0].payload, "durable record");
+  EXPECT_EQ(records[1].lsn, 2u);
+  EXPECT_EQ(records[1].payload, "after the rewind");
+}
+
+TEST(WalTest, FsyncFailureInAppendDoesNotConsumeAnLsn) {
+  const std::string dir = FreshDir("append_fsync");
+  const WalOptions options = OptionsFor(dir);
+  std::unique_ptr<Wal> wal = MustOpen(options, nullptr);
+  ASSERT_NE(wal, nullptr);
+  ASSERT_TRUE(wal->Append("before").ok());
+  {
+    io::FaultPlan plan;
+    plan.fail_at = 1;
+    plan.op_mask = static_cast<uint32_t>(io::FaultOp::kFsync);
+    io::ScopedFaultPlan guard(plan);
+    EXPECT_FALSE(wal->Append("never acked").ok());
+  }
+  StatusOr<uint64_t> after = wal->Append("after");
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(*after, 2u);
+  wal.reset();
+  const std::vector<WalRecord> records = Reopen(options);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[1].payload, "after");
+}
+
+// Writers, committers and checkpoint truncation racing on one log (run
+// it under ThreadSanitizer with the `concurrency` label): every LSN is
+// issued once, every commit covers its own write, and the log that
+// survives replays as one gapless run ending at the last write.
+TEST(WalConcurrencyTest, ConcurrentWritesCommitsAndTruncationsStayGapless) {
+  const std::string dir = FreshDir("concurrent");
+  WalOptions options = OptionsFor(dir);
+  options.segment_bytes = 2048;  // rotations land inside commits
+  std::unique_ptr<Wal> wal = MustOpen(options, nullptr);
+  ASSERT_NE(wal, nullptr);
+
+  constexpr int kWriters = 4;
+  constexpr int kPerWriter = 150;
+  std::atomic<bool> failed{false};
+  std::atomic<int> writers_done{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      for (int i = 0; i < kPerWriter; ++i) {
+        StatusOr<uint64_t> lsn = wal->Write(
+            "writer " + std::to_string(w) + " record " + std::to_string(i));
+        if (!lsn.ok()) {
+          failed = true;
+          break;
+        }
+        // Every third write waits for its own durability; the rest ride
+        // along with someone else's group.
+        if (i % 3 == 0 &&
+            (!wal->Commit(*lsn).ok() || wal->durable_lsn() < *lsn)) {
+          failed = true;
+        }
+      }
+      ++writers_done;
+    });
+  }
+  threads.emplace_back([&] {
+    while (writers_done < kWriters) {
+      const uint64_t durable = wal->durable_lsn();
+      if (!wal->TruncateThrough(durable / 2).ok()) failed = true;
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  for (std::thread& thread : threads) thread.join();
+  ASSERT_FALSE(failed);
+
+  const uint64_t last = wal->next_lsn() - 1;
+  EXPECT_EQ(last, static_cast<uint64_t>(kWriters * kPerWriter));
+  ASSERT_TRUE(wal->Commit(last).ok());
+  EXPECT_EQ(wal->durable_lsn(), last);
+  wal.reset();
+
+  const std::vector<WalRecord> records = Reopen(options);
+  ASSERT_FALSE(records.empty());
+  EXPECT_EQ(records.back().lsn, last);
+  uint64_t expect = records.front().lsn;
+  for (const WalRecord& record : records) {
+    ASSERT_EQ(record.lsn, expect++) << "gap in the surviving log";
+  }
 }
 
 // --- persist.cc durability regression ---------------------------------------
