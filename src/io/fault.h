@@ -10,11 +10,12 @@
 namespace dtdevolve::io {
 
 /// The faultable operation classes of the `io` layer. Every durable-path
-/// primitive (`File::Write`, `File::Fsync`, `Rename`, …) consults the
-/// process-wide `FaultInjector` before touching the kernel, so tests and
-/// the crash-recovery oracle can fail *exactly* the Nth operation of a
-/// workload — deterministic disk-full, short writes, and torn-tail
-/// crashes without root, ptrace, or a custom filesystem.
+/// primitive (`File::Write`, `File::Allocate`, `File::Fsync`, `Rename`,
+/// …) consults the process-wide `FaultInjector` before touching the
+/// kernel, so tests and the crash-recovery oracle can fail *exactly* the
+/// Nth operation of a workload — deterministic disk-full, short writes,
+/// and torn-tail crashes without root, ptrace, or a custom filesystem.
+/// `File::DataSync` counts as a `kFsync`.
 enum class FaultOp : uint32_t {
   kOpen = 1u << 0,
   kWrite = 1u << 1,
@@ -23,6 +24,7 @@ enum class FaultOp : uint32_t {
   kUnlink = 1u << 4,
   kTruncate = 1u << 5,
   kFsyncDir = 1u << 6,
+  kAllocate = 1u << 7,
 };
 
 constexpr uint32_t kAllFaultOps = 0xFFFFFFFFu;

@@ -8,8 +8,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 namespace dtdevolve::io {
@@ -65,15 +63,11 @@ StatusOr<File> File::OpenForWrite(const std::string& path) {
   return OpenWithFlags(path, O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC);
 }
 
-StatusOr<File> File::OpenForAppend(const std::string& path) {
-  return OpenWithFlags(path, O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC);
+StatusOr<File> File::OpenForUpdate(const std::string& path) {
+  return OpenWithFlags(path, O_WRONLY | O_CREAT | O_CLOEXEC);
 }
 
-StatusOr<File> File::OpenExisting(const std::string& path) {
-  return OpenWithFlags(path, O_WRONLY | O_CLOEXEC);
-}
-
-Status File::Write(std::string_view data) {
+Status File::Write(std::string_view data, uint64_t offset) {
   if (fd_ < 0) return Status::FailedPrecondition("write on closed file");
   size_t persist = 0;
   int err = 0;
@@ -83,13 +77,30 @@ Status File::Write(std::string_view data) {
   const size_t limit = injected ? persist : data.size();
   size_t written = 0;
   while (written < limit) {
-    ssize_t n = ::write(fd_, data.data() + written, limit - written);
+    ssize_t n = ::pwrite(fd_, data.data() + written, limit - written,
+                         static_cast<off_t>(offset + written));
     if (n < 0 && errno == EINTR) continue;
     if (n < 0) return ErrnoStatus("write failed on", path_, errno);
     if (n == 0) return ErrnoStatus("short write to", path_, ENOSPC);
     written += static_cast<size_t>(n);
   }
   if (injected) return ErrnoStatus("write failed on", path_, err);
+  return Status::Ok();
+}
+
+Status File::Allocate(uint64_t offset, uint64_t length) {
+  if (fd_ < 0) return Status::FailedPrecondition("allocate on closed file");
+  size_t persist = 0;
+  int err = 0;
+  if (Injected(FaultOp::kAllocate, 0, &persist, &err)) {
+    return ErrnoStatus("cannot reserve space in", path_, err);
+  }
+  // posix_fallocate reports its error as the return value, not in errno.
+  do {
+    err = ::posix_fallocate(fd_, static_cast<off_t>(offset),
+                            static_cast<off_t>(length));
+  } while (err == EINTR);
+  if (err != 0) return ErrnoStatus("cannot reserve space in", path_, err);
   return Status::Ok();
 }
 
@@ -101,6 +112,19 @@ Status File::Fsync() {
     return ErrnoStatus("fsync failed on", path_, err);
   }
   if (::fsync(fd_) != 0) return ErrnoStatus("fsync failed on", path_, errno);
+  return Status::Ok();
+}
+
+Status File::DataSync() {
+  if (fd_ < 0) return Status::FailedPrecondition("fdatasync on closed file");
+  size_t persist = 0;
+  int err = 0;
+  if (Injected(FaultOp::kFsync, 0, &persist, &err)) {
+    return ErrnoStatus("fdatasync failed on", path_, err);
+  }
+  if (::fdatasync(fd_) != 0) {
+    return ErrnoStatus("fdatasync failed on", path_, errno);
+  }
   return Status::Ok();
 }
 
@@ -186,7 +210,7 @@ Status WriteFileAtomic(const std::string& path, std::string_view data) {
   const std::string tmp = path + ".tmp";
   StatusOr<File> file = File::OpenForWrite(tmp);
   Status status = file.ok() ? Status::Ok() : file.status();
-  if (status.ok()) status = file->Write(data);
+  if (status.ok()) status = file->Write(data, 0);
   // fsync before rename: the rename must not become durable before the
   // bytes it points at.
   if (status.ok()) status = file->Fsync();
@@ -201,12 +225,32 @@ Status WriteFileAtomic(const std::string& path, std::string_view data) {
 }
 
 StatusOr<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return Status::Internal("read error on " + path);
-  return buffer.str();
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::NotFound("cannot open " + path);
+  struct stat info = {};
+  const size_t expected =
+      ::fstat(fd, &info) == 0 && info.st_size > 0
+          ? static_cast<size_t>(info.st_size)
+          : 0;
+  // One spare byte: a read that fills it means the file grew since the
+  // fstat, and the buffer doubles until a read returns EOF.
+  std::string data(expected + 1, '\0');
+  size_t used = 0;
+  for (;;) {
+    if (used == data.size()) data.resize(2 * data.size());
+    const ssize_t n = ::read(fd, data.data() + used, data.size() - used);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      const int err = errno;
+      ::close(fd);
+      return ErrnoStatus("read error on", path, err);
+    }
+    if (n == 0) break;
+    used += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  data.resize(used);
+  return data;
 }
 
 }  // namespace dtdevolve::io

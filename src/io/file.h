@@ -11,12 +11,19 @@
 namespace dtdevolve::io {
 
 /// The file-I/O abstraction of the durability subsystem. Every write,
-/// fsync, rename, unlink and truncate on a durable path — the write-ahead
-/// log (`store/wal.h`) and the atomic snapshots (`evolve/persist.cc`) —
-/// goes through this layer, which consults the process-wide
-/// `FaultInjector` first. That is what makes failure paths *testable*:
-/// a test can fail the 3rd fsync with ENOSPC, persist half of the 7th
-/// write and then kill every later operation, and assert recovery.
+/// reservation, sync, rename, unlink and truncate on a durable path — the
+/// write-ahead log (`store/wal.h`) and the atomic checkpoint files
+/// (`WriteFileAtomic`) — goes through this layer, which consults the
+/// process-wide `FaultInjector` first. That is what makes failure paths
+/// *testable*: a test can fail the 3rd fsync with ENOSPC, persist half of
+/// the 7th write and then kill every later operation, and assert
+/// recovery.
+///
+/// Writes are positioned (`pwrite`), never `O_APPEND`: the WAL reserves
+/// space ahead of its records with `Allocate` and overwrites it, so the
+/// file size changes once per reservation, not once per record, and its
+/// commit can be a `DataSync` (`fdatasync`) that flushes the data without
+/// a metadata journal commit. Checkpoint files keep the full `Fsync`.
 ///
 /// All functions return `Status`; messages carry the path and
 /// `strerror(errno)`. Reads are deliberately not faultable — losing
@@ -27,11 +34,9 @@ class File {
  public:
   /// Creates/truncates `path` for writing.
   static StatusOr<File> OpenForWrite(const std::string& path);
-  /// Creates `path` if missing and positions every write at the end.
-  static StatusOr<File> OpenForAppend(const std::string& path);
-  /// Opens an existing file for in-place mutation (truncating a torn
-  /// WAL tail) without clobbering its contents.
-  static StatusOr<File> OpenExisting(const std::string& path);
+  /// Opens `path` for in-place writes, creating it when missing and
+  /// never clobbering what it holds (WAL segments).
+  static StatusOr<File> OpenForUpdate(const std::string& path);
 
   File() = default;
   /// Adopts an already-open descriptor (used by the Open factories).
@@ -44,9 +49,15 @@ class File {
 
   bool is_open() const { return fd_ >= 0; }
 
-  /// Writes all of `data` (looping over partial writes).
-  Status Write(std::string_view data);
+  /// Writes all of `data` at `offset` (looping over partial writes).
+  Status Write(std::string_view data, uint64_t offset);
+  /// Reserves disk blocks for `[offset, offset + length)`, growing the
+  /// file to cover them; the new bytes read as zeros (`posix_fallocate`).
+  Status Allocate(uint64_t offset, uint64_t length);
   Status Fsync();
+  /// `fdatasync`: flushes the data and only the metadata needed to read
+  /// it back (a size change), not timestamps. Faults as a `kFsync`.
+  Status DataSync();
   Status Truncate(uint64_t size);
   /// Closes and reports the close error, unlike the silent destructor.
   Status Close();
@@ -75,7 +86,8 @@ std::string DirName(const std::string& path);
 /// the temporary (best effort) and leaves the previous `path` intact.
 Status WriteFileAtomic(const std::string& path, std::string_view data);
 
-/// Whole-file read; `kNotFound` when missing. Not faultable.
+/// Whole-file read sized by `fstat`, still reading to EOF when the file
+/// grew meanwhile; `kNotFound` when it cannot be opened. Not faultable.
 StatusOr<std::string> ReadFile(const std::string& path);
 
 }  // namespace dtdevolve::io

@@ -18,6 +18,10 @@ constexpr size_t kRecordHeaderBytes = 16;  // u32 len, u32 crc, u64 lsn
 /// Framing sanity bound: a length beyond this cannot be a real record
 /// (ingest bodies are capped far below) and is treated as corruption.
 constexpr uint32_t kMaxPayloadBytes = 64 * 1024 * 1024;
+/// Reservation step: a segment's file grows by whole steps, ahead of the
+/// records that fill it. Larger steps buy nothing measurable and make
+/// every restart read a longer zero tail.
+constexpr uint64_t kReserveBytes = 64 * 1024;
 
 void PutU32(uint32_t value, std::string& out) {
   for (int i = 0; i < 4; ++i) {
@@ -60,6 +64,111 @@ std::string EncodeRecord(uint64_t lsn, std::string_view payload) {
   return record;
 }
 
+std::string SegmentName(uint64_t seq) {
+  char name[32];
+  std::snprintf(name, sizeof(name), "wal-%010llu.log",
+                static_cast<unsigned long long>(seq));
+  return name;
+}
+
+/// Sequence numbers of the `wal-<seq>.log` files in `dir`, ascending.
+StatusOr<std::vector<uint64_t>> ListSegments(const std::string& dir) {
+  DIR* handle = ::opendir(dir.c_str());
+  if (handle == nullptr) {
+    return Status::Internal("cannot list " + dir + ": " +
+                            std::strerror(errno));
+  }
+  std::vector<uint64_t> seqs;
+  while (struct dirent* entry = ::readdir(handle)) {
+    unsigned long long seq = 0;
+    char tail = 0;
+    if (std::sscanf(entry->d_name, "wal-%llu.lo%c", &seq, &tail) == 2 &&
+        tail == 'g') {
+      seqs.push_back(seq);
+    }
+  }
+  ::closedir(handle);
+  std::sort(seqs.begin(), seqs.end());
+  return seqs;
+}
+
+/// True when `data` holds nothing but zero bytes.
+bool AllZero(std::string_view data) {
+  static const char kZeros[4096] = {};
+  while (!data.empty()) {
+    const size_t n = std::min(data.size(), sizeof(kZeros));
+    if (std::memcmp(data.data(), kZeros, n) != 0) return false;
+    data.remove_prefix(n);
+  }
+  return true;
+}
+
+/// How a run of frames ends.
+enum class FramesEnd {
+  kClean,    // at the end of the bytes, or nothing but zeros follow
+  kTorn,     // an unframeable or checksum-failing frame, then only zeros
+  kCorrupt,  // damage with data after it
+};
+
+struct Frame {
+  size_t offset = 0;
+  uint32_t len = 0;  // payload bytes
+  uint64_t lsn = 0;
+};
+
+/// Walks the intact frames of a segment file or a replication stream.
+struct FrameCursor {
+  std::string_view data;
+  /// Just past the last intact frame.
+  size_t offset = 0;
+  FramesEnd end = FramesEnd::kClean;
+  const char* why = "";
+
+  /// Decodes the frame at `offset` and steps past it. False once no
+  /// intact frame is left; `end` and `why` then say what the rest is.
+  bool Next(Frame* frame) {
+    if (offset >= data.size()) return false;
+    const std::string_view rest = data.substr(offset);
+    if (AllZero(rest.substr(0, kRecordHeaderBytes))) {
+      // LSN 0 is never issued, so no real header is all zero: the
+      // writes stopped here, and the rest must be unused reservation.
+      if (!AllZero(rest)) Stop(FramesEnd::kCorrupt, "zeroed frame below data");
+      return false;
+    }
+    if (rest.size() < kRecordHeaderBytes) {
+      return Stop(FramesEnd::kTorn, "truncated record header");
+    }
+    const uint32_t len = GetU32(rest.data());
+    if (len > kMaxPayloadBytes) {
+      // The length itself is garbage, so the rest cannot be framed.
+      return Stop(FramesEnd::kTorn, "implausible record length");
+    }
+    if (rest.size() < kRecordHeaderBytes + len) {
+      return Stop(FramesEnd::kTorn, "truncated record payload");
+    }
+    if (GetU32(rest.data() + 4) != util::Crc32(rest.data() + 8, 8 + len)) {
+      // With only zeros after it, a bad frame is the torn in-flight
+      // write; with data after it, damage to a record that was fully
+      // written — acked history.
+      return AllZero(rest.substr(kRecordHeaderBytes + len))
+                 ? Stop(FramesEnd::kTorn, "checksum mismatch on final record")
+                 : Stop(FramesEnd::kCorrupt,
+                        "checksum mismatch on a complete record");
+    }
+    frame->offset = offset;
+    frame->len = len;
+    frame->lsn = GetU64(rest.data() + 8);
+    offset += kRecordHeaderBytes + len;
+    return true;
+  }
+
+  bool Stop(FramesEnd how, const char* reason) {
+    end = how;
+    why = reason;
+    return false;
+  }
+};
+
 }  // namespace
 
 bool ParseFsyncPolicy(std::string_view text, FsyncPolicy* out) {
@@ -85,10 +194,7 @@ const char* FsyncPolicyName(FsyncPolicy policy) {
 }
 
 std::string Wal::SegmentPath(uint64_t seq) const {
-  char name[32];
-  std::snprintf(name, sizeof(name), "wal-%010llu.log",
-                static_cast<unsigned long long>(seq));
-  return options_.dir + "/" + name;
+  return options_.dir + "/" + SegmentName(seq);
 }
 
 StatusOr<std::unique_ptr<Wal>> Wal::Open(WalOptions options,
@@ -97,23 +203,8 @@ StatusOr<std::unique_ptr<Wal>> Wal::Open(WalOptions options,
   DTDEVOLVE_RETURN_IF_ERROR(io::CreateDir(options.dir));
   std::unique_ptr<Wal> wal(new Wal(std::move(options)));
 
-  // Collect wal-<seq>.log entries.
-  std::vector<uint64_t> seqs;
-  DIR* dir = ::opendir(wal->options_.dir.c_str());
-  if (dir == nullptr) {
-    return Status::Internal("cannot list " + wal->options_.dir + ": " +
-                            std::strerror(errno));
-  }
-  while (struct dirent* entry = ::readdir(dir)) {
-    unsigned long long seq = 0;
-    char tail = 0;
-    if (std::sscanf(entry->d_name, "wal-%llu.lo%c", &seq, &tail) == 2 &&
-        tail == 'g') {
-      seqs.push_back(seq);
-    }
-  }
-  ::closedir(dir);
-  std::sort(seqs.begin(), seqs.end());
+  StatusOr<std::vector<uint64_t>> seqs = ListSegments(wal->options_.dir);
+  if (!seqs.ok()) return seqs.status();
 
   uint64_t max_lsn = 0;
   // Nonzero after a torn tail was cut from a *non-final* segment: the
@@ -121,102 +212,67 @@ StatusOr<std::unique_ptr<Wal>> Wal::Open(WalOptions options,
   // failed append never consumes an LSN, so contiguity proves the torn
   // bytes were never acked; a gap means acked history is missing.
   uint64_t require_lsn = 0;
-  for (size_t s = 0; s < seqs.size(); ++s) {
-    const bool final_segment = s + 1 == seqs.size();
+  for (const uint64_t seq : *seqs) {
     Segment segment;
-    segment.seq = seqs[s];
-    segment.path = wal->SegmentPath(seqs[s]);
+    segment.seq = seq;
+    segment.path = wal->SegmentPath(seq);
     StatusOr<std::string> bytes = io::ReadFile(segment.path);
     if (!bytes.ok()) return bytes.status();
     const std::string& data = *bytes;
 
-    size_t offset = 0;
-    while (offset < data.size()) {
-      const size_t remaining = data.size() - offset;
-      bool torn = false;        // cut the tail here
-      bool corrupt = false;     // mid-log damage: refuse to continue
-      std::string why;
-      uint32_t len = 0;
-      if (remaining < kRecordHeaderBytes) {
-        torn = true;
-        why = "truncated record header";
-      } else {
-        len = GetU32(data.data() + offset);
-        if (len > kMaxPayloadBytes) {
-          // The length itself is garbage, so the rest of the file cannot
-          // be framed; at the end of a segment this is a torn tail.
-          torn = true;
-          why = "implausible record length";
-        } else if (remaining < kRecordHeaderBytes + len) {
-          torn = true;
-          why = "truncated record payload";
-        } else {
-          const uint32_t stored_crc = GetU32(data.data() + offset + 4);
-          const uint32_t actual_crc =
-              util::Crc32(data.data() + offset + 8, 8 + len);
-          if (stored_crc != actual_crc) {
-            // A *complete* frame with a bad checksum can only be a torn
-            // fsync of the in-flight final append; anywhere else it is
-            // damage to a record that was fully written — acked history.
-            if (final_segment &&
-                offset + kRecordHeaderBytes + len == data.size()) {
-              torn = true;
-              why = "checksum mismatch on final record";
-            } else {
-              corrupt = true;
-              why = "checksum mismatch on a complete record";
-            }
-          }
-        }
+    auto corrupt = [&segment](size_t offset, const std::string& why) {
+      return Status::ParseError("corrupt WAL record in " + segment.path +
+                                " at offset " + std::to_string(offset) +
+                                " (" + why +
+                                "): refusing to drop acked history");
+    };
+    FrameCursor cursor{data};
+    Frame frame;
+    while (cursor.Next(&frame)) {
+      if (frame.lsn <= max_lsn) {
+        return corrupt(frame.offset, "LSN went backwards");
       }
-      if (!torn && !corrupt) {
-        const uint64_t lsn = GetU64(data.data() + offset + 8);
-        if (lsn <= max_lsn) {
-          corrupt = true;
-          why = "LSN went backwards";
-        } else if (require_lsn != 0 && lsn != require_lsn) {
-          corrupt = true;
-          why = "LSN gap after a torn segment tail";
-        } else {
-          require_lsn = 0;
-          max_lsn = lsn;
-          if (segment.first_lsn == 0) segment.first_lsn = lsn;
-          segment.last_lsn = lsn;
-          if (replay != nullptr) {
-            replay->records.push_back(
-                {lsn, data.substr(offset + kRecordHeaderBytes, len)});
-          }
-          offset += kRecordHeaderBytes + len;
-          continue;
-        }
+      if (require_lsn != 0 && frame.lsn != require_lsn) {
+        return corrupt(frame.offset, "LSN gap after a torn segment tail");
       }
-      if (corrupt) {
-        return Status::ParseError(
-            "corrupt WAL record in " + segment.path + " at offset " +
-            std::to_string(offset) + " (" + why +
-            "): refusing to drop acked history");
+      require_lsn = 0;
+      max_lsn = frame.lsn;
+      if (segment.first_lsn == 0) segment.first_lsn = frame.lsn;
+      segment.last_lsn = frame.lsn;
+      if (replay != nullptr) {
+        replay->records.push_back(
+            {frame.lsn, data.substr(frame.offset + kRecordHeaderBytes,
+                                    frame.len)});
       }
-      // Torn tail: that append never returned OK, so cutting it loses
-      // nothing acked. Truncate physically so later appends land on a
-      // clean frame boundary. In a non-final segment (a broken append
+    }
+    segment.size = cursor.offset;
+    // A zero tail is unused reservation: the active segment appends
+    // into it in place.
+    segment.reserved = data.size();
+    if (cursor.end == FramesEnd::kCorrupt) {
+      return corrupt(cursor.offset, cursor.why);
+    }
+    if (cursor.end == FramesEnd::kTorn) {
+      // Torn tail: that write never committed, so cutting it loses
+      // nothing acked. Truncate physically so later writes land on a
+      // clean frame boundary. In a non-final segment (a broken write
       // whose WAL self-healed by rotating) the claim still needs proof —
       // the next record must continue the LSN sequence without a gap.
-      StatusOr<io::File> file = io::File::OpenExisting(segment.path);
+      StatusOr<io::File> file = io::File::OpenForUpdate(segment.path);
       if (!file.ok()) return file.status();
-      DTDEVOLVE_RETURN_IF_ERROR(file->Truncate(offset));
+      DTDEVOLVE_RETURN_IF_ERROR(file->Truncate(segment.size));
       DTDEVOLVE_RETURN_IF_ERROR(file->Fsync());
       DTDEVOLVE_RETURN_IF_ERROR(file->Close());
+      segment.reserved = segment.size;
       require_lsn = max_lsn + 1;
       if (replay != nullptr) {
         replay->tail_truncated = true;
         if (!replay->warning.empty()) replay->warning += "; ";
         replay->warning += "truncated torn WAL tail in " + segment.path +
-                           " at offset " + std::to_string(offset) + " (" +
-                           why + ")";
+                           " at offset " + std::to_string(segment.size) +
+                           " (" + cursor.why + ")";
       }
-      break;
     }
-    segment.size = std::min<uint64_t>(offset, data.size());
     segment.durable_size = segment.size;
     wal->segments_.push_back(std::move(segment));
   }
@@ -228,6 +284,16 @@ StatusOr<std::unique_ptr<Wal>> Wal::Open(WalOptions options,
   return wal;
 }
 
+Wal::~Wal() {
+  // A cleanly closed segment ends at its last record; only a crash
+  // leaves a zero tail.
+  for (Segment& segment : segments_) {
+    if (segment.file != nullptr && segment.reserved > segment.size) {
+      (void)segment.file->Truncate(segment.size);
+    }
+  }
+}
+
 Status Wal::OpenActive() {
   const bool fresh = segments_.empty();
   if (fresh) {
@@ -237,7 +303,7 @@ Status Wal::OpenActive() {
     segments_.push_back(std::move(segment));
   }
   Segment& active = segments_.back();
-  StatusOr<io::File> file = io::File::OpenForAppend(active.path);
+  StatusOr<io::File> file = io::File::OpenForUpdate(active.path);
   if (!file.ok()) return file.status();
   active.file = std::make_shared<io::File>(std::move(*file));
   dir_synced_seq_ = active.seq;
@@ -248,12 +314,20 @@ Status Wal::RotateLocked() {
   Segment segment;
   segment.seq = segments_.back().seq + 1;
   segment.path = SegmentPath(segment.seq);
-  StatusOr<io::File> file = io::File::OpenForAppend(segment.path);
+  StatusOr<io::File> file = io::File::OpenForUpdate(segment.path);
   if (!file.ok()) return file.status();
   segment.file = std::make_shared<io::File>(std::move(*file));
-  // The retiring segment keeps its file open until an fsync covers it;
-  // the new segment's directory entry is synced by the next commit.
+  // The retiring segment ends at its last record: its unused
+  // reservation goes (best effort — a zero tail replays clean). A broken
+  // segment keeps its torn bytes for replay to judge; cutting them is
+  // what just failed.
   Segment& retiring = segments_.back();
+  if (!broken_ && retiring.reserved > retiring.size &&
+      retiring.file->Truncate(retiring.size).ok()) {
+    retiring.reserved = retiring.size;
+  }
+  // The retiring segment keeps its file open until a sync covers it;
+  // the new segment's directory entry is synced by the next commit.
   if (retiring.size == retiring.durable_size &&
       retiring.last_lsn <= synced_lsn_) {
     retiring.file.reset();
@@ -282,7 +356,9 @@ StatusOr<uint64_t> Wal::Write(std::string_view payload) {
     // that, rotate: the fresh segment leaves the unframeable bytes
     // behind in the abandoned one, which replay treats as a torn tail
     // (and verifies against the LSN sequence).
-    if (segments_.back().file->Truncate(segments_.back().size).ok()) {
+    Segment& active = segments_.back();
+    if (active.file->Truncate(active.size).ok()) {
+      active.reserved = active.size;
       broken_ = false;
     } else {
       Status rotated = RotateLocked();
@@ -304,14 +380,30 @@ StatusOr<uint64_t> Wal::Write(std::string_view payload) {
   Segment& segment = segments_.back();
   const uint64_t lsn = next_lsn_;
   const std::string record = EncodeRecord(lsn, payload);
-  Status status = segment.file->Write(record);
+  const uint64_t end = segment.size + record.size();
+  Status status;
+  if (end > segment.reserved) {
+    // Reserve whole steps past the frame, so the file size changes once
+    // per step and most commits have no size change to sync.
+    const uint64_t reserve_to =
+        (end + kReserveBytes - 1) / kReserveBytes * kReserveBytes;
+    status = segment.file->Allocate(segment.reserved,
+                                    reserve_to - segment.reserved);
+    if (status.ok()) segment.reserved = reserve_to;
+  }
+  if (status.ok()) status = segment.file->Write(record, segment.size);
   if (!status.ok()) {
     CountError();
-    // Cut any torn bytes back off so the next write stays framed. When
-    // even that fails (crash simulation, dead disk) the WAL is broken
-    // until a retried truncate or a rotation succeeds — the torn tail
-    // stays for recovery.
-    if (!segment.file->Truncate(segment.size).ok()) broken_ = true;
+    // Cut any torn bytes (and the reservation; the next write reserves
+    // again) back off so the next write stays framed. When even that
+    // fails (crash simulation, dead disk) the WAL is broken until a
+    // retried truncate or a rotation succeeds — the torn tail stays for
+    // recovery.
+    if (segment.file->Truncate(segment.size).ok()) {
+      segment.reserved = segment.size;
+    } else {
+      broken_ = true;
+    }
     return status;
   }
   segment.size += record.size();
@@ -350,12 +442,15 @@ Status Wal::SyncGroup() {
     sync_dir = newest_seq > dir_synced_seq_;
   }
 
-  // The group's fsync, with the append mutex released: writes keep
-  // landing behind `target_lsn` and wait for the next group.
+  // The group's sync, with the append mutex released: writes keep
+  // landing behind `target_lsn` and wait for the next group. Records
+  // overwrite reserved space, so `fdatasync` seldom has a size change
+  // to commit; the directory entry of a new segment still needs the
+  // directory's own fsync.
   const auto started = std::chrono::steady_clock::now();
   Status status;
   for (const Target& target : targets) {
-    status = target.file->Fsync();
+    status = target.file->DataSync();
     if (!status.ok()) break;
     if (metrics_.fsyncs != nullptr) metrics_.fsyncs->Increment();
   }
@@ -441,6 +536,7 @@ Status Wal::Rewind() {
     // still open.
     DTDEVOLVE_RETURN_IF_ERROR(segment.file->Truncate(segment.durable_size));
     segment.size = segment.durable_size;
+    segment.reserved = segment.size;
     if (segment.size == 0) {
       segment.first_lsn = 0;
       segment.last_lsn = 0;
@@ -528,80 +624,57 @@ std::string EncodeWalRecord(uint64_t lsn, std::string_view payload) {
 StatusOr<WalExport> ExportWalRecords(const std::string& dir,
                                      uint64_t from_lsn, uint64_t max_bytes,
                                      uint64_t max_lsn) {
-  std::vector<uint64_t> seqs;
-  DIR* handle = ::opendir(dir.c_str());
-  if (handle == nullptr) {
-    return Status::Internal("cannot list " + dir + ": " +
-                            std::strerror(errno));
-  }
-  while (struct dirent* entry = ::readdir(handle)) {
-    unsigned long long seq = 0;
-    char tail = 0;
-    if (std::sscanf(entry->d_name, "wal-%llu.lo%c", &seq, &tail) == 2 &&
-        tail == 'g') {
-      seqs.push_back(seq);
-    }
-  }
-  ::closedir(handle);
-  std::sort(seqs.begin(), seqs.end());
+  StatusOr<std::vector<uint64_t>> seqs = ListSegments(dir);
+  if (!seqs.ok()) return seqs.status();
 
   WalExport page;
   page.next_lsn = from_lsn;
   uint64_t last_lsn = 0;
+  // Nonzero after a torn tail ended a non-final segment: as in
+  // `Wal::Open`, the next record must continue the LSN sequence.
+  uint64_t require_lsn = 0;
   bool full = false;
-  for (size_t s = 0; s < seqs.size() && !full; ++s) {
-    const bool final_segment = s + 1 == seqs.size();
-    char name[32];
-    std::snprintf(name, sizeof(name), "wal-%010llu.log",
-                  static_cast<unsigned long long>(seqs[s]));
-    StatusOr<std::string> bytes = io::ReadFile(dir + "/" + name);
+  for (size_t s = 0; s < seqs->size() && !full; ++s) {
+    const std::string path = dir + "/" + SegmentName((*seqs)[s]);
+    StatusOr<std::string> bytes = io::ReadFile(path);
     if (!bytes.ok()) return bytes.status();
     const std::string& data = *bytes;
 
-    size_t offset = 0;
-    while (offset < data.size()) {
-      const size_t remaining = data.size() - offset;
-      uint32_t len = 0;
-      bool torn = remaining < kRecordHeaderBytes;
-      if (!torn) {
-        len = GetU32(data.data() + offset);
-        torn = len > kMaxPayloadBytes ||
-               remaining < kRecordHeaderBytes + len ||
-               GetU32(data.data() + offset + 4) !=
-                   util::Crc32(data.data() + offset + 8, 8 + len);
+    FrameCursor cursor{data};
+    Frame frame;
+    while (!full && cursor.Next(&frame)) {
+      if (frame.lsn <= last_lsn) {
+        return Status::ParseError("WAL LSN went backwards in " + path);
       }
-      if (torn) {
-        // The in-flight append of a live primary: the frame completes
-        // (or is cut at recovery) later; the page simply ends here. Below
-        // the final segment the same bytes mean real damage.
-        if (final_segment) break;
-        return Status::ParseError("corrupt WAL record in " + dir + "/" +
-                                  name + " at offset " +
-                                  std::to_string(offset));
+      if (require_lsn != 0 && frame.lsn != require_lsn) {
+        return Status::ParseError("WAL LSN gap after a torn tail in " + path);
       }
-      const uint64_t lsn = GetU64(data.data() + offset + 8);
-      if (lsn <= last_lsn) {
-        return Status::ParseError("WAL LSN went backwards in " + dir + "/" +
-                                  name);
-      }
-      last_lsn = lsn;
-      if (page.oldest_lsn == 0) page.oldest_lsn = lsn;
-      if (lsn > max_lsn) {
+      require_lsn = 0;
+      last_lsn = frame.lsn;
+      if (page.oldest_lsn == 0) page.oldest_lsn = frame.lsn;
+      if (frame.lsn > max_lsn) {
         full = true;
-        break;
-      }
-      if (lsn >= from_lsn) {
+      } else if (frame.lsn >= from_lsn) {
         // At least one frame always ships, so a single record larger
         // than `max_bytes` cannot wedge the stream.
+        const size_t frame_bytes = kRecordHeaderBytes + frame.len;
         if (!page.bytes.empty() &&
-            page.bytes.size() + kRecordHeaderBytes + len > max_bytes) {
+            page.bytes.size() + frame_bytes > max_bytes) {
           full = true;
-          break;
+        } else {
+          page.bytes.append(data, frame.offset, frame_bytes);
+          page.next_lsn = frame.lsn + 1;
         }
-        page.bytes.append(data, offset, kRecordHeaderBytes + len);
-        page.next_lsn = lsn + 1;
       }
-      offset += kRecordHeaderBytes + len;
+    }
+    // Whatever ends the final segment is the in-flight write of a live
+    // primary (or its reservation): the page simply ends there.
+    if (full || s + 1 == seqs->size()) break;
+    if (cursor.end == FramesEnd::kTorn) require_lsn = last_lsn + 1;
+    if (cursor.end == FramesEnd::kCorrupt) {
+      return Status::ParseError("corrupt WAL record in " + path +
+                                " at offset " + std::to_string(cursor.offset) +
+                                " (" + cursor.why + ")");
     }
   }
   return page;
@@ -610,24 +683,14 @@ StatusOr<WalExport> ExportWalRecords(const std::string& dir,
 std::vector<WalRecord> DecodeWalStream(std::string_view bytes,
                                        size_t* consumed) {
   std::vector<WalRecord> records;
-  size_t offset = 0;
-  while (offset < bytes.size()) {
-    const size_t remaining = bytes.size() - offset;
-    if (remaining < kRecordHeaderBytes) break;
-    const uint32_t len = GetU32(bytes.data() + offset);
-    if (len > kMaxPayloadBytes || remaining < kRecordHeaderBytes + len) break;
-    if (GetU32(bytes.data() + offset + 4) !=
-        util::Crc32(bytes.data() + offset + 8, 8 + len)) {
-      break;
-    }
-    WalRecord record;
-    record.lsn = GetU64(bytes.data() + offset + 8);
-    record.payload =
-        std::string(bytes.substr(offset + kRecordHeaderBytes, len));
-    records.push_back(std::move(record));
-    offset += kRecordHeaderBytes + len;
+  FrameCursor cursor{bytes};
+  Frame frame;
+  while (cursor.Next(&frame)) {
+    records.push_back(
+        {frame.lsn, std::string(bytes.substr(
+                        frame.offset + kRecordHeaderBytes, frame.len))});
   }
-  if (consumed != nullptr) *consumed = offset;
+  if (consumed != nullptr) *consumed = cursor.offset;
   return records;
 }
 

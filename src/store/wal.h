@@ -54,13 +54,13 @@ struct WalMetrics {
   obs::Counter* appends = nullptr;
   obs::Counter* append_bytes = nullptr;
   obs::Counter* append_errors = nullptr;
-  /// One increment per file fsync (`Sync` and `Commit`).
+  /// One increment per file sync (`fdatasync` in `Sync` and `Commit`).
   obs::Counter* fsyncs = nullptr;
   obs::Counter* rotations = nullptr;
   obs::Counter* truncated_segments = nullptr;
   /// Records made durable by one fsyncing commit (the group size).
   obs::Histogram* commit_docs = nullptr;
-  /// Seconds one fsyncing commit spent in fsync.
+  /// Seconds one syncing commit spent in `fdatasync`.
   obs::Histogram* sync_seconds = nullptr;
 };
 
@@ -72,15 +72,20 @@ struct WalMetrics {
 /// little-endian, with strictly increasing LSNs across segments.
 ///
 /// Writing is split from making durable (group commit). `Write` assigns
-/// the next LSN and `write()`s the frame under the append mutex; it
-/// never fsyncs. `Commit(lsn)` makes every record up to `lsn` durable
-/// under the fsync policy: one fsync, run *without* the append mutex,
-/// covers every record written before it started, so writers keep
-/// landing records while it runs and the next commit covers them all.
-/// The ack contract of the ingest server rests on `Commit`: a record
-/// whose commit returned OK under `FsyncPolicy::kAlways` is recoverable
-/// after any crash. `Append` is `Write` + `Commit` for single-writer
-/// callers.
+/// the next LSN and `pwrite`s the frame at the segment's logical size
+/// under the append mutex; it never syncs. The space comes from a
+/// reservation (`io::File::Allocate`) taken in 64 KiB steps whenever the
+/// next frame would not fit, so the file size changes once per step, not
+/// once per record. `Commit(lsn)` makes every record up to `lsn` durable
+/// under the fsync policy: one `fdatasync` per open segment, run
+/// *without* the append mutex, covers every record written before it
+/// started, so writers keep landing records while it runs and the next
+/// commit covers them all. Because the records overwrite reserved
+/// space, that `fdatasync` rarely has a size change to commit and does
+/// not wait on the filesystem's metadata journal. The ack contract of
+/// the ingest server rests on `Commit`: a record whose commit returned
+/// OK under `FsyncPolicy::kAlways` is recoverable after any crash.
+/// `Append` is `Write` + `Commit` for single-writer callers.
 ///
 /// A failed commit fails its whole group: every record above
 /// `durable_lsn()` is lost, and `Write` and `Commit` refuse to run until
@@ -88,29 +93,36 @@ struct WalMetrics {
 /// next LSN to `durable_lsn() + 1`. So a record that was never committed
 /// never keeps its LSN, and the log on disk stays gapless.
 ///
-/// `Open` replays what a previous process left behind:
+/// Rotation and the destructor truncate the unused reservation, so a
+/// cleanly closed segment ends at its last record; only a crash leaves a
+/// zero tail. `Open` replays what a previous process left behind:
 ///
-///   * a torn final record (short bytes, or a checksum mismatch at the
-///     very tail) is truncated away with a warning — that record was
-///     never committed, so nothing acked is lost and boot proceeds;
-///   * an *incomplete* frame ending a non-final segment (a broken write
+///   * a zero frame header followed only by zeros ends the segment —
+///     unused reservation. LSN 0 is never issued, so a real header is
+///     never all zero. The active segment keeps appending in place;
+///   * a torn final record (short bytes, or a checksum mismatch with
+///     nothing but zeros after it) is truncated away with a warning —
+///     that record was never committed, so nothing acked is lost and
+///     boot proceeds;
+///   * the same torn frame ending a non-final segment (a broken write
 ///     the WAL healed by rotating away from) is truncated too, but only
 ///     if the next record continues the LSN sequence without a gap — a
 ///     failed write never consumes an LSN, so contiguity proves the
 ///     torn bytes were never acked;
 ///   * anything else — a complete record with a bad checksum below more
-///     data, an LSN gap — is a hard error: the log lies about history
-///     and silently dropping records would lose acked documents.
+///     data, a zeroed region with records after it, an LSN gap — is a
+///     hard error: the log lies about history and silently dropping
+///     records would lose acked documents.
 ///
-/// A failed write truncates the segment back to its pre-write size so a
-/// torn tail never sits below later records (if even the truncate
-/// fails, the WAL turns `broken` and every later write fails until a
-/// retried truncate or a rotation succeeds). Thread-safe: writes
-/// serialize on the append mutex, so LSN order is write order; commits
-/// serialize on their own mutex, so at most one fsync group is in
-/// flight. A segment's file stays open until an fsync covered it, so a
+/// A failed write or reservation truncates the segment back to its
+/// pre-write size so a torn tail never sits below later records (if even
+/// the truncate fails, the WAL turns `broken` and every later write
+/// fails until a retried truncate or a rotation succeeds). Thread-safe:
+/// writes serialize on the append mutex, so LSN order is write order;
+/// commits serialize on their own mutex, so at most one sync group is in
+/// flight. A segment's file stays open until a sync covered it, so a
 /// rotation or a checkpoint truncation during a commit never pulls a
-/// file out from under the fsync.
+/// file out from under the sync.
 class Wal {
  public:
   /// Opens (creating `options.dir` when missing), scans existing
@@ -120,6 +132,11 @@ class Wal {
   static StatusOr<std::unique_ptr<Wal>> Open(WalOptions options,
                                              uint64_t min_next_lsn,
                                              WalReplay* replay);
+  /// Truncates every open segment's unused reservation (best effort: a
+  /// zero tail left behind replays clean).
+  ~Wal();
+  Wal(const Wal&) = delete;
+  Wal& operator=(const Wal&) = delete;
 
   /// Writes one record without making it durable; returns its LSN.
   /// Rotates to a new segment first when the active one is full.
@@ -168,7 +185,10 @@ class Wal {
     std::string path;
     uint64_t first_lsn = 0;  // 0 when empty
     uint64_t last_lsn = 0;
+    /// Logical size: the end of the last record.
     uint64_t size = 0;
+    /// File size: `size` plus the zeros reserved for the next records.
+    uint64_t reserved = 0;
     /// Bytes holding committed records; `Rewind` truncates back to it.
     uint64_t durable_size = 0;
     /// Open while the segment is active or holds bytes no fsync has
@@ -181,9 +201,10 @@ class Wal {
   std::string SegmentPath(uint64_t seq) const;
   Status OpenActive();
   Status RotateLocked();
-  /// Fsyncs every open segment (and the directory when a segment was
-  /// created since its last fsync) with the append mutex released, then
-  /// commits what it covered. Caller holds `commit_mutex_`, not `mutex_`.
+  /// `fdatasync`s every open segment (and fsyncs the directory when a
+  /// segment was created since its last sync) with the append mutex
+  /// released, then commits what it covered. Caller holds
+  /// `commit_mutex_`, not `mutex_`.
   Status SyncGroup();
   void CountError();
 
@@ -229,7 +250,10 @@ struct WalExport {
 /// as `max_lsn`: a record above it may still be rewound by a failed
 /// commit, and its LSN reused. An undecodable tail on the *final*
 /// segment is the in-flight write of a live primary and simply ends the
-/// page; damage below that is an error. The caller must hold off
+/// page. Below it, a zero tail (unused reservation) ends its segment and
+/// a torn frame followed only by zeros is skipped when the next segment
+/// continues the LSN sequence, as in `Wal::Open`; other damage is an
+/// error. The caller must hold off
 /// checkpoint truncation while exporting (segments must not vanish
 /// mid-scan).
 StatusOr<WalExport> ExportWalRecords(const std::string& dir,

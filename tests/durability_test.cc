@@ -3,8 +3,10 @@
 // death (WAL recovery), checkpoints must bound replay, a full disk must
 // degrade — not lie — a failed shutdown checkpoint must not cost the
 // acked tail, a boot over corrupt or misplaced state must refuse
-// loudly instead of starting empty, and a failed group commit must fail
-// every document of its group. Fault injection (`io/fault.h`)
+// loudly instead of starting empty, a failed group commit must fail
+// every document of its group, and a failed WAL space reservation must
+// reject its document without leaving a hole in the log. Fault
+// injection (`io/fault.h`)
 // stands in for the dying disk. Multi-threaded end to end, so the suite runs under both the
 // `durability` and `concurrency` ctest labels.
 
@@ -31,6 +33,7 @@
 #include "evolve/persist.h"
 #include "io/fault.h"
 #include "server/server.h"
+#include "store/wal.h"
 
 namespace dtdevolve::server {
 namespace {
@@ -615,6 +618,73 @@ TEST(DurabilityTest, FailedGroupCommitAnswers503ToTheWholeGroup) {
   EXPECT_EQ(after.classified, before.classified);
   EXPECT_EQ(after.evolutions, before.evolutions);
   EXPECT_EQ(after.mail_dtd, before.mail_dtd);
+}
+
+TEST(DurabilityTest, FailedWalReservationAnswers503AndStaysGapless) {
+  const std::string wal_dir = FreshDir("reservation");
+  ServerOptions options = CrashSimOptions(wal_dir);
+  // No recovery probe: the degraded state stays until a write succeeds.
+  options.health_probe_interval = std::chrono::milliseconds(0);
+  IngestServer server(EvolvingOptions(), options);
+  ASSERT_TRUE(server.AddDtdText("mail", kMailDtd).ok());
+  ASSERT_TRUE(server.Start().ok());
+  ASSERT_EQ(Post(server.port(), "/ingest?wait=1", kConformingDoc).status, 200);
+
+  // A document larger than one reservation step needs a new
+  // reservation, and the disk is full.
+  const std::string big_doc =
+      "<mail><envelope><from>a</from><to>b</to><subject>s</subject>"
+      "</envelope><body>" +
+      std::string(80 * 1024, 'x') + "</body></mail>";
+  {
+    io::FaultPlan plan;
+    plan.fail_at = 1;
+    plan.op_mask = static_cast<uint32_t>(io::FaultOp::kAllocate);
+    plan.error_code = ENOSPC;
+    io::ScopedFaultPlan guard(plan);
+    ClientResponse rejected = Post(server.port(), "/ingest?wait=1", big_doc);
+    EXPECT_EQ(rejected.status, 503);
+    EXPECT_NE(rejected.body.find("write-ahead log append failed"),
+              std::string::npos)
+        << rejected.body;
+  }
+  ClientResponse metrics = Get(server.port(), "/metrics");
+  EXPECT_EQ(MetricValue(metrics.body, "dtdevolve_degraded"), 1);
+  EXPECT_EQ(MetricValue(metrics.body, "dtdevolve_documents_processed_total"),
+            1);
+
+  // Space came back: the retry reserves again and is acked.
+  ASSERT_EQ(Post(server.port(), "/ingest?wait=1", big_doc).status, 200);
+  ASSERT_EQ(Post(server.port(), "/ingest?wait=1", kDriftedDoc).status, 200);
+  metrics = Get(server.port(), "/metrics");
+  EXPECT_EQ(MetricValue(metrics.body, "dtdevolve_degraded"), 0);
+  EXPECT_EQ(MetricValue(metrics.body, "dtdevolve_wal_append_errors_total"),
+            1);
+  server.Shutdown();
+  server.Wait();
+
+  // The log holds exactly the three acked documents, LSNs 1..3: the
+  // rejected one never consumed an LSN.
+  StatusOr<store::WalExport> page =
+      store::ExportWalRecords(wal_dir + "/default", 1, 1 << 20);
+  ASSERT_TRUE(page.ok()) << page.status().ToString();
+  size_t consumed = 0;
+  const std::vector<store::WalRecord> records =
+      store::DecodeWalStream(page->bytes, &consumed);
+  ASSERT_EQ(records.size(), 3u);
+  for (uint64_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].lsn, i + 1);
+  }
+  EXPECT_EQ(records[1].payload, big_doc);
+
+  IngestServer recovered(EvolvingOptions(), CrashSimOptions(wal_dir));
+  ASSERT_TRUE(recovered.AddDtdText("mail", kMailDtd).ok());
+  ASSERT_TRUE(recovered.Start().ok());
+  EXPECT_EQ(recovered.recovery_report().replayed_records, 3u);
+  EXPECT_FALSE(recovered.recovery_report().wal_tail_truncated);
+  recovered.Shutdown();
+  recovered.Wait();
+  EXPECT_EQ(recovered.source().documents_processed(), 3u);
 }
 
 }  // namespace

@@ -2,18 +2,22 @@
 // suite — what `Wal::Open` does with the wreckage a crash leaves behind.
 // The torn-tail / mid-log distinction is the durability contract: a torn
 // final record was never acked and is truncated away with a warning,
-// while corruption *inside* acked history is a hard error. Fault
+// while corruption *inside* acked history is a hard error. Segments
+// reserve space ahead of their records, so a crash leaves a zero tail,
+// which replays clean. Fault
 // injection (`io/fault.h`) drives the failed-append and dir-fsync
 // regressions deterministically. Under the `durability` ctest label.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -339,6 +343,192 @@ TEST(WalTest, BrokenWalSelfHealsByRotatingWhenTruncateKeepsFailing) {
   EXPECT_EQ(reopened.records[1].lsn, 2u);
   EXPECT_TRUE(reopened.tail_truncated);
   EXPECT_NE(reopened.warning.find("torn"), std::string::npos);
+}
+
+// --- Reservation and zero tail ----------------------------------------------
+
+/// The file's bytes, as a crash would leave them on disk.
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// On-disk bytes of records 1, 2, … carrying these payloads.
+uint64_t FramedSize(const std::vector<std::string>& payloads) {
+  uint64_t size = 0;
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    size += EncodeWalRecord(i + 1, payloads[i]).size();
+  }
+  return size;
+}
+
+TEST(WalTest, KilledWalReplaysItsZeroTailAndAppendsInPlace) {
+  const std::string dir = FreshDir("killed");
+  const std::vector<std::string> payloads = {"one", "two", "three"};
+  std::string segment;
+  std::string at_kill;
+  {
+    std::unique_ptr<Wal> wal = MustOpen(OptionsFor(dir), nullptr);
+    ASSERT_NE(wal, nullptr);
+    for (const std::string& payload : payloads) {
+      ASSERT_TRUE(wal->Append(payload).ok());
+    }
+    segment = OnlySegment(dir);
+    // The records sit at the head of a zero-filled reservation.
+    at_kill = ReadBytes(segment);
+    EXPECT_GT(at_kill.size(), FramedSize(payloads));
+  }
+  // The process died instead: its destructor never trimmed the tail.
+  WriteBytes(segment, at_kill);
+
+  WalReplay replay;
+  std::unique_ptr<Wal> wal = MustOpen(OptionsFor(dir), &replay);
+  ASSERT_NE(wal, nullptr);
+  ASSERT_EQ(replay.records.size(), 3u);
+  EXPECT_EQ(replay.records[2].payload, "three");
+  EXPECT_FALSE(replay.tail_truncated);
+  EXPECT_TRUE(replay.warning.empty()) << replay.warning;
+  // The next record lands in the reservation: the file does not grow.
+  StatusOr<uint64_t> lsn = wal->Append("four");
+  ASSERT_TRUE(lsn.ok()) << lsn.status().ToString();
+  EXPECT_EQ(*lsn, 4u);
+  EXPECT_EQ(std::filesystem::file_size(segment), at_kill.size());
+  wal.reset();
+
+  const std::vector<std::string> all = {"one", "two", "three", "four"};
+  EXPECT_EQ(std::filesystem::file_size(segment), FramedSize(all));
+  WalReplay reopened;
+  wal = MustOpen(OptionsFor(dir), &reopened);
+  ASSERT_NE(wal, nullptr);
+  ASSERT_EQ(reopened.records.size(), 4u);
+  EXPECT_EQ(reopened.records[3].payload, "four");
+}
+
+TEST(WalTest, TornFrameBeforeAZeroTailIsCutWithWarning) {
+  const std::string dir = FreshDir("torn_zero_tail");
+  const std::vector<std::string> payloads = {"first record",
+                                             "second record"};
+  std::string segment;
+  std::string at_kill;
+  {
+    std::unique_ptr<Wal> wal = MustOpen(OptionsFor(dir), nullptr);
+    ASSERT_NE(wal, nullptr);
+    for (const std::string& payload : payloads) {
+      ASSERT_TRUE(wal->Append(payload).ok());
+    }
+    segment = OnlySegment(dir);
+    at_kill = ReadBytes(segment);
+  }
+  // A crash mid-write of record 3: half its frame reached the
+  // reservation, zeros follow.
+  const uint64_t end = FramedSize(payloads);
+  const std::string third = EncodeWalRecord(3, "third record, never acked");
+  at_kill.replace(end, third.size() / 2, third.substr(0, third.size() / 2));
+  WriteBytes(segment, at_kill);
+
+  WalReplay replay;
+  std::unique_ptr<Wal> wal = MustOpen(OptionsFor(dir), &replay);
+  ASSERT_NE(wal, nullptr);
+  ASSERT_EQ(replay.records.size(), 2u);
+  EXPECT_TRUE(replay.tail_truncated);
+  EXPECT_NE(replay.warning.find("torn"), std::string::npos) << replay.warning;
+  EXPECT_EQ(std::filesystem::file_size(segment), end);
+  StatusOr<uint64_t> lsn = wal->Append("third");
+  ASSERT_TRUE(lsn.ok());
+  EXPECT_EQ(*lsn, 3u);
+}
+
+TEST(WalTest, ZeroedBlockInsideAckedHistoryIsAHardError) {
+  const std::string dir = FreshDir("zeroed_block");
+  const std::vector<std::string> payloads = {"first record", "second record",
+                                             "third record"};
+  {
+    std::unique_ptr<Wal> wal = MustOpen(OptionsFor(dir), nullptr);
+    ASSERT_NE(wal, nullptr);
+    for (const std::string& payload : payloads) {
+      ASSERT_TRUE(wal->Append(payload).ok());
+    }
+  }
+  // Record 2 reads back as zeros, record 3 follows: not a zero tail.
+  const std::string segment = OnlySegment(dir);
+  std::string bytes = ReadBytes(segment);
+  const uint64_t second = EncodeWalRecord(1, payloads[0]).size();
+  bytes.replace(second, EncodeWalRecord(2, payloads[1]).size(),
+                EncodeWalRecord(2, payloads[1]).size(), '\0');
+  WriteBytes(segment, bytes);
+
+  WalReplay replay;
+  StatusOr<std::unique_ptr<Wal>> wal = Wal::Open(OptionsFor(dir), 0, &replay);
+  ASSERT_FALSE(wal.ok());
+  EXPECT_EQ(wal.status().code(), Status::Code::kParseError);
+  EXPECT_EQ(std::filesystem::file_size(segment), bytes.size())
+      << "a refused log must not be cut";
+}
+
+TEST(WalTest, ZeroTailOfANonFinalSegmentReplaysAndExports) {
+  const std::string dir = FreshDir("nonfinal_zero_tail");
+  WalOptions options = OptionsFor(dir);
+  options.segment_bytes = 32;  // every record rotates into a new segment
+  std::string first_segment;
+  {
+    std::unique_ptr<Wal> wal = MustOpen(options, nullptr);
+    ASSERT_NE(wal, nullptr);
+    ASSERT_TRUE(wal->Append("record one, long enough to rotate").ok());
+    first_segment = OnlySegment(dir);
+    ASSERT_TRUE(wal->Append("record two, long enough to rotate").ok());
+    ASSERT_TRUE(wal->Append("record three").ok());
+    ASSERT_EQ(wal->SegmentCount(), 3u);
+  }
+  // A crash after the rotation, before its trim reached the disk.
+  std::filesystem::resize_file(first_segment, 64 * 1024);
+
+  WalReplay replay;
+  std::unique_ptr<Wal> wal = MustOpen(options, &replay);
+  ASSERT_NE(wal, nullptr);
+  ASSERT_EQ(replay.records.size(), 3u);
+  EXPECT_FALSE(replay.tail_truncated);
+  EXPECT_TRUE(replay.warning.empty()) << replay.warning;
+
+  StatusOr<WalExport> page = ExportWalRecords(dir, 1, 1 << 20);
+  ASSERT_TRUE(page.ok()) << page.status().ToString();
+  const std::vector<WalRecord> records = DecodeWalStream(page->bytes, nullptr);
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[2].payload, "record three");
+  EXPECT_EQ(page->next_lsn, 4u);
+}
+
+TEST(WalTest, RotatedAndClosedSegmentsEndAtTheirLastRecord) {
+  const std::string dir = FreshDir("trimmed");
+  WalOptions options = OptionsFor(dir);
+  options.segment_bytes = 64;
+  std::unique_ptr<Wal> wal = MustOpen(options, nullptr);
+  ASSERT_NE(wal, nullptr);
+  std::vector<std::string> payloads;
+  for (int i = 0; i < 8; ++i) {
+    payloads.push_back("payload number " + std::to_string(i));
+    ASSERT_TRUE(wal->Append(payloads.back()).ok());
+  }
+  ASSERT_EQ(wal->SegmentCount(), 4u);  // two 32-byte frames per segment
+  // Open: only the active segment holds a reservation.
+  std::vector<uint64_t> sizes;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    sizes.push_back(entry.file_size());
+  }
+  std::sort(sizes.begin(), sizes.end());
+  EXPECT_EQ(sizes, (std::vector<uint64_t>{64, 64, 64, 64 * 1024}));
+  wal.reset();
+
+  uint64_t total = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    EXPECT_EQ(entry.file_size(), 64u) << entry.path();
+    total += entry.file_size();
+  }
+  EXPECT_EQ(total, FramedSize(payloads));
 }
 
 // --- Group commit ------------------------------------------------------------

@@ -3,7 +3,9 @@
 # the `oracle`, `concurrency`, `durability`, `induction`, `replication`,
 # `overload` and `parsepath` ctest labels — the suites that replay the
 # differential, crash-recovery, replication, overload and parse-path
-# oracles and fan out threads, where sanitizer findings actually live. Every configuration is
+# oracles and fan out threads, where sanitizer findings actually live.
+# A RelWithDebInfo leg reruns the durability suites and the crash sweep
+# with their files on tmpfs (/dev/shm). Every sanitizer configuration is
 # a CMake preset (CMakePresets.json), so a single leg is reproducible by
 # hand:
 #
@@ -43,6 +45,21 @@ run_leg() {
 run_leg asan-ubsan
 run_leg tsan
 
+# The durability suites and the crash-recovery sweep once more with every
+# WAL and checkpoint on tmpfs, so the WAL's space reservation
+# (posix_fallocate) and fdatasync commit also run on a filesystem other
+# than the build tree's. gtest's TempDir() reads TEST_TMPDIR, the oracles'
+# temp_directory_path() reads TMPDIR.
+echo "=== leg: durability-tmpfs ==="
+cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
+cmake --build build -j "$JOBS"
+SHM_TMP=$(mktemp -d /dev/shm/dtdevolve-ci.XXXXXX)
+trap 'rm -rf "$SHM_TMP"' EXIT
+TMPDIR="$SHM_TMP" TEST_TMPDIR="$SHM_TMP/" \
+  ctest --test-dir build -L durability --output-on-failure -j "$JOBS"
+TMPDIR="$SHM_TMP" build/tools/dtdevolve check --crash-recovery
+TMPDIR="$SHM_TMP" build/tools/dtdevolve check --crash-recovery --induction
+
 # Perf smoke on the classification fast path (RelWithDebInfo — sanitizer
 # builds are useless for timing): fails on outcome divergence or a >2x
 # throughput regression against the committed baseline.
@@ -52,4 +69,4 @@ cmake --build build -j "$JOBS" --target bench_classification \
   bench_similarity bench_mining bench_server bench_induce
 tools/perf_smoke.sh build
 
-echo "sanitizer matrix clean (asan-ubsan, tsan) + perf smoke"
+echo "sanitizer matrix clean (asan-ubsan, tsan) + durability on tmpfs + perf smoke"
