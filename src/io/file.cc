@@ -5,6 +5,7 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -95,12 +96,23 @@ Status File::Allocate(uint64_t offset, uint64_t length) {
   if (Injected(FaultOp::kAllocate, 0, &persist, &err)) {
     return ErrnoStatus("cannot reserve space in", path_, err);
   }
-  // posix_fallocate reports its error as the return value, not in errno.
-  do {
-    err = ::posix_fallocate(fd_, static_cast<off_t>(offset),
-                            static_cast<off_t>(length));
-  } while (err == EINTR);
-  if (err != 0) return ErrnoStatus("cannot reserve space in", path_, err);
+  // Written zeros, not posix_fallocate: ext4 keeps fallocated blocks as
+  // unwritten extents, and the first write into each block converts its
+  // extent, a metadata change that the next fdatasync must commit through
+  // the journal. Blocks that already hold written zeros are overwritten
+  // with no metadata to commit.
+  static const char kZeros[64 * 1024] = {};
+  uint64_t done = 0;
+  while (done < length) {
+    const size_t chunk =
+        static_cast<size_t>(std::min<uint64_t>(length - done, sizeof(kZeros)));
+    const ssize_t n =
+        ::pwrite(fd_, kZeros, chunk, static_cast<off_t>(offset + done));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) return ErrnoStatus("cannot reserve space in", path_, errno);
+    if (n == 0) return ErrnoStatus("cannot reserve space in", path_, ENOSPC);
+    done += static_cast<uint64_t>(n);
+  }
   return Status::Ok();
 }
 

@@ -20,10 +20,11 @@ namespace dtdevolve::io {
 /// recovery.
 ///
 /// Writes are positioned (`pwrite`), never `O_APPEND`: the WAL reserves
-/// space ahead of its records with `Allocate` and overwrites it, so the
-/// file size changes once per reservation, not once per record, and its
-/// commit can be a `DataSync` (`fdatasync`) that flushes the data without
-/// a metadata journal commit. Checkpoint files keep the full `Fsync`.
+/// space ahead of its records with `Allocate` (written zeros) and
+/// overwrites it, so the file size changes once per reservation, not once
+/// per record, and its commit can be a `DataSync` (`fdatasync`) that
+/// flushes the data without a metadata journal commit. Checkpoint files
+/// keep the full `Fsync`.
 ///
 /// All functions return `Status`; messages carry the path and
 /// `strerror(errno)`. Reads are deliberately not faultable — losing
@@ -51,8 +52,10 @@ class File {
 
   /// Writes all of `data` at `offset` (looping over partial writes).
   Status Write(std::string_view data, uint64_t offset);
-  /// Reserves disk blocks for `[offset, offset + length)`, growing the
-  /// file to cover them; the new bytes read as zeros (`posix_fallocate`).
+  /// Reserves disk blocks for `[offset, offset + length)` by writing
+  /// zeros there, growing the file to cover them. The range must hold no
+  /// data yet. Zeros are written rather than `posix_fallocate`d so that
+  /// later overwrites need no extent conversion (see `file.cc`).
   Status Allocate(uint64_t offset, uint64_t length);
   Status Fsync();
   /// `fdatasync`: flushes the data and only the metadata needed to read

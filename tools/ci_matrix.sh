@@ -46,9 +46,9 @@ run_leg asan-ubsan
 run_leg tsan
 
 # The durability suites and the crash-recovery sweep once more with every
-# WAL and checkpoint on tmpfs, so the WAL's space reservation
-# (posix_fallocate) and fdatasync commit also run on a filesystem other
-# than the build tree's. gtest's TempDir() reads TEST_TMPDIR, the oracles'
+# WAL and checkpoint on tmpfs, so the WAL's space reservation (written
+# zeros) and fdatasync commit also run on a filesystem other than the
+# build tree's. gtest's TempDir() reads TEST_TMPDIR, the oracles'
 # temp_directory_path() reads TMPDIR.
 echo "=== leg: durability-tmpfs ==="
 cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
