@@ -16,6 +16,7 @@
 #include "classify/classifier.h"
 #include "core/source.h"
 #include "workload/scenarios.h"
+#include "xml/parser.h"
 #include "xml/stream_reader.h"
 
 namespace dtdevolve {
@@ -212,11 +213,11 @@ double RunCorpus(const classify::Classifier& classifier,
 // End-to-end ingest (parse → classify → record → check) over the
 // repetitive-corpus workload: a stream of small documents whose shapes
 // recur exactly — the steady-state feed the streaming path is built
-// for. The DOM reference path (`streaming_parse` off, classification
-// memo off) runs against the streaming default (single-pass arena
-// parse; repeated root fingerprints replay the memoized outcome
-// without materializing a DOM). Outcomes must match entry by entry
-// across every round.
+// for. The DOM reference (two-pass `xml::ParseDocument` then
+// `Process(xml::Document)`, classification memo off) runs against the
+// ingest path, `ProcessText` (single-pass arena parse; repeated root
+// fingerprints replay the memoized outcome without materializing a
+// DOM). Outcomes must match entry by entry across every round.
 
 struct RepetitiveCorpus {
   std::vector<dtd::Dtd> dtds;
@@ -261,7 +262,7 @@ struct IngestRun {
 };
 
 IngestRun RunIngest(const RepetitiveCorpus& corpus, size_t rounds,
-                    const core::SourceOptions& options) {
+                    const core::SourceOptions& options, bool dom_reference) {
   core::XmlSource src(options);
   for (size_t i = 0; i < corpus.dtds.size(); ++i) {
     if (!src.AddDtd(corpus.names[i], corpus.dtds[i].Clone()).ok()) {
@@ -273,6 +274,12 @@ IngestRun RunIngest(const RepetitiveCorpus& corpus, size_t rounds,
   const auto start = std::chrono::steady_clock::now();
   for (size_t r = 0; r < rounds; ++r) {
     for (const std::string& text : corpus.texts) {
+      if (dom_reference) {
+        StatusOr<xml::Document> doc = xml::ParseDocument(text);
+        if (!doc.ok()) std::abort();
+        run.outcomes.push_back(src.Process(std::move(doc).value()));
+        continue;
+      }
       StatusOr<core::XmlSource::ProcessOutcome> outcome =
           src.ProcessText(text);
       if (!outcome.ok()) std::abort();
@@ -350,7 +357,7 @@ int RunHeadline(const std::string& out) {
                : 0.0)
       .Add("outcome_mismatches", static_cast<uint64_t>(mismatches));
 
-  // Parse-path ingest leg: DOM reference vs streaming default over the
+  // Parse-path ingest leg: DOM reference vs the ingest path over the
   // repetitive-corpus workload. Enough rounds that the steady state
   // (memo warm, stats maps populated) dominates the first-sight misses.
   constexpr size_t kIngestRounds = 10000;
@@ -358,7 +365,6 @@ int RunHeadline(const std::string& out) {
 
   core::SourceOptions dom_options;
   dom_options.keep_documents = false;
-  dom_options.streaming_parse = false;
   dom_options.classifier.enable_classification_memo = false;
 
   core::SourceOptions stream_options;
@@ -367,10 +373,11 @@ int RunHeadline(const std::string& out) {
   classify::ClassificationMemo memo;
   stream_options.classifier.shared_memo = &memo;
 
-  const IngestRun dom_run =
-      RunIngest(ingest_corpus, kIngestRounds, dom_options);
+  const IngestRun dom_run = RunIngest(ingest_corpus, kIngestRounds,
+                                     dom_options, /*dom_reference=*/true);
   const IngestRun stream_run =
-      RunIngest(ingest_corpus, kIngestRounds, stream_options);
+      RunIngest(ingest_corpus, kIngestRounds, stream_options,
+                /*dom_reference=*/false);
 
   size_t ingest_mismatches = 0;
   for (size_t i = 0; i < stream_run.outcomes.size(); ++i) {

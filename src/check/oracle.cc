@@ -1916,37 +1916,38 @@ std::string FormatReplicationReport(const ReplicationOracleReport& report) {
 
 namespace {
 
-/// The pure-DOM reference configuration: the legacy two-pass parser with
-/// the classification memo disabled, so nothing the streaming path adds
-/// (arena trees, fingerprint-keyed outcome replay) participates on the
-/// reference side of the comparison.
-core::SourceOptions DomReferenceOptions(core::SourceOptions options) {
-  options.streaming_parse = false;
-  options.classifier.enable_classification_memo = false;
-  return options;
-}
-
 struct TextPipelineRun {
   Fingerprint fingerprint;
   std::string error;  // non-empty when some document failed to parse
 };
 
-/// Feeds the serialized stream through `ProcessText` — the entry point
-/// whose parse path `streaming_parse` selects — and fingerprints the
-/// resulting state plus every outcome.
+/// Feeds the serialized stream through one pipeline and fingerprints the
+/// resulting state plus every outcome. The streaming run is the ingest
+/// path itself, `ProcessText`. The DOM reference parses each text with
+/// the two-pass `xml::ParseDocument` and calls `Process(xml::Document)`
+/// with the classification memo off, so nothing the streaming path adds
+/// (arena trees, fingerprint-keyed outcome replay) takes part in it.
 TextPipelineRun RunTextPipeline(const Scenario& scenario,
                                 const std::vector<std::string>& texts,
-                                const core::SourceOptions& options) {
+                                bool dom_reference) {
   TextPipelineRun run;
+  core::SourceOptions options = scenario.options;
+  if (dom_reference) options.classifier.enable_classification_memo = false;
   core::XmlSource src(options);
   for (const auto& [name, dtd] : scenario.dtds) {
     (void)src.AddDtd(name, dtd.Clone());
   }
-  std::vector<core::XmlSource::ProcessOutcome> outcomes;
+  using Outcome = core::XmlSource::ProcessOutcome;
+  auto process = [&](const std::string& text) -> StatusOr<Outcome> {
+    if (!dom_reference) return src.ProcessText(text);
+    StatusOr<xml::Document> doc = xml::ParseDocument(text);
+    if (!doc.ok()) return doc.status();
+    return src.Process(std::move(doc).value());
+  };
+  std::vector<Outcome> outcomes;
   outcomes.reserve(texts.size());
   for (size_t i = 0; i < texts.size(); ++i) {
-    StatusOr<core::XmlSource::ProcessOutcome> outcome =
-        src.ProcessText(texts[i]);
+    StatusOr<Outcome> outcome = process(texts[i]);
     if (!outcome.ok()) {
       run.error = "document " + std::to_string(i) +
                   " failed to parse: " + outcome.status().message();
@@ -1958,13 +1959,11 @@ TextPipelineRun RunTextPipeline(const Scenario& scenario,
   return run;
 }
 
-/// Appends `texts` to a fresh WAL in `dir`, then boots a recovery with
-/// the given parse path (`RecoverSource` replays every document record
-/// through `ProcessText`) and returns the recovered durable-state
-/// fingerprint.
+/// Appends `texts` to a fresh WAL in `dir`, then boots a recovery
+/// (`RecoverSource` replays every document record through
+/// `ProcessText`) and returns the recovered durable-state fingerprint.
 StatusOr<Fingerprint> ReplayThroughWal(const Scenario& scenario,
                                        const std::vector<std::string>& texts,
-                                       const core::SourceOptions& options,
                                        const std::string& dir) {
   {
     store::WalOptions wal_options;
@@ -1978,7 +1977,7 @@ StatusOr<Fingerprint> ReplayThroughWal(const Scenario& scenario,
       if (!lsn.ok()) return lsn.status();
     }
   }
-  core::XmlSource src(options);
+  core::XmlSource src(scenario.options);
   for (const auto& [name, dtd] : scenario.dtds) {
     (void)src.AddDtd(name, dtd.Clone());
   }
@@ -2078,9 +2077,9 @@ ScenarioResult RunParsePathScenario(uint64_t scenario_seed,
   // Leg 2: the full pipeline over the identical text stream, pure DOM
   // reference vs streaming defaults.
   TextPipelineRun dom_run =
-      RunTextPipeline(scenario, texts, DomReferenceOptions(scenario.options));
+      RunTextPipeline(scenario, texts, /*dom_reference=*/true);
   TextPipelineRun stream_run =
-      RunTextPipeline(scenario, texts, scenario.options);
+      RunTextPipeline(scenario, texts, /*dom_reference=*/false);
   if (!dom_run.error.empty() || !stream_run.error.empty()) {
     add("parse-path-equivalence", 0,
         !dom_run.error.empty() ? "DOM pipeline: " + dom_run.error
@@ -2091,26 +2090,19 @@ ScenarioResult RunParsePathScenario(uint64_t scenario_seed,
   }
 
   // Leg 3 (sampled): WAL replay must hit the same code path — recover
-  // the appended stream once per parse path and compare the durable
-  // state against the live streaming run.
+  // the appended stream and compare the durable state against the live
+  // streaming run.
   bool run_wal = options.wal_replay_every != 0 &&
                  scenario_seed % options.wal_replay_every == 0;
   if (run_wal && result.ok()) {
     if (ran_wal_replay != nullptr) *ran_wal_replay = true;
-    const std::string stream_dir = CrashTempDir(scenario_seed, 1);
-    const std::string dom_dir = CrashTempDir(scenario_seed, 2);
-    StatusOr<Fingerprint> streamed =
-        ReplayThroughWal(scenario, texts, scenario.options, stream_dir);
-    StatusOr<Fingerprint> dom_replay = ReplayThroughWal(
-        scenario, texts, DomReferenceOptions(scenario.options), dom_dir);
+    const std::string dir = CrashTempDir(scenario_seed, 1);
+    StatusOr<Fingerprint> streamed = ReplayThroughWal(scenario, texts, dir);
     std::error_code ec;
-    std::filesystem::remove_all(stream_dir, ec);
-    std::filesystem::remove_all(dom_dir, ec);
-    if (!streamed.ok() || !dom_replay.ok()) {
+    std::filesystem::remove_all(dir, ec);
+    if (!streamed.ok()) {
       add("parse-path-replay", 0,
-          "WAL replay failed: " + (!streamed.ok()
-                                       ? streamed.status().message()
-                                       : dom_replay.status().message()));
+          "WAL replay failed: " + streamed.status().message());
     } else {
       core::XmlSource live(scenario.options);
       for (const auto& [name, dtd] : scenario.dtds) {
@@ -2120,12 +2112,8 @@ ScenarioResult RunParsePathScenario(uint64_t scenario_seed,
       Fingerprint live_fp = CrashFingerprintOf(live);
       if (*streamed != live_fp) {
         add("parse-path-replay", 0,
-            "streaming recovery diverged from live run: " +
+            "recovery diverged from live run: " +
                 FingerprintDiff(live_fp, *streamed));
-      } else if (*dom_replay != live_fp) {
-        add("parse-path-replay", 0,
-            "DOM recovery diverged from live run: " +
-                FingerprintDiff(live_fp, *dom_replay));
       }
     }
   }

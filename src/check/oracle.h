@@ -293,16 +293,16 @@ std::string FormatReplicationReport(const ReplicationOracleReport& report);
 ///     fingerprint is bit-identical to `similarity::SubtreeFingerprints`
 ///     computed over the DOM tree after the fact;
 ///   parse-path-equivalence — two full pipelines fed the identical text
-///     stream — one with `streaming_parse` off and the classification
-///     memo disabled (the pure DOM reference), one with the streaming
-///     defaults (arena parse + memo replay) — land on byte-identical
-///     outcomes, events, counters, repository, evolved DTDs and
-///     extended-DTD state;
+///     stream — the pure DOM reference (`xml::ParseDocument` then
+///     `XmlSource::Process(xml::Document)`, classification memo off)
+///     and the ingest path (`ProcessText`: arena parse + memo replay) —
+///     land on byte-identical outcomes, events, counters, repository,
+///     evolved DTDs and extended-DTD state;
 ///   parse-path-replay      — WAL replay hits the same code path: the
-///     scenario's stream is appended to a real WAL and recovered once
-///     per parse path (`store::RecoverSource` replays every document
-///     record through `ProcessText`), and both recoveries must be
-///     byte-identical to the live streaming run's durable state.
+///     scenario's stream is appended to a real WAL and recovered
+///     (`store::RecoverSource` replays every document record through
+///     `ProcessText`), and the recovery must be byte-identical to the
+///     live run's durable state.
 struct ParsePathOracleOptions {
   uint64_t scenarios = 20;
   uint64_t seed = 1;
@@ -311,8 +311,8 @@ struct ParsePathOracleOptions {
   /// Stop after this many failing scenarios.
   uint64_t max_failures = 1;
   /// Run the WAL-replay leg on scenarios whose seed is divisible by this
-  /// (0 = never): the leg re-runs the pipeline twice with real disk I/O,
-  /// so it is sampled rather than run per scenario.
+  /// (0 = never): the leg recovers the stream from a real WAL and re-runs
+  /// it live, so it is sampled rather than run per scenario.
   uint64_t wal_replay_every = 4;
 };
 

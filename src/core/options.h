@@ -32,22 +32,6 @@ struct SourceOptions {
   /// after evolution; a production deployment would store them in the
   /// database instead).
   bool keep_documents = true;
-  /// Re-classify repository documents automatically after an evolution.
-  bool reclassify_after_evolution = true;
-  /// Keep the incremental repository clusterer in sync with every
-  /// repository mutation, so `InduceCandidates` (and the `/stats`
-  /// cluster section) is always ready. Costs one similarity pass per
-  /// *new structural fingerprint* entering the repository; identical
-  /// structures join in O(1).
-  bool cluster_repository = true;
-
-  /// Parse incoming text through the single-pass streaming reader into
-  /// an arena tree (`xml::ParseArenaDocument`) instead of the two-pass
-  /// DOM parser. Outcome-equivalent — the streaming path accepts and
-  /// rejects exactly the same inputs and classifies every document
-  /// identically (the parse-path differential oracle enforces this) —
-  /// but skips DOM materialization entirely on classification-memo hits.
-  bool streaming_parse = true;
 
   evolve::EvolutionOptions evolution;
   /// Repository clustering → candidate-DTD induction knobs.

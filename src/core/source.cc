@@ -5,7 +5,6 @@
 
 #include "dtd/dtd_parser.h"
 #include "util/thread_pool.h"
-#include "xml/parser.h"
 #include "xml/stream_reader.h"
 
 namespace dtdevolve::core {
@@ -69,9 +68,7 @@ void XmlSource::RestoreCounters(uint64_t processed, uint64_t classified,
 
 void XmlSource::RestoreRepositoryDoc(int id, xml::Document doc) {
   repository_.Restore(id, std::move(doc));
-  if (options_.cluster_repository) {
-    clusterer_.Add(id, repository_.Get(id));
-  }
+  clusterer_.Add(id, repository_.Get(id));
 }
 
 void XmlSource::set_metrics(const SourceMetrics& metrics) {
@@ -127,9 +124,7 @@ XmlSource::ProcessOutcome XmlSource::ApplyClassification(
 
   if (!classification.classified) {
     const int repo_id = repository_.Add(doc.TakeDom());
-    if (options_.cluster_repository) {
-      clusterer_.Add(repo_id, repository_.Get(repo_id));
-    }
+    clusterer_.Add(repo_id, repository_.Get(repo_id));
     if (metrics_.documents_unclassified != nullptr) {
       metrics_.documents_unclassified->Increment();
     }
@@ -172,9 +167,7 @@ XmlSource::ProcessOutcome XmlSource::ApplyClassification(
           evolve::EvolveDtd(ext, rule.OptionsOver(options_.evolution));
       AfterEvolution(name, result);
       outcome.evolved = true;
-      if (options_.reclassify_after_evolution) {
-        outcome.reclassified = ReclassifyRepository(jobs);
-      }
+      outcome.reclassified = ReclassifyRepository(jobs);
       break;
     }
   } else if (options_.auto_evolve &&
@@ -190,9 +183,7 @@ XmlSource::ProcessOutcome XmlSource::ApplyClassification(
           evolve::EvolveDtd(ext, options_.evolution);
       AfterEvolution(name, result);
       outcome.evolved = true;
-      if (options_.reclassify_after_evolution) {
-        outcome.reclassified = ReclassifyRepository(jobs);
-      }
+      outcome.reclassified = ReclassifyRepository(jobs);
     }
   }
   return outcome;
@@ -209,92 +200,67 @@ std::vector<XmlSource::ProcessOutcome> XmlSource::ProcessBatch(
 
 std::vector<XmlSource::ProcessOutcome> XmlSource::ProcessBatch(
     std::vector<xml::Document> docs, util::ThreadPool* pool) {
-  const size_t jobs = pool != nullptr && pool->size() > 1 ? pool->size() : 1;
-  std::vector<ProcessOutcome> outcomes;
-  outcomes.reserve(docs.size());
-  // Score a chunk in parallel, then apply serially in input order. The
-  // chunk bounds the speculation: an evolution invalidates the scores of
-  // the documents after it, which are then re-scored against the evolved
-  // DTD set — exactly what sequential `Process` would have seen.
-  const size_t chunk = std::max<size_t>(32, 16 * jobs);
-  size_t i = 0;
-  while (i < docs.size()) {
-    const size_t end = std::min(docs.size(), i + chunk);
-    std::vector<const xml::Document*> pending;
-    pending.reserve(end - i);
-    for (size_t j = i; j < end; ++j) pending.push_back(&docs[j]);
-    std::vector<classify::ClassificationOutcome> classifications =
-        classifier_.ClassifyBatch(pending, pool);
-    size_t applied = 0;
-    for (size_t j = i; j < end; ++j) {
-      PendingDocument pending;
-      pending.dom.emplace(std::move(docs[j]));
-      outcomes.push_back(ApplyClassification(std::move(pending),
-                                             classifications[j - i], jobs));
-      ++applied;
-      if (outcomes.back().evolved) break;  // remaining scores are stale
-    }
-    i += applied;
+  std::vector<PendingDocument> pending(docs.size());
+  for (size_t i = 0; i < docs.size(); ++i) {
+    pending[i].dom.emplace(std::move(docs[i]));
   }
-  return outcomes;
-}
-
-StatusOr<XmlSource::ProcessOutcome> XmlSource::ProcessText(
-    std::string_view xml_text) {
-  if (options_.streaming_parse) {
-    StatusOr<xml::ArenaDocument> doc = xml::ParseArenaDocument(xml_text);
-    if (!doc.ok()) return doc.status();
-    return Process(std::move(doc).value());
-  }
-  StatusOr<xml::Document> doc = xml::ParseDocument(xml_text);
-  if (!doc.ok()) return doc.status();
-  return Process(std::move(doc).value());
+  return ProcessPending(std::move(pending), pool);
 }
 
 std::vector<XmlSource::ProcessOutcome> XmlSource::ProcessBatch(
     std::vector<xml::ArenaDocument> docs, util::ThreadPool* pool) {
+  std::vector<PendingDocument> pending(docs.size());
+  for (size_t i = 0; i < docs.size(); ++i) pending[i].arena = &docs[i];
+  return ProcessPending(std::move(pending), pool);
+}
+
+StatusOr<XmlSource::ProcessOutcome> XmlSource::ProcessText(
+    std::string_view xml_text) {
+  StatusOr<xml::ArenaDocument> doc = xml::ParseArenaDocument(xml_text);
+  if (!doc.ok()) return doc.status();
+  return Process(std::move(doc).value());
+}
+
+std::vector<XmlSource::ProcessOutcome> XmlSource::ProcessPending(
+    std::vector<PendingDocument> docs, util::ThreadPool* pool) {
   const size_t jobs = pool != nullptr && pool->size() > 1 ? pool->size() : 1;
   std::vector<ProcessOutcome> outcomes;
   outcomes.reserve(docs.size());
-  // Same chunked speculation as the DOM batch, with a memo split in
-  // front: hits replay their outcome with no DOM and no scoring, and
-  // only the misses of the chunk are materialized and batch-scored.
-  // An evolution bumps the set-epoch, so the re-probed remainder of the
-  // chunk correctly misses against the evolved set.
+  // Classify a chunk, then apply serially in input order. Memo hits
+  // replay their outcome with no DOM and no scoring; the rest of the
+  // chunk is scored in parallel. The chunk bounds the speculation: an
+  // evolution bumps the set-epoch and invalidates the classifications
+  // of the documents after it, which are then classified again against
+  // the evolved DTD set — exactly what sequential `Process` would see.
   const size_t chunk = std::max<size_t>(32, 16 * jobs);
-  std::vector<std::optional<classify::ClassificationOutcome>> replayed;
-  std::vector<std::optional<xml::Document>> materialized;
+  std::vector<std::optional<classify::ClassificationOutcome>> classified;
   size_t i = 0;
   while (i < docs.size()) {
     const size_t end = std::min(docs.size(), i + chunk);
-    replayed.clear();
-    replayed.resize(end - i);
-    materialized.clear();
-    materialized.resize(end - i);
-    std::vector<const xml::Document*> pending;
-    std::vector<size_t> pending_index;
+    classified.assign(end - i, std::nullopt);
+    std::vector<const xml::Document*> to_score;
+    std::vector<size_t> to_score_index;
     for (size_t j = i; j < end; ++j) {
-      replayed[j - i] = classifier_.MemoProbe(docs[j]);
-      if (!replayed[j - i].has_value()) {
-        materialized[j - i].emplace(docs[j].ToDocument());
-        pending.push_back(&*materialized[j - i]);
-        pending_index.push_back(j - i);
+      PendingDocument& doc = docs[j];
+      if (!doc.dom.has_value()) {
+        classified[j - i] = classifier_.MemoProbe(*doc.arena);
+        if (classified[j - i].has_value()) continue;
+        doc.dom.emplace(doc.arena->ToDocument());
       }
+      to_score.push_back(&*doc.dom);
+      to_score_index.push_back(j - i);
     }
     std::vector<classify::ClassificationOutcome> scored =
-        classifier_.ClassifyBatch(pending, pool);
-    for (size_t k = 0; k < pending_index.size(); ++k) {
-      replayed[pending_index[k]] = std::move(scored[k]);
+        classifier_.ClassifyBatch(to_score, pool);
+    for (size_t k = 0; k < to_score_index.size(); ++k) {
+      classified[to_score_index[k]] = std::move(scored[k]);
     }
     size_t applied = 0;
     for (size_t j = i; j < end; ++j) {
-      PendingDocument doc;
-      doc.arena = &docs[j];
-      doc.dom = std::move(materialized[j - i]);
       outcomes.push_back(
-          ApplyClassification(std::move(doc), *replayed[j - i], jobs));
+          ApplyClassification(std::move(docs[j]), *classified[j - i], jobs));
       ++applied;
-      if (outcomes.back().evolved) break;  // remaining scores are stale
+      if (outcomes.back().evolved) break;  // remaining outcomes are stale
     }
     i += applied;
   }
@@ -391,7 +357,7 @@ std::optional<evolve::EvolutionResult> XmlSource::ForceEvolve(
 }
 
 size_t XmlSource::InduceCandidates() {
-  if (options_.cluster_repository) clusterer_.Consolidate();
+  clusterer_.Consolidate();
   candidates_.clear();
   std::vector<induce::Candidate> induced = induce::InduceClusterCandidates(
       clusterer_.Clusters(), repository_, &classifier_, DtdNames(),

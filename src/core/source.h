@@ -134,9 +134,10 @@ class XmlSource {
   /// a miss the document is materialized once and takes the DOM path.
   /// Outcome-equivalent to converting and calling the DOM overload.
   ProcessOutcome Process(xml::ArenaDocument doc);
-  /// Parses then processes — through the streaming reader when
-  /// `options().streaming_parse` (the default), else the DOM parser.
-  /// Both parsers accept/reject identical inputs with identical errors.
+  /// Parses `xml_text` once, through the streaming reader, into an
+  /// arena tree and processes it. This is the one way text is ingested:
+  /// `serve`, WAL replay, the follower and `evolve` all come here or to
+  /// the arena `ProcessBatch`.
   StatusOr<ProcessOutcome> ProcessText(std::string_view xml_text);
 
   /// Batch variant of `Process`: scores documents against the DTD set
@@ -157,14 +158,16 @@ class XmlSource {
   /// `ProcessBatch` on a caller-owned pool, so a long-running server can
   /// share one pool across every ingest batch instead of respawning
   /// threads. `pool == nullptr` (or a pool of one worker) scores inline;
-  /// outcomes are identical either way.
+  /// outcomes are identical either way. The DOM overloads serve callers
+  /// that already hold documents (generated streams, tests); ingested
+  /// text arrives as arena trees.
   std::vector<ProcessOutcome> ProcessBatch(std::vector<xml::Document> docs,
                                            util::ThreadPool* pool);
 
-  /// Arena batch: memo hits replay without DOM materialization or
-  /// scoring; only the misses of each chunk are materialized and scored
-  /// (in parallel on `pool`). Outcomes are identical — entry by entry —
-  /// to converting every document and calling the DOM `ProcessBatch`.
+  /// The ingest batch: memo hits replay without DOM materialization or
+  /// scoring; only the misses of each chunk are materialized and scored.
+  /// Outcomes are identical — entry by entry — to converting every
+  /// document and calling the DOM `ProcessBatch`.
   std::vector<ProcessOutcome> ProcessBatch(
       std::vector<xml::ArenaDocument> docs, util::ThreadPool* pool);
 
@@ -253,8 +256,7 @@ class XmlSource {
   /// and counters are restored separately from the same checkpoint).
   Status RegisterInducedDtd(const std::string& name, evolve::ExtendedDtd ext);
 
-  /// Live view of the incremental repository clustering (zeros when
-  /// options().cluster_repository is off).
+  /// Live view of the incremental repository clustering.
   induce::ClusterStats cluster_stats() const { return clusterer_.GetStats(); }
 
   uint64_t candidates_proposed() const { return candidates_proposed_; }
@@ -281,11 +283,11 @@ class XmlSource {
   size_t EvictRepositoryDocs(const std::vector<int>& ids);
 
  private:
-  /// A document on its way through the apply tail, in whichever
-  /// representation it still has: the DOM path fills `dom` only; the
-  /// streaming path points `arena` at the caller's arena tree and fills
-  /// `dom` lazily — only when the repository or `keep_documents`
-  /// genuinely needs an owning DOM.
+  /// A document on its way through classification and the apply tail,
+  /// in whichever representation it still has: a DOM caller fills `dom`
+  /// only; ingest points `arena` at the caller's arena tree and fills
+  /// `dom` lazily — on a memo miss, or when the repository or
+  /// `keep_documents` genuinely needs an owning DOM.
   struct PendingDocument {
     const xml::ArenaDocument* arena = nullptr;
     std::optional<xml::Document> dom;
@@ -303,6 +305,13 @@ class XmlSource {
       PendingDocument doc,
       const classify::ClassificationOutcome& classification, size_t jobs);
 
+  /// The one chunked-speculation batch loop behind both `ProcessBatch`
+  /// overloads. A document with only an arena probes the memo and is
+  /// materialized on a miss; one with a DOM goes straight to
+  /// `ClassifyBatch`, whose `Classify` probes the memo itself.
+  std::vector<ProcessOutcome> ProcessPending(
+      std::vector<PendingDocument> docs, util::ThreadPool* pool);
+
   void AfterEvolution(const std::string& name,
                       const evolve::EvolutionResult& result);
 
@@ -313,6 +322,10 @@ class XmlSource {
   std::map<std::string, std::vector<xml::Document>> instances_;
   classify::Classifier classifier_;
   classify::Repository repository_;
+  /// Follows every repository mutation, so `InduceCandidates` and the
+  /// `/stats` cluster section are always ready. Costs one similarity
+  /// pass per new structural fingerprint; identical structures join in
+  /// O(1).
   induce::RepositoryClusterer clusterer_;
   std::vector<induce::Candidate> candidates_;
   uint64_t next_candidate_id_ = 1;

@@ -13,7 +13,6 @@
 #include <cstring>
 #include <utility>
 
-#include "xml/parser.h"
 #include "xml/stream_reader.h"
 
 namespace dtdevolve::server {
@@ -920,29 +919,16 @@ IngestServer::RouteResult IngestServer::HandleIngest(
   }
 
   const bool wait = request.QueryFlag("wait");
-  SourceManager::EnqueueResult enqueued;
-  if (manager_.streaming_ingest()) {
-    // Single-pass streaming parse straight into an arena tree; the
-    // reader accepts/rejects exactly what the DOM parser would, with
-    // identical error messages.
-    StatusOr<xml::ArenaDocument> doc = xml::ParseArenaDocument(request.body);
-    if (!doc.ok()) {
-      return {false,
-              {400, "application/json", {},
-               "{\"error\":\"" + JsonEscape(doc.status().ToString()) +
-                   "\"}\n"}};
-    }
-    enqueued = manager_.Enqueue(tenant, std::move(*doc), request.body, wait);
-  } else {
-    StatusOr<xml::Document> doc = xml::ParseDocument(request.body);
-    if (!doc.ok()) {
-      return {false,
-              {400, "application/json", {},
-               "{\"error\":\"" + JsonEscape(doc.status().ToString()) +
-                   "\"}\n"}};
-    }
-    enqueued = manager_.Enqueue(tenant, std::move(*doc), request.body, wait);
+  // Single-pass streaming parse straight into an arena tree.
+  StatusOr<xml::ArenaDocument> doc = xml::ParseArenaDocument(request.body);
+  if (!doc.ok()) {
+    return {false,
+            {400, "application/json", {},
+             "{\"error\":\"" + JsonEscape(doc.status().ToString()) +
+                 "\"}\n"}};
   }
+  SourceManager::EnqueueResult enqueued =
+      manager_.Enqueue(tenant, std::move(*doc), request.body, wait);
   switch (enqueued.code) {
     case SourceManager::EnqueueCode::kUnknownTenant:
       return {false,

@@ -540,30 +540,11 @@ void SourceManager::ResumeIngest() {
 }
 
 SourceManager::EnqueueResult SourceManager::Enqueue(
-    const std::string& tenant, xml::Document doc, const std::string& raw_body,
-    bool wait) {
-  const std::string root_tag =
-      doc.has_root() ? doc.root().tag() : std::string();
-  PendingDoc pending;
-  pending.doc = std::move(doc);
-  return EnqueuePending(tenant, std::move(pending), root_tag, raw_body, wait);
-}
-
-SourceManager::EnqueueResult SourceManager::Enqueue(
     const std::string& tenant, xml::ArenaDocument doc,
     const std::string& raw_body, bool wait) {
-  const std::string root_tag =
-      doc.has_root() ? std::string(doc.root().tag) : std::string();
-  PendingDoc pending;
-  pending.arena.emplace(std::move(doc));
-  return EnqueuePending(tenant, std::move(pending), root_tag, raw_body, wait);
-}
-
-SourceManager::EnqueueResult SourceManager::EnqueuePending(
-    const std::string& tenant, PendingDoc pending, std::string_view root_tag,
-    const std::string& raw_body, bool wait) {
   EnqueueResult result;
-  Shard* shard = RouteIngest(tenant, root_tag);
+  Shard* shard = RouteIngest(
+      tenant, doc.has_root() ? doc.root().tag : std::string_view());
   if (shard == nullptr) {
     result.code = EnqueueCode::kUnknownTenant;
     result.tenant = tenant;
@@ -571,6 +552,8 @@ SourceManager::EnqueueResult SourceManager::EnqueuePending(
   }
   result.tenant = shard->name;
 
+  PendingDoc pending;
+  pending.arena = std::move(doc);
   pending.enqueued = std::chrono::steady_clock::now();
   if (wait || shard->wal != nullptr) {
     // With the WAL on even an async ack waits: for the group commit.
@@ -767,38 +750,16 @@ void SourceManager::ProcessPending(Shard& shard,
     CommitPending(shard, pending);
     if (pending.empty()) return;
   }
-  // All-arena batches (the streaming default) drain through the
-  // memo-first arena ProcessBatch; a mixed or DOM batch falls back to
-  // the DOM path, converting any stray arena documents. Outcomes are
-  // identical either way.
-  bool all_arena = !pending.empty();
-  for (const PendingDoc& item : pending) {
-    if (!item.arena.has_value()) {
-      all_arena = false;
-      break;
-    }
-  }
+  std::vector<xml::ArenaDocument> docs;
+  docs.reserve(pending.size());
+  for (PendingDoc& item : pending) docs.push_back(std::move(item.arena));
 
   const auto batch_start = std::chrono::steady_clock::now();
   std::vector<core::XmlSource::ProcessOutcome> outcomes;
   {
     std::lock_guard<std::mutex> lock(shard.state_mutex);
-    if (all_arena) {
-      std::vector<xml::ArenaDocument> docs;
-      docs.reserve(pending.size());
-      for (PendingDoc& item : pending) docs.push_back(std::move(*item.arena));
-      outcomes = shard.source->ProcessBatch(std::move(docs),
-                                            pool_ ? &*pool_ : nullptr);
-    } else {
-      std::vector<xml::Document> docs;
-      docs.reserve(pending.size());
-      for (PendingDoc& item : pending) {
-        docs.push_back(item.arena.has_value() ? item.arena->ToDocument()
-                                              : std::move(item.doc));
-      }
-      outcomes = shard.source->ProcessBatch(std::move(docs),
-                                            pool_ ? &*pool_ : nullptr);
-    }
+    outcomes = shard.source->ProcessBatch(std::move(docs),
+                                          pool_ ? &*pool_ : nullptr);
     for (const core::XmlSource::ProcessOutcome& outcome : outcomes) {
       if (outcome.classified) ++shard.ingested_per_dtd[outcome.dtd_name];
       if (outcome.evolved) ++shard.evolutions_per_dtd[outcome.dtd_name];

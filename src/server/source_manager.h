@@ -25,7 +25,7 @@
 #include "store/wal.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
-#include "xml/document.h"
+#include "xml/arena.h"
 
 namespace dtdevolve::server {
 
@@ -259,24 +259,16 @@ class SourceManager {
   void PauseIngest();
   void ResumeIngest();
 
-  /// Routes and enqueues one parsed document. `tenant` empty means
-  /// anonymous traffic: with a single shard it goes there; with a shard
-  /// literally named "default" it goes there; otherwise the root
+  /// Routes and enqueues one arena-parsed document. `tenant` empty
+  /// means anonymous traffic: with a single shard it goes there; with a
+  /// shard literally named "default" it goes there; otherwise the root
   /// element tag picks a shard on a consistent-hash ring (stable under
   /// tenant-set growth for most keys). `raw_body` is what the WAL
-  /// records (replay re-parses it).
-  EnqueueResult Enqueue(const std::string& tenant, xml::Document doc,
-                        const std::string& raw_body, bool wait);
-  /// Streaming twin: enqueues an arena-parsed document. The worker
-  /// drains all-arena batches through the memo-first arena
-  /// `ProcessBatch`, so repeated structures never materialize a DOM.
+  /// records (replay re-parses it). The worker drains the queue through
+  /// the memo-first arena `ProcessBatch`, so repeated structures never
+  /// materialize a DOM.
   EnqueueResult Enqueue(const std::string& tenant, xml::ArenaDocument doc,
                         const std::string& raw_body, bool wait);
-
-  /// True when ingest should parse through the streaming reader
-  /// (`SourceOptions::streaming_parse`) — the HTTP layer picks its
-  /// parser off this.
-  bool streaming_ingest() const { return source_options_.streaming_parse; }
 
   /// Pre-parse admission check for one document body: true when `bytes`
   /// fits the resolved tenant's document-size quota. A rejection counts
@@ -419,11 +411,7 @@ class SourceManager {
 
  private:
   struct PendingDoc {
-    /// Exactly one representation is live: `arena` when the streaming
-    /// reader parsed the body (`doc` is then an empty placeholder),
-    /// else `doc`.
-    xml::Document doc;
-    std::optional<xml::ArenaDocument> arena;
+    xml::ArenaDocument arena;
     std::chrono::steady_clock::time_point enqueued;
     std::shared_ptr<IngestWaiter> waiter;  // null for fire-and-forget
     uint64_t lsn = 0;                      // 0 when the WAL is disabled
@@ -537,12 +525,6 @@ class SourceManager {
   /// no "default" shard falls through to the consistent-hash ring
   /// (keyed by the document's root tag).
   Shard* RouteIngest(const std::string& tenant, std::string_view root_tag);
-
-  /// Representation-independent tail of `Enqueue`: admission, WAL
-  /// write and queue insertion for an already-built `PendingDoc`.
-  EnqueueResult EnqueuePending(const std::string& tenant, PendingDoc pending,
-                               std::string_view root_tag,
-                               const std::string& raw_body, bool wait);
 
   Status StartShard(Shard& shard, obs::Registry* registry);
   void WireShardMetrics(Shard& shard, obs::Registry* registry);

@@ -5,7 +5,8 @@
 # differential, crash-recovery, replication, overload and parse-path
 # oracles and fan out threads, where sanitizer findings actually live.
 # A RelWithDebInfo leg reruns the durability suites and the crash sweep
-# with their files on tmpfs (/dev/shm). Every sanitizer configuration is
+# with their files on tmpfs (/dev/shm), and the last leg runs the repo
+# benchmark's own smoke test (perfbench/smoke_test.py). Every sanitizer configuration is
 # a CMake preset (CMakePresets.json), so a single leg is reproducible by
 # hand:
 #
@@ -69,4 +70,10 @@ cmake --build build -j "$JOBS" --target bench_classification \
   bench_similarity bench_mining bench_server bench_induce
 tools/perf_smoke.sh build
 
-echo "sanitizer matrix clean (asan-ubsan, tsan) + durability on tmpfs + perf smoke"
+# The repo benchmark's own test: every perfbench workload in --smoke
+# mode, traced and untraced, must pass its correctness checks and report
+# every metric BENCHMARK.json names. It builds into .bench_build/.
+echo "=== leg: perfbench-smoke ==="
+python3 perfbench/smoke_test.py
+
+echo "sanitizer matrix clean (asan-ubsan, tsan) + durability on tmpfs + perf smoke + perfbench smoke"

@@ -36,6 +36,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -51,8 +52,10 @@
 #include "dtd/dtd_writer.h"
 #include "server/server.h"
 #include "similarity/similarity.h"
+#include "util/thread_pool.h"
 #include "validate/validator.h"
 #include "xml/parser.h"
+#include "xml/stream_reader.h"
 #include "xml/writer.h"
 #include "xsd/from_dtd.h"
 #include "xsd/writer.h"
@@ -82,6 +85,12 @@ StatusOr<dtdevolve::xml::Document> LoadDoc(const std::string& path) {
   return dtdevolve::xml::ParseDocument(*text);
 }
 
+StatusOr<dtdevolve::xml::ArenaDocument> LoadArenaDoc(const std::string& path) {
+  StatusOr<std::string> text = ReadFile(path);
+  if (!text.ok()) return text.status();
+  return dtdevolve::xml::ParseArenaDocument(*text);
+}
+
 int Usage() {
   std::fprintf(stderr,
                "usage:\n"
@@ -93,8 +102,7 @@ int Usage() {
                "                       [--score-cache-mb N] "
                "[--no-score-cache]\n"
                "                       [--classification-memo-mb N] "
-               "[--no-classification-memo]\n"
-               "                       [--no-streaming-parse] <xml>...\n"
+               "[--no-classification-memo] <xml>...\n"
                "  dtdevolve adapt      <dtd> <xml>\n"
                "  dtdevolve induce     <dtd> [--sigma S] [--jobs N] "
                "[--merge-threshold M]\n"
@@ -115,7 +123,6 @@ int Usage() {
                "[--no-score-cache]\n"
                "                       [--classification-memo-mb N] "
                "[--no-classification-memo]\n"
-               "                       [--no-streaming-parse]\n"
                "                       [--tenants LIST|N] "
                "[--tenant-config FILE]\n"
                "                       [--auto-induce-threshold N]\n"
@@ -337,10 +344,6 @@ int CmdEvolve(std::vector<std::string> args) {
       options.classifier.enable_classification_memo = false;
       continue;
     }
-    if (args[i] == "--no-streaming-parse") {
-      options.streaming_parse = false;
-      continue;
-    }
     if (IsFlag(args[i])) return UnknownFlag(args[i]);
     files.push_back(args[i]);
   }
@@ -360,10 +363,10 @@ int CmdEvolve(std::vector<std::string> args) {
   size_t classified = 0;
   if (jobs >= 0) {
     // Batch ingest: parse everything, then classify in parallel.
-    std::vector<dtdevolve::xml::Document> docs;
+    std::vector<dtdevolve::xml::ArenaDocument> docs;
     docs.reserve(files.size());
     for (const std::string& file : files) {
-      StatusOr<dtdevolve::xml::Document> doc = LoadDoc(file);
+      StatusOr<dtdevolve::xml::ArenaDocument> doc = LoadArenaDoc(file);
       if (!doc.ok()) {
         std::fprintf(stderr, "%s: %s\n", file.c_str(),
                      doc.status().ToString().c_str());
@@ -371,8 +374,13 @@ int CmdEvolve(std::vector<std::string> args) {
       }
       docs.push_back(std::move(*doc));
     }
-    for (const auto& outcome : source.ProcessBatch(
-             std::move(docs), static_cast<size_t>(jobs))) {
+    const size_t threads = jobs == 0
+                               ? dtdevolve::util::ThreadPool::DefaultJobs()
+                               : static_cast<size_t>(jobs);
+    std::optional<dtdevolve::util::ThreadPool> pool;
+    if (threads > 1 && docs.size() > 1) pool.emplace(threads);
+    for (const auto& outcome :
+         source.ProcessBatch(std::move(docs), pool ? &*pool : nullptr)) {
       if (outcome.classified) ++classified;
     }
   } else {
@@ -798,10 +806,6 @@ int CmdServe(std::vector<std::string> args) {
     }
     if (args[i] == "--no-classification-memo") {
       source_options.classifier.enable_classification_memo = false;
-      continue;
-    }
-    if (args[i] == "--no-streaming-parse") {
-      source_options.streaming_parse = false;
       continue;
     }
     if (nonnegative_long("--auto-induce-threshold", &value)) {
