@@ -7,9 +7,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-
-#include "bench_json.h"
 #include "bench_util.h"
 #include "mining/apriori.h"
 #include "mining/rules.h"
@@ -130,74 +127,7 @@ BENCHMARK(BM_SequenceOracle)
     ->Arg(1000)
     ->Unit(benchmark::kMicrosecond);
 
-// --- `--json` headline: bitset vs subset-scan support counting ---------------
-//
-// Same fixed-seed transaction population mined with both support
-// counters; one line of JSON (schema in TESTING.md) with the runs/sec of
-// each and the bitset speedup. Itemset counts must agree — a mismatch is
-// reported and fails the run.
-
-int RunHeadline(const std::string& out) {
-  const size_t count = 1000, labels = 14;
-  auto sequences = RandomSequences(count, labels, 59);
-  std::set<std::string> universe = Universe(labels);
-  mining::TransactionSet transactions;
-  for (const auto& [sequence, multiplicity] : sequences) {
-    transactions.Add(sequence, universe, multiplicity);
-  }
-  mining::AprioriOptions options;
-  options.min_support = 0.3;
-  options.max_size = 3;
-  constexpr size_t kRuns = 20;
-
-  auto time_runs = [&](bool bitset, size_t* itemsets) {
-    options.bitset_counting = bitset;
-    const auto start = std::chrono::steady_clock::now();
-    for (size_t r = 0; r < kRuns; ++r) {
-      auto result = mining::MineFrequentItemsets(transactions, options);
-      *itemsets = result.size();
-    }
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start)
-        .count();
-  };
-
-  size_t scan_itemsets = 0, bitset_itemsets = 0;
-  const double scan_seconds = time_runs(false, &scan_itemsets);
-  const double bitset_seconds = time_runs(true, &bitset_itemsets);
-
-  bench::JsonObject json;
-  json.Add("benchmark", std::string("apriori_support_counting"))
-      .Add("transactions", count)
-      .Add("labels", labels)
-      .Add("runs", static_cast<uint64_t>(kRuns))
-      .Add("itemsets", bitset_itemsets)
-      .Add("scan_seconds", scan_seconds)
-      .Add("bitset_seconds", bitset_seconds)
-      .Add("scan_runs_per_second",
-           scan_seconds > 0 ? static_cast<double>(kRuns) / scan_seconds : 0.0)
-      .Add("bitset_runs_per_second",
-           bitset_seconds > 0 ? static_cast<double>(kRuns) / bitset_seconds
-                              : 0.0)
-      .Add("bitset_speedup",
-           bitset_seconds > 0 ? scan_seconds / bitset_seconds : 0.0)
-      .Add("itemsets_match",
-           static_cast<uint64_t>(scan_itemsets == bitset_itemsets ? 1 : 0));
-  if (!json.Emit(out)) return 1;
-  return scan_itemsets == bitset_itemsets ? 0 : 2;
-}
-
 }  // namespace
 }  // namespace dtdevolve
 
-int main(int argc, char** argv) {
-  std::string out;
-  if (dtdevolve::bench::ParseJsonFlag(argc, argv, "BENCH_mining.json", &out)) {
-    return dtdevolve::RunHeadline(out);
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

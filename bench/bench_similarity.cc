@@ -5,9 +5,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-
-#include "bench_json.h"
 #include "bench_util.h"
 
 namespace dtdevolve {
@@ -96,65 +93,7 @@ void BM_PerElementReports(benchmark::State& state) {
 }
 BENCHMARK(BM_PerElementReports)->Arg(10)->Arg(100);
 
-// --- `--json` headline: per-document similarity throughput -------------------
-//
-// Fixed-seed drifted corpus against the mail DTD; one line of JSON
-// (schema in TESTING.md) with docs/sec and per-evaluation latency
-// percentiles for the interned id-based evaluation path.
-
-int RunHeadline(const std::string& out) {
-  dtd::Dtd dtd = bench::MailDtd();
-  const std::vector<xml::Document> docs =
-      bench::DriftedDocs(dtd, 400, 0.25, 17);
-  similarity::SimilarityEvaluator evaluator(dtd);
-  constexpr size_t kRounds = 10;
-
-  std::vector<double> latencies_ms;
-  latencies_ms.reserve(docs.size() * kRounds);
-  double checksum = 0.0;
-  const auto start = std::chrono::steady_clock::now();
-  for (size_t r = 0; r < kRounds; ++r) {
-    for (const xml::Document& doc : docs) {
-      const auto t0 = std::chrono::steady_clock::now();
-      checksum += evaluator.DocumentSimilarity(doc);
-      latencies_ms.push_back(std::chrono::duration<double, std::milli>(
-                                 std::chrono::steady_clock::now() - t0)
-                                 .count());
-    }
-  }
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-
-  std::sort(latencies_ms.begin(), latencies_ms.end());
-  bench::JsonObject json;
-  json.Add("benchmark", std::string("similarity_throughput"))
-      .Add("docs", docs.size())
-      .Add("rounds", static_cast<uint64_t>(kRounds))
-      .Add("seconds", seconds)
-      .Add("docs_per_second",
-           seconds > 0
-               ? static_cast<double>(latencies_ms.size()) / seconds
-               : 0.0)
-      .Add("p50_ms", bench::PercentileSorted(latencies_ms, 0.50))
-      .Add("p99_ms", bench::PercentileSorted(latencies_ms, 0.99))
-      .Add("mean_similarity",
-           checksum / static_cast<double>(latencies_ms.size()));
-  return json.Emit(out) ? 0 : 1;
-}
-
 }  // namespace
 }  // namespace dtdevolve
 
-int main(int argc, char** argv) {
-  std::string out;
-  if (dtdevolve::bench::ParseJsonFlag(argc, argv, "BENCH_similarity.json",
-                                      &out)) {
-    return dtdevolve::RunHeadline(out);
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

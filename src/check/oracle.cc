@@ -1932,7 +1932,7 @@ TextPipelineRun RunTextPipeline(const Scenario& scenario,
                                 bool dom_reference) {
   TextPipelineRun run;
   core::SourceOptions options = scenario.options;
-  if (dom_reference) options.classifier.enable_classification_memo = false;
+  if (dom_reference) options.classifier.classification_memo_bytes = 0;
   core::XmlSource src(options);
   for (const auto& [name, dtd] : scenario.dtds) {
     (void)src.AddDtd(name, dtd.Clone());

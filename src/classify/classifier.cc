@@ -27,19 +27,19 @@ Classifier::Classifier(double sigma, similarity::SimilarityOptions options,
       options_(options),
       classifier_options_(classifier_options),
       set_epoch_(NextClassifierSetEpoch()) {
-  if (classifier_options_.enable_score_cache) {
+  if (classifier_options_.score_cache_bytes > 0) {
     if (classifier_options_.shared_cache != nullptr) {
       shared_cache_ = classifier_options_.shared_cache;
-    } else if (classifier_options_.score_cache_bytes > 0) {
+    } else {
       similarity::SubtreeScoreCache::Config config;
       config.capacity_bytes = classifier_options_.score_cache_bytes;
       cache_ = std::make_unique<similarity::SubtreeScoreCache>(config);
     }
   }
-  if (classifier_options_.enable_classification_memo) {
+  if (classifier_options_.classification_memo_bytes > 0) {
     if (classifier_options_.shared_memo != nullptr) {
       shared_memo_ = classifier_options_.shared_memo;
-    } else if (classifier_options_.classification_memo_bytes > 0) {
+    } else {
       ClassificationMemo::Config config;
       config.capacity_bytes = classifier_options_.classification_memo_bytes;
       memo_ = std::make_unique<ClassificationMemo>(config);

@@ -55,33 +55,31 @@ struct ClassifierOptions {
   /// Score-bound pruning: sort DTDs by a conservative per-document upper
   /// bound and skip evaluations that cannot beat the best score so far.
   bool enable_pruning = true;
-  /// Shared cross-document subtree score cache.
-  bool enable_score_cache = true;
-  /// Approximate capacity of the shared cache.
+  /// Approximate capacity of the shared cross-document subtree score
+  /// cache; 0 turns the cache off.
   size_t score_cache_bytes = 64ull << 20;
   /// Optional process-wide cache to use instead of an owned one. Non-
   /// owning: the pointee must outlive the classifier. Epoch keying makes
   /// one cache safe to share across any number of classifiers (each
   /// evaluator draws a globally unique epoch), which the multi-tenant
   /// `SourceManager` relies on to share a single budget across shards.
-  /// Ignored when `enable_score_cache` is false. A classifier using a
-  /// shared cache never installs its own metrics on it (the cache owner
-  /// wires aggregate counters once); `score_cache_bytes` is likewise the
-  /// owner's concern.
+  /// Ignored when `score_cache_bytes` is 0. A classifier using a shared
+  /// cache never installs its own metrics on it (the cache owner wires
+  /// aggregate counters once), and the cache's capacity is the owner's.
   similarity::SubtreeScoreCache* shared_cache = nullptr;
-  /// Classified-structure dedup: memoize whole outcomes by
-  /// `(set-epoch, root fingerprint)` so a document whose root
-  /// fingerprint matches an already-classified structure skips scoring
-  /// entirely. Score-equivalent like the other layers — a hit replays
+  /// Approximate capacity of the classified-structure dedup; 0 turns it
+  /// off. The memo keys whole outcomes by `(set-epoch, root
+  /// fingerprint)` so a document whose root fingerprint matches an
+  /// already-classified structure skips scoring entirely.
+  /// Score-equivalent like the other layers — a hit replays
   /// byte-identical `classified` / `dtd_name` / `similarity` / `scores`,
   /// because the fingerprint determines every triple and the epoch pins
   /// the DTD set and σ.
-  bool enable_classification_memo = true;
-  /// Approximate capacity of the owned memo.
   size_t classification_memo_bytes = 32ull << 20;
   /// Optional process-wide memo (same sharing contract as
   /// `shared_cache`: non-owning, epoch keying makes it safe across
-  /// classifiers, the owner wires metrics and sizes it).
+  /// classifiers, ignored when `classification_memo_bytes` is 0, the
+  /// owner wires metrics and sizes it).
   ClassificationMemo* shared_memo = nullptr;
 };
 
@@ -251,8 +249,8 @@ class Classifier {
   std::map<std::string, std::unique_ptr<similarity::SimilarityEvaluator>>
       evaluators_;
   /// Shared across every evaluator, every document and every batch
-  /// worker; null when `enable_score_cache` is off or an external cache
-  /// was supplied.
+  /// worker; null when `score_cache_bytes` is 0 or an external cache was
+  /// supplied.
   std::unique_ptr<similarity::SubtreeScoreCache> cache_;
   /// Externally owned process-wide cache (ClassifierOptions::shared_cache)
   /// — takes precedence over `cache_`; null when not sharing.

@@ -142,8 +142,7 @@ SourceManager::SourceManager(core::SourceOptions source_options,
   // evaluator epoch (globally unique), so shards can never read each
   // other's scores, while the memory budget is shared instead of
   // multiplied by the tenant count.
-  if (source_options_.classifier.enable_score_cache &&
-      source_options_.classifier.shared_cache == nullptr &&
+  if (source_options_.classifier.shared_cache == nullptr &&
       source_options_.classifier.score_cache_bytes > 0) {
     similarity::SubtreeScoreCache::Config config;
     config.capacity_bytes = source_options_.classifier.score_cache_bytes;
@@ -154,8 +153,7 @@ SourceManager::SourceManager(core::SourceOptions source_options,
   // Likewise one classification memo: set-epochs are globally unique,
   // so one shard can never replay another's outcomes, and the dedup
   // budget is shared instead of multiplied by the tenant count.
-  if (source_options_.classifier.enable_classification_memo &&
-      source_options_.classifier.shared_memo == nullptr &&
+  if (source_options_.classifier.shared_memo == nullptr &&
       source_options_.classifier.classification_memo_bytes > 0) {
     classify::ClassificationMemo::Config memo_config;
     memo_config.capacity_bytes =

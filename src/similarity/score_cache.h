@@ -88,11 +88,6 @@ class SubtreeScoreCache {
     uint64_t misses = 0;
     uint64_t evictions = 0;
     uint64_t entries = 0;
-
-    double HitRate() const {
-      uint64_t total = hits + misses;
-      return total == 0 ? 0.0 : static_cast<double>(hits) / total;
-    }
   };
 
   SubtreeScoreCache();

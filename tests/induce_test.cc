@@ -94,6 +94,7 @@ TEST(InduceTest, OneCandidatePerFamilyValidatingItsCluster) {
   FeedMixedPopulation(source, 11, kFamilies, 25);
 
   ASSERT_EQ(source.InduceCandidates(), kFamilies);
+  EXPECT_EQ(source.cluster_stats().clusters, kFamilies);
   std::set<std::string> names;
   size_t covered_members = 0;
   for (const induce::Candidate& candidate : source.candidates()) {
@@ -110,9 +111,29 @@ TEST(InduceTest, OneCandidatePerFamilyValidatingItsCluster) {
       EXPECT_TRUE(validator.Validate(source.repository().Get(id)).valid)
           << candidate.name << " claimed member " << id;
     }
+    // And a fresh validator, not the inducer's own bookkeeping, accepts
+    // at least 95% of the whole cluster.
+    size_t valid = 0;
+    for (int id : candidate.members) {
+      if (validator.Validate(source.repository().Get(id)).valid) ++valid;
+    }
+    EXPECT_GE(valid * 100, candidate.members.size() * 95)
+        << candidate.name << " validates " << valid << " of "
+        << candidate.members.size() << " members";
   }
   EXPECT_EQ(names.size(), kFamilies);            // collision-free names
   EXPECT_EQ(covered_members, kFamilies * 25);    // partition of the repo
+
+  // Accepting the first pending candidate, and re-inducing, until none
+  // is left drains the whole repository: no document is stranded.
+  while (!source.candidates().empty()) {
+    StatusOr<core::XmlSource::AcceptOutcome> outcome =
+        source.AcceptCandidate(source.candidates().front().id);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().message();
+    ASSERT_GT(outcome->reclassified, 0u);
+    source.InduceCandidates();
+  }
+  EXPECT_EQ(source.repository().size(), 0u);
 }
 
 TEST(InduceTest, AcceptPromotesDrainsAndRetiresCandidates) {

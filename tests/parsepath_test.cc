@@ -195,7 +195,7 @@ void ExpectOutcomesEqual(const classify::ClassificationOutcome& a,
 
 TEST(ParsePathTest, ClassificationOutcomesIdenticalAcrossPaths) {
   classify::ClassifierOptions no_memo;
-  no_memo.enable_classification_memo = false;
+  no_memo.classification_memo_bytes = 0;
   ClassifierFixture reference(no_memo);
   ClassifierFixture memoized(classify::ClassifierOptions{});
 

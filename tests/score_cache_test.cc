@@ -96,7 +96,7 @@ Corpus MakeSharedRootCorpus() {
 classify::ClassifierOptions PlainOptions() {
   classify::ClassifierOptions options;
   options.enable_pruning = false;
-  options.enable_score_cache = false;
+  options.score_cache_bytes = 0;
   return options;
 }
 
@@ -300,7 +300,6 @@ TEST(FastPathTest, TinyCapacityEvictsButStaysCorrect) {
   Corpus corpus = MakeCorpus(19, 20);
   classify::ClassifierOptions tiny;
   tiny.enable_pruning = true;
-  tiny.enable_score_cache = true;
   tiny.score_cache_bytes = 1;  // one entry per shard: constant churn
   classify::Classifier small(0.5, {}, tiny);
   classify::Classifier plain(0.5, {}, PlainOptions());

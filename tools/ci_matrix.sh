@@ -61,19 +61,10 @@ TMPDIR="$SHM_TMP" TEST_TMPDIR="$SHM_TMP/" \
 TMPDIR="$SHM_TMP" build/tools/dtdevolve check --crash-recovery
 TMPDIR="$SHM_TMP" build/tools/dtdevolve check --crash-recovery --induction
 
-# Perf smoke on the classification fast path (RelWithDebInfo — sanitizer
-# builds are useless for timing): fails on outcome divergence or a >2x
-# throughput regression against the committed baseline.
-echo "=== leg: perf-smoke ==="
-cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
-cmake --build build -j "$JOBS" --target bench_classification \
-  bench_similarity bench_mining bench_server bench_induce
-tools/perf_smoke.sh build
-
 # The repo benchmark's own test: every perfbench workload in --smoke
 # mode, traced and untraced, must pass its correctness checks and report
 # every metric BENCHMARK.json names. It builds into .bench_build/.
 echo "=== leg: perfbench-smoke ==="
 python3 perfbench/smoke_test.py
 
-echo "sanitizer matrix clean (asan-ubsan, tsan) + durability on tmpfs + perf smoke + perfbench smoke"
+echo "sanitizer matrix clean (asan-ubsan, tsan) + durability on tmpfs + perfbench smoke"

@@ -31,7 +31,9 @@
 // server). `--fsync-policy none` skips the per-document fsync; a
 // graceful stop still fsyncs the log and checkpoints.
 
+#include <cerrno>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -100,9 +102,7 @@ int Usage() {
                "  dtdevolve evolve     <dtd> [--sigma S] [--tau T] "
                "[--psi P] [--mu M] [--jobs N]\n"
                "                       [--score-cache-mb N] "
-               "[--no-score-cache]\n"
-               "                       [--classification-memo-mb N] "
-               "[--no-classification-memo] <xml>...\n"
+               "[--classification-memo-mb N] <xml>...\n"
                "  dtdevolve adapt      <dtd> <xml>\n"
                "  dtdevolve induce     <dtd> [--sigma S] [--jobs N] "
                "[--merge-threshold M]\n"
@@ -120,9 +120,7 @@ int Usage() {
                "                       [--recv-timeout S] [--send-timeout S] "
                "[--idle-timeout S]\n"
                "                       [--score-cache-mb N] "
-               "[--no-score-cache]\n"
-               "                       [--classification-memo-mb N] "
-               "[--no-classification-memo]\n"
+               "[--classification-memo-mb N]\n"
                "                       [--tenants LIST|N] "
                "[--tenant-config FILE]\n"
                "                       [--auto-induce-threshold N]\n"
@@ -162,8 +160,34 @@ bool ParseDouble(const std::string& text, double* out) {
 
 bool ParseLong(const std::string& text, long* out) {
   char* end = nullptr;
+  errno = 0;
   *out = std::strtol(text.c_str(), &end, 10);
-  return end != text.c_str() && *end == '\0';
+  return end != text.c_str() && *end == '\0' && errno != ERANGE;
+}
+
+/// The byte budgets `evolve` and `serve` share, given in MiB:
+/// `--score-cache-mb` and `--classification-memo-mb`. Returns false
+/// when `args[*i]` is neither flag. Otherwise consumes the value and
+/// sets `*bad_value` unless it is a non-negative MiB count whose byte
+/// total fits in size_t. A budget of 0 turns the layer off.
+bool BudgetFlag(const std::vector<std::string>& args, size_t* i,
+                dtdevolve::classify::ClassifierOptions* options,
+                bool* bad_value) {
+  size_t* bytes = nullptr;
+  if (args[*i] == "--score-cache-mb") bytes = &options->score_cache_bytes;
+  if (args[*i] == "--classification-memo-mb") {
+    bytes = &options->classification_memo_bytes;
+  }
+  if (bytes == nullptr) return false;
+  long mb = 0;
+  if (*i + 1 >= args.size() || !ParseLong(args[*i + 1], &mb) || mb < 0 ||
+      static_cast<unsigned long>(mb) > (SIZE_MAX >> 20)) {
+    *bad_value = true;
+    return true;
+  }
+  ++*i;
+  *bytes = static_cast<size_t>(mb) << 20;
+  return true;
 }
 
 int CmdDiff(const std::vector<std::string>& args) {
@@ -313,35 +337,8 @@ int CmdEvolve(std::vector<std::string> args) {
       ++i;
       continue;
     }
-    if (args[i] == "--score-cache-mb") {
-      long mb = 0;
-      if (i + 1 >= args.size() || !ParseLong(args[i + 1], &mb) || mb < 0) {
-        return Usage();
-      }
-      ++i;
-      // 0 MB means no cache at all, same as --no-score-cache.
-      options.classifier.enable_score_cache = mb > 0;
-      options.classifier.score_cache_bytes = static_cast<size_t>(mb) << 20;
-      continue;
-    }
-    if (args[i] == "--no-score-cache") {
-      options.classifier.enable_score_cache = false;
-      continue;
-    }
-    if (args[i] == "--classification-memo-mb") {
-      long mb = 0;
-      if (i + 1 >= args.size() || !ParseLong(args[i + 1], &mb) || mb < 0) {
-        return Usage();
-      }
-      ++i;
-      // 0 MB means no memo at all, same as --no-classification-memo.
-      options.classifier.enable_classification_memo = mb > 0;
-      options.classifier.classification_memo_bytes = static_cast<size_t>(mb)
-                                                     << 20;
-      continue;
-    }
-    if (args[i] == "--no-classification-memo") {
-      options.classifier.enable_classification_memo = false;
+    if (BudgetFlag(args, &i, &options.classifier, &bad_value)) {
+      if (bad_value) return Usage();
       continue;
     }
     if (IsFlag(args[i])) return UnknownFlag(args[i]);
@@ -784,28 +781,8 @@ int CmdServe(std::vector<std::string> args) {
       server_options.follow_poll_interval = std::chrono::milliseconds(value);
       continue;
     }
-    if (nonnegative_long("--score-cache-mb", &value)) {
+    if (BudgetFlag(args, &i, &source_options.classifier, &bad_value)) {
       if (bad_value) return Usage();
-      // 0 MB means no cache at all, same as --no-score-cache.
-      source_options.classifier.enable_score_cache = value > 0;
-      source_options.classifier.score_cache_bytes =
-          static_cast<size_t>(value) << 20;
-      continue;
-    }
-    if (args[i] == "--no-score-cache") {
-      source_options.classifier.enable_score_cache = false;
-      continue;
-    }
-    if (nonnegative_long("--classification-memo-mb", &value)) {
-      if (bad_value) return Usage();
-      // 0 MB means no memo at all, same as --no-classification-memo.
-      source_options.classifier.enable_classification_memo = value > 0;
-      source_options.classifier.classification_memo_bytes =
-          static_cast<size_t>(value) << 20;
-      continue;
-    }
-    if (args[i] == "--no-classification-memo") {
-      source_options.classifier.enable_classification_memo = false;
       continue;
     }
     if (nonnegative_long("--auto-induce-threshold", &value)) {
