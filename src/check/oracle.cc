@@ -29,6 +29,7 @@
 #include "similarity/score_cache.h"
 #include "store/checkpoint.h"
 #include "store/wal.h"
+#include "util/thread_pool.h"
 #include "validate/validator.h"
 #include "xml/parser.h"
 #include "xml/stream_reader.h"
@@ -697,8 +698,9 @@ Fingerprint RunBatchReplica(const Scenario& scenario, size_t jobs) {
   for (const xml::Document& doc : scenario.documents) {
     docs.push_back(doc.Clone());
   }
+  util::ThreadPool pool(jobs);
   std::vector<core::XmlSource::ProcessOutcome> outcomes =
-      src.ProcessBatch(std::move(docs), jobs);
+      src.ProcessBatch(std::move(docs), &pool);
   return FingerprintOf(src, outcomes);
 }
 
@@ -935,7 +937,7 @@ DurableRun RunDurablePipeline(const Scenario& scenario,
       StatusOr<uint64_t> lsn = (*wal)->Append(record);
       if (!lsn.ok()) return run;
       StatusOr<core::XmlSource::AcceptOutcome> outcome =
-          src.AcceptCandidate(best->id, 1);
+          src.AcceptCandidate(best->id);
       if (!outcome.ok()) return run;
       ++run.acked;
       maybe_checkpoint(*lsn);
@@ -1160,7 +1162,7 @@ ScenarioResult RunCrashScenario(uint64_t scenario_seed,
         const induce::Candidate* best = BestCandidate(reference);
         if (best == nullptr) break;
         StatusOr<core::XmlSource::AcceptOutcome> outcome =
-            reference.AcceptCandidate(best->id, 1);
+            reference.AcceptCandidate(best->id);
         if (!outcome.ok()) break;
         prefix_fps.push_back(CrashFingerprintOf(reference));
         if (outcome->reclassified == 0) break;
@@ -1372,7 +1374,7 @@ ScenarioResult RunInductionScenario(uint64_t scenario_seed,
     const size_t repo_before = reference.repository().size();
 
     StatusOr<core::XmlSource::AcceptOutcome> outcome =
-        reference.AcceptCandidate(best_id, 1);
+        reference.AcceptCandidate(best_id);
     if (!outcome.ok()) {
       AddInductionViolation(result, "accept-member-validity", accept_name,
                             round,
@@ -1426,8 +1428,9 @@ ScenarioResult RunInductionScenario(uint64_t scenario_seed,
     for (const xml::Document& doc : scenario.documents) {
       docs.push_back(doc.Clone());
     }
+    util::ThreadPool pool(jobs);
     std::vector<core::XmlSource::ProcessOutcome> replica_outcomes =
-        replica.ProcessBatch(std::move(docs), jobs);
+        replica.ProcessBatch(std::move(docs), &pool);
 
     bool replay_ok = true;
     for (const std::string& op : ops) {
@@ -1448,7 +1451,7 @@ ScenarioResult RunInductionScenario(uint64_t scenario_seed,
         break;
       }
       if (StatusOr<core::XmlSource::AcceptOutcome> accepted =
-              replica.AcceptCandidate(target->id, jobs);
+              replica.AcceptCandidate(target->id, &pool);
           !accepted.ok()) {
         AddInductionViolation(result, "induction-batch-divergence", op, 0,
                               "jobs=" + std::to_string(jobs) +
@@ -1725,7 +1728,7 @@ ScenarioResult RunReplicationScenario(uint64_t scenario_seed,
       if (best == nullptr) break;
       ops.push_back(store::EncodeInduceAcceptRecord(best->name, best->ext));
       StatusOr<core::XmlSource::AcceptOutcome> outcome =
-          planner.AcceptCandidate(best->id, 1);
+          planner.AcceptCandidate(best->id);
       if (!outcome.ok()) {
         ops.pop_back();
         break;

@@ -27,39 +27,26 @@ Classifier::Classifier(double sigma, similarity::SimilarityOptions options,
       options_(options),
       classifier_options_(classifier_options),
       set_epoch_(NextClassifierSetEpoch()) {
-  if (classifier_options_.score_cache_bytes > 0) {
-    if (classifier_options_.shared_cache != nullptr) {
-      shared_cache_ = classifier_options_.shared_cache;
-    } else {
-      similarity::SubtreeScoreCache::Config config;
-      config.capacity_bytes = classifier_options_.score_cache_bytes;
-      cache_ = std::make_unique<similarity::SubtreeScoreCache>(config);
-    }
-  }
-  if (classifier_options_.classification_memo_bytes > 0) {
-    if (classifier_options_.shared_memo != nullptr) {
-      shared_memo_ = classifier_options_.shared_memo;
-    } else {
-      ClassificationMemo::Config config;
-      config.capacity_bytes = classifier_options_.classification_memo_bytes;
-      memo_ = std::make_unique<ClassificationMemo>(config);
-    }
-  }
+  cache_ = similarity::SubtreeScoreCache::OwnOrShare(
+      classifier_options_.score_cache_bytes, classifier_options_.shared_cache,
+      &owned_cache_);
+  memo_ = ClassificationMemo::OwnOrShare(
+      classifier_options_.classification_memo_bytes,
+      classifier_options_.shared_memo, &owned_memo_);
 }
 
 void Classifier::set_metrics(const ClassifierMetrics& metrics) {
   metrics_ = metrics;
-  // Cache traffic counters are installed only on an owned cache: a shared
-  // cache is wired once by its owner, and letting every sharing
+  // Traffic counters are installed only on an owned cache or memo: a
+  // shared one is wired once by its owner, and letting every sharing
   // classifier re-install its own counters would clobber the others'.
-  if (cache_ != nullptr) {
-    cache_->set_metrics(metrics.cache_hits, metrics.cache_misses,
-                        metrics.cache_evictions);
+  if (owned_cache_ != nullptr) {
+    owned_cache_->set_metrics(metrics.cache_hits, metrics.cache_misses,
+                              metrics.cache_evictions);
   }
-  // Same owned-only rule for the memo.
-  if (memo_ != nullptr) {
-    memo_->set_metrics(metrics.memo_hits, metrics.memo_misses,
-                       metrics.memo_evictions);
+  if (owned_memo_ != nullptr) {
+    owned_memo_->set_metrics(metrics.memo_hits, metrics.memo_misses,
+                             metrics.memo_evictions);
   }
 }
 
@@ -69,7 +56,7 @@ void Classifier::AddDtd(const std::string& name, const dtd::Dtd* dtd) {
   dtds_[name] = dtd;
   auto evaluator =
       std::make_unique<similarity::SimilarityEvaluator>(*dtd, options_);
-  evaluator->set_shared_cache(effective_cache());
+  evaluator->set_shared_cache(cache_);
   evaluators_[name] = std::move(evaluator);
 }
 
@@ -91,7 +78,7 @@ void Classifier::Invalidate(const std::string& name) {
   // the invalidation.
   auto evaluator = std::make_unique<similarity::SimilarityEvaluator>(
       *it->second, options_);
-  evaluator->set_shared_cache(effective_cache());
+  evaluator->set_shared_cache(cache_);
   evaluators_[name] = std::move(evaluator);
 }
 
@@ -100,7 +87,7 @@ void Classifier::InvalidateAll() {
   for (const auto& [name, dtd] : dtds_) {
     auto evaluator =
         std::make_unique<similarity::SimilarityEvaluator>(*dtd, options_);
-    evaluator->set_shared_cache(effective_cache());
+    evaluator->set_shared_cache(cache_);
     evaluators_[name] = std::move(evaluator);
   }
 }
@@ -136,25 +123,24 @@ ClassificationOutcome Classifier::Classify(const xml::Document& doc) const {
   if (prune && doc.has_root()) {
     root_symbol_ids = validate::ContentSymbolIds(doc.root());
   }
-  ClassificationMemo* memo = effective_memo();
   std::optional<similarity::SubtreeFingerprints> fingerprints;
-  if ((effective_cache() != nullptr || memo != nullptr) && doc.has_root()) {
+  if ((cache_ != nullptr || memo_ != nullptr) && doc.has_root()) {
     fingerprints.emplace(doc.root());
   }
   const similarity::SubtreeFingerprints* fingerprints_ptr =
-      effective_cache() != nullptr && fingerprints ? &*fingerprints : nullptr;
+      cache_ != nullptr && fingerprints ? &*fingerprints : nullptr;
 
   // Memo probe: within one set-epoch, equal root fingerprints imply an
   // identical outcome against every DTD — replay it and skip scoring.
   ClassificationMemo::Key memo_key;
   bool memoizable = false;
-  if (memo != nullptr && fingerprints) {
+  if (memo_ != nullptr && fingerprints) {
     const similarity::SubtreeStats* root_stats =
         fingerprints->Find(&doc.root());
     if (root_stats != nullptr) {
       memo_key = {set_epoch_, root_stats->fp_hi, root_stats->fp_lo};
       memoizable = true;
-      if (memo->Lookup(memo_key, &outcome)) {
+      if (memo_->Lookup(memo_key, &outcome)) {
         if (metrics_.documents_scored != nullptr) {
           metrics_.documents_scored->Increment();
         }
@@ -234,7 +220,7 @@ ClassificationOutcome Classifier::Classify(const xml::Document& doc) const {
   }
   outcome.classified =
       !outcome.dtd_name.empty() && outcome.similarity >= sigma_;
-  if (memoizable) memo->Insert(memo_key, outcome);
+  if (memoizable) memo_->Insert(memo_key, outcome);
   if (metrics_.documents_scored != nullptr) {
     metrics_.documents_scored->Increment();
   }
@@ -248,12 +234,11 @@ ClassificationOutcome Classifier::Classify(const xml::Document& doc) const {
 
 std::optional<ClassificationOutcome> Classifier::MemoProbe(
     const xml::ArenaDocument& doc) const {
-  ClassificationMemo* memo = effective_memo();
-  if (memo == nullptr || !doc.has_root()) return std::nullopt;
+  if (memo_ == nullptr || !doc.has_root()) return std::nullopt;
   const xml::ArenaElement& root = doc.root();
   ClassificationMemo::Key key{set_epoch_, root.fp_hi, root.fp_lo};
   ClassificationOutcome outcome;
-  if (!memo->Lookup(key, &outcome)) return std::nullopt;
+  if (!memo_->Lookup(key, &outcome)) return std::nullopt;
   if (metrics_.documents_scored != nullptr) {
     metrics_.documents_scored->Increment();
   }
@@ -271,22 +256,6 @@ ClassificationOutcome Classifier::ClassifyArena(
   // DOM fingerprint of the materialized tree by construction.
   materialized->emplace(doc.ToDocument());
   return Classify(**materialized);
-}
-
-std::vector<ClassificationOutcome> Classifier::ClassifyBatch(
-    const std::vector<xml::Document>& docs, size_t jobs) const {
-  std::vector<ClassificationOutcome> outcomes(docs.size());
-  util::ParallelFor(docs.size(), jobs,
-                    [&](size_t i) { outcomes[i] = Classify(docs[i]); });
-  return outcomes;
-}
-
-std::vector<ClassificationOutcome> Classifier::ClassifyBatch(
-    const std::vector<const xml::Document*>& docs, size_t jobs) const {
-  std::vector<ClassificationOutcome> outcomes(docs.size());
-  util::ParallelFor(docs.size(), jobs,
-                    [&](size_t i) { outcomes[i] = Classify(*docs[i]); });
-  return outcomes;
 }
 
 std::vector<ClassificationOutcome> Classifier::ClassifyBatch(

@@ -47,10 +47,12 @@ struct ClassifierMetrics {
   obs::Histogram* score_seconds = nullptr;
 };
 
-/// Fast-path knobs of the classifier. Both layers are score-equivalent:
-/// enabling or disabling them never changes `classified` / `dtd_name` /
-/// `similarity` (only how much work is spent computing them), which the
-/// differential oracle's batch-divergence invariant enforces end to end.
+/// Fast-path knobs of the classifier. All three layers — score-bound
+/// pruning, the subtree score cache and the classification memo — are
+/// score-equivalent: enabling or disabling them never changes
+/// `classified` / `dtd_name` / `similarity` (only how much work is spent
+/// computing them), which the differential oracle's batch-divergence
+/// invariant enforces end to end.
 struct ClassifierOptions {
   /// Score-bound pruning: sort DTDs by a conservative per-document upper
   /// bound and skip evaluations that cannot beat the best score so far.
@@ -71,7 +73,7 @@ struct ClassifierOptions {
   /// off. The memo keys whole outcomes by `(set-epoch, root
   /// fingerprint)` so a document whose root fingerprint matches an
   /// already-classified structure skips scoring entirely.
-  /// Score-equivalent like the other layers — a hit replays
+  /// Score-equivalent like the other two layers — a hit replays
   /// byte-identical `classified` / `dtd_name` / `similarity` / `scores`,
   /// because the fingerprint determines every triple and the epoch pins
   /// the DTD set and σ.
@@ -180,18 +182,10 @@ class Classifier {
   std::optional<ClassificationOutcome> MemoProbe(
       const xml::ArenaDocument& doc) const;
 
-  /// Classifies every document concurrently on `jobs` threads (≤ 1 runs
-  /// inline). Scoring is read-only, so the result is identical — entry by
-  /// entry — to calling `Classify` on each document in order.
-  std::vector<ClassificationOutcome> ClassifyBatch(
-      const std::vector<xml::Document>& docs, size_t jobs) const;
-  /// Pointer variant for callers whose documents live elsewhere (e.g. the
-  /// repository). Entries must be non-null.
-  std::vector<ClassificationOutcome> ClassifyBatch(
-      const std::vector<const xml::Document*>& docs, size_t jobs) const;
-  /// Scores on an existing pool so repeated rounds (the chunks of
-  /// `XmlSource::ProcessBatch`) don't respawn threads; `pool == nullptr`
-  /// scores inline.
+  /// Classifies every document on `pool`'s workers (`pool == nullptr`,
+  /// or a pool of one worker, scores inline). Scoring is read-only, so
+  /// the result is identical — entry by entry — to calling `Classify` on
+  /// each document in order. Entries must be non-null.
   std::vector<ClassificationOutcome> ClassifyBatch(
       const std::vector<const xml::Document*>& docs,
       util::ThreadPool* pool) const;
@@ -209,15 +203,11 @@ class Classifier {
 
   /// The subtree score cache in use (owned or shared), or nullptr when
   /// disabled.
-  const similarity::SubtreeScoreCache* score_cache() const {
-    return effective_cache();
-  }
+  const similarity::SubtreeScoreCache* score_cache() const { return cache_; }
 
   /// The classification memo in use (owned or shared), or nullptr when
   /// disabled.
-  const ClassificationMemo* classification_memo() const {
-    return effective_memo();
-  }
+  const ClassificationMemo* classification_memo() const { return memo_; }
 
   /// The current set-epoch (changes on every outcome-relevant mutation);
   /// exposed for the memo-discipline tests.
@@ -226,17 +216,6 @@ class Classifier {
  private:
   const similarity::SimilarityEvaluator& EvaluatorFor(
       const std::string& name) const;
-
-  /// The cache evaluators score through: the externally shared one when
-  /// configured, else the owned one, else nullptr (caching disabled).
-  similarity::SubtreeScoreCache* effective_cache() const {
-    return shared_cache_ != nullptr ? shared_cache_ : cache_.get();
-  }
-
-  /// The memo outcomes replay through: shared over owned, else nullptr.
-  ClassificationMemo* effective_memo() const {
-    return shared_memo_ != nullptr ? shared_memo_ : memo_.get();
-  }
 
   double sigma_;
   similarity::SimilarityOptions options_;
@@ -248,17 +227,16 @@ class Classifier {
   /// methods.
   std::map<std::string, std::unique_ptr<similarity::SimilarityEvaluator>>
       evaluators_;
-  /// Shared across every evaluator, every document and every batch
-  /// worker; null when `score_cache_bytes` is 0 or an external cache was
-  /// supplied.
-  std::unique_ptr<similarity::SubtreeScoreCache> cache_;
-  /// Externally owned process-wide cache (ClassifierOptions::shared_cache)
-  /// — takes precedence over `cache_`; null when not sharing.
-  similarity::SubtreeScoreCache* shared_cache_ = nullptr;
-  /// Owned classification memo; null when disabled or sharing.
-  std::unique_ptr<ClassificationMemo> memo_;
-  /// Externally owned process-wide memo — takes precedence over `memo_`.
-  ClassificationMemo* shared_memo_ = nullptr;
+  /// The cache evaluators score through and the memo outcomes replay
+  /// through: the shared ones from `ClassifierOptions` when given, else
+  /// owned ones; null when the layer is off. The cache is shared across
+  /// every evaluator, every document and every batch worker.
+  similarity::SubtreeScoreCache* cache_ = nullptr;
+  ClassificationMemo* memo_ = nullptr;
+  /// Set only when the classifier owns its cache / memo; `set_metrics`
+  /// installs counters on these alone.
+  std::unique_ptr<similarity::SubtreeScoreCache> owned_cache_;
+  std::unique_ptr<ClassificationMemo> owned_memo_;
   /// Epoch of the current DTD-set + σ state, re-drawn (globally unique)
   /// by every mutating entry point; the memo key's first component.
   uint64_t set_epoch_ = 0;

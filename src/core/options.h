@@ -38,8 +38,8 @@ struct SourceOptions {
   induce::InduceOptions induce;
   similarity::SimilarityOptions similarity;
   /// Classification fast-path knobs (score-bound pruning, shared subtree
-  /// score cache). Both layers are score-equivalent; the knobs only trade
-  /// memory for speed.
+  /// score cache, classification memo). All three layers are
+  /// score-equivalent; the knobs only trade memory for speed.
   classify::ClassifierOptions classifier;
 };
 

@@ -99,7 +99,7 @@ XmlSource::ProcessOutcome XmlSource::Process(xml::Document doc) {
   classify::ClassificationOutcome classification = classifier_.Classify(doc);
   PendingDocument pending;
   pending.dom.emplace(std::move(doc));
-  return ApplyClassification(std::move(pending), classification, /*jobs=*/1);
+  return ApplyClassification(std::move(pending), classification, nullptr);
 }
 
 XmlSource::ProcessOutcome XmlSource::Process(xml::ArenaDocument doc) {
@@ -107,12 +107,13 @@ XmlSource::ProcessOutcome XmlSource::Process(xml::ArenaDocument doc) {
   pending.arena = &doc;
   classify::ClassificationOutcome classification =
       classifier_.ClassifyArena(doc, &pending.dom);
-  return ApplyClassification(std::move(pending), classification, /*jobs=*/1);
+  return ApplyClassification(std::move(pending), classification, nullptr);
 }
 
 XmlSource::ProcessOutcome XmlSource::ApplyClassification(
     PendingDocument doc,
-    const classify::ClassificationOutcome& classification, size_t jobs) {
+    const classify::ClassificationOutcome& classification,
+    util::ThreadPool* pool) {
   ProcessOutcome outcome;
   const uint64_t index = documents_processed_++;
   if (metrics_.documents_processed != nullptr) {
@@ -167,7 +168,7 @@ XmlSource::ProcessOutcome XmlSource::ApplyClassification(
           evolve::EvolveDtd(ext, rule.OptionsOver(options_.evolution));
       AfterEvolution(name, result);
       outcome.evolved = true;
-      outcome.reclassified = ReclassifyRepository(jobs);
+      outcome.reclassified = ReclassifyRepository(pool);
       break;
     }
   } else if (options_.auto_evolve &&
@@ -183,19 +184,10 @@ XmlSource::ProcessOutcome XmlSource::ApplyClassification(
           evolve::EvolveDtd(ext, options_.evolution);
       AfterEvolution(name, result);
       outcome.evolved = true;
-      outcome.reclassified = ReclassifyRepository(jobs);
+      outcome.reclassified = ReclassifyRepository(pool);
     }
   }
   return outcome;
-}
-
-std::vector<XmlSource::ProcessOutcome> XmlSource::ProcessBatch(
-    std::vector<xml::Document> docs, size_t jobs) {
-  if (jobs == 0) jobs = util::ThreadPool::DefaultJobs();
-  // One pool for the whole batch; chunks reuse its workers.
-  std::optional<util::ThreadPool> pool;
-  if (jobs > 1 && docs.size() > 1) pool.emplace(jobs);
-  return ProcessBatch(std::move(docs), pool ? &*pool : nullptr);
 }
 
 std::vector<XmlSource::ProcessOutcome> XmlSource::ProcessBatch(
@@ -258,7 +250,7 @@ std::vector<XmlSource::ProcessOutcome> XmlSource::ProcessPending(
     size_t applied = 0;
     for (size_t j = i; j < end; ++j) {
       outcomes.push_back(
-          ApplyClassification(std::move(docs[j]), *classified[j - i], jobs));
+          ApplyClassification(std::move(docs[j]), *classified[j - i], pool));
       ++applied;
       if (outcomes.back().evolved) break;  // remaining outcomes are stale
     }
@@ -380,8 +372,8 @@ const induce::Candidate* XmlSource::FindCandidate(uint64_t id) const {
   return nullptr;
 }
 
-StatusOr<XmlSource::AcceptOutcome> XmlSource::AcceptCandidate(uint64_t id,
-                                                              size_t jobs) {
+StatusOr<XmlSource::AcceptOutcome> XmlSource::AcceptCandidate(
+    uint64_t id, util::ThreadPool* pool) {
   auto it = std::find_if(candidates_.begin(), candidates_.end(),
                          [id](const induce::Candidate& candidate) {
                            return candidate.id == id;
@@ -400,7 +392,7 @@ StatusOr<XmlSource::AcceptOutcome> XmlSource::AcceptCandidate(uint64_t id,
   // retired; ids are never reused.
   candidates_.clear();
   DTDEVOLVE_RETURN_IF_ERROR(
-      AdoptInducedDtd(outcome.dtd_name, std::move(ext), jobs,
+      AdoptInducedDtd(outcome.dtd_name, std::move(ext), pool,
                       &outcome.reclassified));
   return outcome;
 }
@@ -423,7 +415,8 @@ Status XmlSource::RejectCandidate(uint64_t id) {
 }
 
 Status XmlSource::AdoptInducedDtd(const std::string& name,
-                                  evolve::ExtendedDtd ext, size_t jobs,
+                                  evolve::ExtendedDtd ext,
+                                  util::ThreadPool* pool,
                                   size_t* reclassified) {
   DTDEVOLVE_RETURN_IF_ERROR(RegisterInducedDtd(name, std::move(ext)));
   ++candidates_accepted_;
@@ -433,7 +426,7 @@ Status XmlSource::AdoptInducedDtd(const std::string& name,
   events_.push_back({SourceEvent::Kind::kDtdInduced, name, 0.0,
                      documents_processed_ == 0 ? 0 : documents_processed_ - 1,
                      ""});
-  const size_t recovered = ReclassifyRepository(jobs);
+  const size_t recovered = ReclassifyRepository(pool);
   if (reclassified != nullptr) *reclassified = recovered;
   return Status::Ok();
 }
@@ -454,16 +447,16 @@ Status XmlSource::RegisterInducedDtd(const std::string& name,
   return Status::Ok();
 }
 
-size_t XmlSource::ReclassifyRepository(size_t jobs) {
+size_t XmlSource::ReclassifyRepository(util::ThreadPool* pool) {
   // The classifier does not change while we record, so all repository
-  // documents can be scored up front — in parallel when jobs > 1 — and
-  // the serial recording pass below matches the sequential behavior.
+  // documents can be scored up front — in parallel on `pool` — and the
+  // serial recording pass below matches the sequential behavior.
   const std::vector<int> ids = repository_.Ids();
   std::vector<const xml::Document*> docs;
   docs.reserve(ids.size());
   for (int id : ids) docs.push_back(&repository_.Get(id));
   const std::vector<classify::ClassificationOutcome> classifications =
-      classifier_.ClassifyBatch(docs, jobs);
+      classifier_.ClassifyBatch(docs, pool);
 
   size_t recovered = 0;
   for (size_t k = 0; k < ids.size(); ++k) {

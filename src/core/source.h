@@ -141,26 +141,22 @@ class XmlSource {
   StatusOr<ProcessOutcome> ProcessText(std::string_view xml_text);
 
   /// Batch variant of `Process`: scores documents against the DTD set
-  /// concurrently on `jobs` threads (0 ⇒ hardware concurrency, ≤ 1 ⇒
-  /// inline), then applies recording / check / evolution serially in
-  /// input order. Scoring is speculative: when an evolution fires
-  /// mid-batch the not-yet-applied scores are stale and the remainder of
-  /// the batch is re-scored against the evolved set, so the outcomes —
-  /// classifications, events, evolved DTDs — are identical to feeding
-  /// every document through `Process` one at a time, at any jobs level.
+  /// concurrently on a caller-owned pool (`pool == nullptr`, or a pool
+  /// of one worker, scores inline), then applies recording / check /
+  /// evolution serially in input order. A long-running server shares one
+  /// pool across every batch instead of respawning threads; the same
+  /// pool scores the repository after a mid-batch evolution. Scoring is
+  /// speculative: when an evolution fires mid-batch the not-yet-applied
+  /// scores are stale and the remainder of the batch is re-scored
+  /// against the evolved set, so the outcomes — classifications, events,
+  /// evolved DTDs — are identical to feeding every document through
+  /// `Process` one at a time, at any pool size. The DOM overload serves
+  /// callers that already hold documents (generated streams, tests);
+  /// ingested text arrives as arena trees.
   ///
   /// `XmlSource` itself is single-writer: no other method may run while
   /// `ProcessBatch` is in flight. The internal fan-out only ever calls
   /// the const, non-mutating scoring path of `Classifier`.
-  std::vector<ProcessOutcome> ProcessBatch(std::vector<xml::Document> docs,
-                                           size_t jobs = 0);
-
-  /// `ProcessBatch` on a caller-owned pool, so a long-running server can
-  /// share one pool across every ingest batch instead of respawning
-  /// threads. `pool == nullptr` (or a pool of one worker) scores inline;
-  /// outcomes are identical either way. The DOM overloads serve callers
-  /// that already hold documents (generated streams, tests); ingested
-  /// text arrives as arena trees.
   std::vector<ProcessOutcome> ProcessBatch(std::vector<xml::Document> docs,
                                            util::ThreadPool* pool);
 
@@ -233,12 +229,14 @@ class XmlSource {
   };
 
   /// Promotes candidate `id` into the live DTD set and re-classifies the
-  /// repository against the grown set (`jobs` threads for scoring; the
-  /// outcome is jobs-independent). Every other pending candidate is
-  /// discarded — the set changed under them, so their membership and
-  /// margins are stale; run `InduceCandidates` again for fresh ones.
+  /// repository against the grown set (scored on `pool`, inline when
+  /// null; the outcome does not depend on the pool). Every other
+  /// pending candidate is discarded — the set changed under them, so
+  /// their membership and margins are stale; run `InduceCandidates`
+  /// again for fresh ones.
   /// Fails with `kNotFound` for an unknown id.
-  StatusOr<AcceptOutcome> AcceptCandidate(uint64_t id, size_t jobs = 1);
+  StatusOr<AcceptOutcome> AcceptCandidate(uint64_t id,
+                                          util::ThreadPool* pool = nullptr);
 
   /// Drops candidate `id`; `kNotFound` when unknown.
   Status RejectCandidate(uint64_t id);
@@ -248,7 +246,8 @@ class XmlSource {
   /// replay (store/checkpoint.cc) reproduces an accept record exactly:
   /// same event, same counters, same repository drain.
   Status AdoptInducedDtd(const std::string& name, evolve::ExtendedDtd ext,
-                         size_t jobs = 1, size_t* reclassified = nullptr);
+                         util::ThreadPool* pool = nullptr,
+                         size_t* reclassified = nullptr);
 
   /// Registration half of `AdoptInducedDtd` only — no event, no
   /// re-classification. Checkpoint recovery uses this to reinstate an
@@ -271,10 +270,10 @@ class XmlSource {
   /// when the name is unknown.
   std::optional<evolve::EvolutionResult> ForceEvolve(const std::string& name);
   /// Re-classifies repository documents against the current DTD set;
-  /// returns how many were recovered. Scoring runs on `jobs` threads
-  /// (≤ 1 ⇒ inline); recording is applied serially in ascending-id order
-  /// either way, so the result does not depend on `jobs`.
-  size_t ReclassifyRepository(size_t jobs = 1);
+  /// returns how many were recovered. Scoring runs on `pool` (null ⇒
+  /// inline); recording is applied serially in ascending-id order either
+  /// way, so the result does not depend on the pool.
+  size_t ReclassifyRepository(util::ThreadPool* pool = nullptr);
 
   /// Drops the given documents from the repository (quota enforcement
   /// and replay of the eviction WAL record). Ids not present are skipped
@@ -299,11 +298,12 @@ class XmlSource {
   };
 
   /// The record / check / evolve tail of `Process`, fed a precomputed
-  /// classification. `jobs` is forwarded to the repository re-scoring
+  /// classification. `pool` is forwarded to the repository re-scoring
   /// that may follow an evolution.
   ProcessOutcome ApplyClassification(
       PendingDocument doc,
-      const classify::ClassificationOutcome& classification, size_t jobs);
+      const classify::ClassificationOutcome& classification,
+      util::ThreadPool* pool);
 
   /// The one chunked-speculation batch loop behind both `ProcessBatch`
   /// overloads. A document with only an arena probes the memo and is

@@ -87,6 +87,19 @@ void CompleteWaiter(SourceManager::IngestWaiter& waiter) {
   if (on_done) on_done();
 }
 
+/// Wires a process-wide LRU's traffic to `<name>_{hits,misses,evictions}
+/// _total`; a null `lru` (the layer is off or borrowed) is skipped.
+template <typename Lru>
+void InstallLruCounters(obs::Registry* registry, Lru* lru,
+                        const std::string& name, const std::string& help) {
+  if (lru == nullptr) return;
+  lru->set_metrics(
+      &registry->GetCounter(name + "_hits_total", help + " hits"),
+      &registry->GetCounter(name + "_misses_total", help + " misses"),
+      &registry->GetCounter(name + "_evictions_total",
+                            help + " LRU evictions"));
+}
+
 }  // namespace
 
 std::string SafeFileComponent(const std::string& name) {
@@ -138,29 +151,17 @@ SourceManager::SourceManager(core::SourceOptions source_options,
   const bool unlabeled =
       options_.tenants.size() == 1 && options_.tenants[0] == "default";
 
-  // One score cache for the whole process: entries are keyed by
-  // evaluator epoch (globally unique), so shards can never read each
-  // other's scores, while the memory budget is shared instead of
-  // multiplied by the tenant count.
-  if (source_options_.classifier.shared_cache == nullptr &&
-      source_options_.classifier.score_cache_bytes > 0) {
-    similarity::SubtreeScoreCache::Config config;
-    config.capacity_bytes = source_options_.classifier.score_cache_bytes;
-    shared_cache_ = std::make_unique<similarity::SubtreeScoreCache>(config);
-    source_options_.classifier.shared_cache = shared_cache_.get();
-  }
-
-  // Likewise one classification memo: set-epochs are globally unique,
-  // so one shard can never replay another's outcomes, and the dedup
-  // budget is shared instead of multiplied by the tenant count.
-  if (source_options_.classifier.shared_memo == nullptr &&
-      source_options_.classifier.classification_memo_bytes > 0) {
-    classify::ClassificationMemo::Config memo_config;
-    memo_config.capacity_bytes =
-        source_options_.classifier.classification_memo_bytes;
-    shared_memo_ = std::make_unique<classify::ClassificationMemo>(memo_config);
-    source_options_.classifier.shared_memo = shared_memo_.get();
-  }
+  // One score cache and one classification memo for the whole process:
+  // cache entries are keyed by evaluator epoch and memo entries by
+  // classifier set-epoch, both globally unique, so shards can never read
+  // each other's scores or replay each other's outcomes, while each
+  // memory budget is shared instead of multiplied by the tenant count.
+  classify::ClassifierOptions& classifier = source_options_.classifier;
+  classifier.shared_cache = similarity::SubtreeScoreCache::OwnOrShare(
+      classifier.score_cache_bytes, classifier.shared_cache, &shared_cache_);
+  classifier.shared_memo = classify::ClassificationMemo::OwnOrShare(
+      classifier.classification_memo_bytes, classifier.shared_memo,
+      &shared_memo_);
 
   for (const std::string& tenant : options_.tenants) {
     if (tenant.empty() || by_name_.count(tenant) != 0) continue;
@@ -477,26 +478,14 @@ Status SourceManager::Start(obs::Registry* registry) {
   registry
       ->GetGauge("dtdevolve_tenants", "Number of tenant shards")
       .Set(static_cast<double>(shards_.size()));
-  if (shared_cache_ != nullptr) {
-    // The cache is process-wide, so its traffic counters are global —
-    // wired once here, never per shard (see Classifier::set_metrics).
-    shared_cache_->set_metrics(
-        &registry->GetCounter("dtdevolve_score_cache_hits_total",
-                              "Shared subtree score cache hits"),
-        &registry->GetCounter("dtdevolve_score_cache_misses_total",
-                              "Shared subtree score cache misses"),
-        &registry->GetCounter("dtdevolve_score_cache_evictions_total",
-                              "Shared subtree score cache LRU evictions"));
-  }
-  if (shared_memo_ != nullptr) {
-    shared_memo_->set_metrics(
-        &registry->GetCounter("dtdevolve_classification_memo_hits_total",
-                              "Shared classification memo hits"),
-        &registry->GetCounter("dtdevolve_classification_memo_misses_total",
-                              "Shared classification memo misses"),
-        &registry->GetCounter("dtdevolve_classification_memo_evictions_total",
-                              "Shared classification memo LRU evictions"));
-  }
+  // The cache and the memo are process-wide, so their traffic counters
+  // are global — wired once here, never per shard (see
+  // Classifier::set_metrics).
+  InstallLruCounters(registry, shared_cache_.get(), "dtdevolve_score_cache",
+                     "Shared subtree score cache");
+  InstallLruCounters(registry, shared_memo_.get(),
+                     "dtdevolve_classification_memo",
+                     "Shared classification memo");
 
   for (const auto& shard : shards_) {
     DTDEVOLVE_RETURN_IF_ERROR(StartShard(*shard, registry));
@@ -1111,7 +1100,7 @@ StatusOr<core::XmlSource::AcceptOutcome> SourceManager::AcceptCandidate(
     if (!lsn.ok()) return lsn.status();
     shard->applied_lsn = *lsn;
   }
-  return shard->source->AcceptCandidate(id, options_.jobs);
+  return shard->source->AcceptCandidate(id, pool_ ? &*pool_ : nullptr);
 }
 
 Status SourceManager::RejectCandidate(const std::string& tenant, uint64_t id) {
@@ -1177,12 +1166,7 @@ bool SourceManager::HasTenant(const std::string& tenant) const {
 StatusOr<std::vector<std::string>> SourceManager::DtdNamesFor(
     const std::string& tenant) const {
   const Shard* shard = ResolveReadShard(tenant);
-  if (shard == nullptr) {
-    if (tenant.empty()) {
-      return Status::InvalidArgument("tenant required (multi-tenant server)");
-    }
-    return Status::NotFound("unknown tenant '" + tenant + "'");
-  }
+  if (shard == nullptr) return UnresolvedTenantError(tenant);
   std::lock_guard<std::mutex> lock(shard->state_mutex);
   return shard->source->DtdNames();
 }
@@ -1190,12 +1174,7 @@ StatusOr<std::vector<std::string>> SourceManager::DtdNamesFor(
 StatusOr<std::string> SourceManager::DtdTextFor(const std::string& tenant,
                                                 const std::string& name) const {
   const Shard* shard = ResolveReadShard(tenant);
-  if (shard == nullptr) {
-    if (tenant.empty()) {
-      return Status::InvalidArgument("tenant required (multi-tenant server)");
-    }
-    return Status::NotFound("unknown tenant '" + tenant + "'");
-  }
+  if (shard == nullptr) return UnresolvedTenantError(tenant);
   std::lock_guard<std::mutex> lock(shard->state_mutex);
   const dtd::Dtd* dtd = shard->source->FindDtd(name);
   if (dtd == nullptr) {
@@ -1207,12 +1186,7 @@ StatusOr<std::string> SourceManager::DtdTextFor(const std::string& tenant,
 StatusOr<SourceManager::TenantStats> SourceManager::StatsFor(
     const std::string& tenant) const {
   const Shard* shard = ResolveReadShard(tenant);
-  if (shard == nullptr) {
-    if (tenant.empty()) {
-      return Status::InvalidArgument("tenant required (multi-tenant server)");
-    }
-    return Status::NotFound("unknown tenant '" + tenant + "'");
-  }
+  if (shard == nullptr) return UnresolvedTenantError(tenant);
   TenantStats stats;
   stats.tenant = shard->name;
   std::lock_guard<std::mutex> lock(shard->state_mutex);

@@ -572,12 +572,13 @@ class SourceManager {
   core::SourceOptions source_options_;
   SourceManagerOptions options_;
 
-  /// Process-wide shared scoring infrastructure.
+  /// Process-wide score cache and classification memo, one budget each
+  /// for every shard; null when the layer is off or the source options
+  /// brought their own.
   std::unique_ptr<similarity::SubtreeScoreCache> shared_cache_;
-  /// Process-wide classification memo — one structural-dedup budget for
-  /// every shard; safe because entries are keyed by classifier
-  /// set-epoch, and epochs are globally unique.
   std::unique_ptr<classify::ClassificationMemo> shared_memo_;
+  /// The one worker pool: every shard's batches, the re-scoring after an
+  /// evolution and every accept run on it; no round spawns threads.
   std::optional<util::ThreadPool> pool_;
 
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -14,6 +14,11 @@ namespace dtdevolve::similarity {
 
 namespace {
 
+/// Subtrees with fewer elements are cheaper to recompute than to
+/// round-trip through a shard mutex of the shared cache; they are never
+/// cached.
+constexpr uint32_t kMinCachedSubtreeElements = 4;
+
 /// Contribution of a matched child to its parent's triple: one unit of
 /// mass. A share `alpha` (the tag weight) is earned by the tag match
 /// itself; the remainder is split by the child's own normalized triple.
@@ -143,8 +148,7 @@ Triple SimilarityEvaluator::GlobalTripleCached(const xml::Element& element,
   bool use_cache = false;
   if (ctx.cache != nullptr && ctx.fingerprints != nullptr) {
     const SubtreeStats* stats = ctx.fingerprints->Find(&element);
-    if (stats != nullptr &&
-        stats->element_count >= ctx.cache->config().min_subtree_elements) {
+    if (stats != nullptr && stats->element_count >= kMinCachedSubtreeElements) {
       cache_key = {epoch_, stats->fp_hi, stats->fp_lo, label_id};
       use_cache = true;
       Triple cached;

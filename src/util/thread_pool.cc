@@ -102,16 +102,4 @@ void ThreadPool::ParallelFor(size_t n,
   done_cv.wait(lock, [&remaining] { return remaining == 0; });
 }
 
-void ParallelFor(size_t n, size_t jobs,
-                 const std::function<void(size_t)>& body) {
-  if (n == 0) return;
-  if (jobs > n) jobs = n;
-  if (jobs <= 1) {
-    for (size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-  ThreadPool pool(jobs);
-  pool.ParallelFor(n, body);
-}
-
 }  // namespace dtdevolve::util

@@ -18,9 +18,10 @@ namespace dtdevolve::util {
 /// and report their own errors).
 ///
 /// Thread-safety: `Submit` and `Wait` may be called from any thread;
-/// destruction waits for queued tasks to finish. One pool can be shared
-/// across many rounds of work (the ingest server reuses a single pool
-/// for every batch): `Wait` is reusable and idempotent.
+/// destruction waits for queued tasks to finish. One pool is meant to be
+/// shared across many rounds of work — the ingest server reuses a single
+/// pool for every batch, every post-evolution re-scoring and every
+/// accept, so no round spawns threads: `Wait` is reusable and idempotent.
 class ThreadPool {
  public:
   /// Spawns `threads` workers (at least 1).
@@ -75,15 +76,6 @@ class ThreadPool {
   std::atomic<size_t> size_{0};  // drops to 0 on Shutdown
   std::vector<std::thread> workers_;
 };
-
-/// One-shot convenience: runs `body(i)` for every i in [0, n) across
-/// `jobs` freshly spawned threads and blocks until all iterations
-/// finished. `jobs <= 1` (or n <= 1) runs inline on the calling thread —
-/// no pool is created, so the sequential path has zero threading
-/// overhead. Callers with several rounds of work should keep one
-/// `ThreadPool` alive and use its `ParallelFor` member instead.
-void ParallelFor(size_t n, size_t jobs,
-                 const std::function<void(size_t)>& body);
 
 }  // namespace dtdevolve::util
 

@@ -85,6 +85,14 @@ std::vector<xml::Document> CloneAll(const std::vector<xml::Document>& docs) {
   return copies;
 }
 
+std::vector<const xml::Document*> Pointers(
+    const std::vector<xml::Document>& docs) {
+  std::vector<const xml::Document*> pointers;
+  pointers.reserve(docs.size());
+  for (const xml::Document& doc : docs) pointers.push_back(&doc);
+  return pointers;
+}
+
 core::SourceOptions EvolvingOptions() {
   core::SourceOptions options;
   options.sigma = 0.3;
@@ -204,15 +212,15 @@ TEST(ThreadPoolTest, ParallelForRunsInlineAfterShutdown) {
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
   for (size_t jobs : kJobsLevels) {
+    util::ThreadPool pool(jobs);
     const size_t n = 257;
     std::vector<std::atomic<int>> hits(n);
-    util::ParallelFor(n, jobs,
-                      [&hits](size_t i) { hits[i].fetch_add(1); });
+    pool.ParallelFor(n, [&hits](size_t i) { hits[i].fetch_add(1); });
     for (size_t i = 0; i < n; ++i) {
       EXPECT_EQ(hits[i].load(), 1) << "index " << i << " jobs " << jobs;
     }
+    pool.ParallelFor(0, [](size_t) { FAIL() << "no iterations expected"; });
   }
-  util::ParallelFor(0, 4, [](size_t) { FAIL() << "no iterations expected"; });
 }
 
 TEST(ClassifyBatchTest, MatchesSequentialClassifyAtEveryJobsLevel) {
@@ -230,8 +238,9 @@ TEST(ClassifyBatchTest, MatchesSequentialClassifyAtEveryJobsLevel) {
   }
 
   for (size_t jobs : kJobsLevels) {
+    util::ThreadPool pool(jobs);
     std::vector<classify::ClassificationOutcome> batch =
-        classifier.ClassifyBatch(docs, jobs);
+        classifier.ClassifyBatch(Pointers(docs), &pool);
     ASSERT_EQ(batch.size(), sequential.size());
     for (size_t i = 0; i < batch.size(); ++i) {
       EXPECT_EQ(batch[i].classified, sequential[i].classified) << i;
@@ -254,8 +263,9 @@ TEST(ClassifyBatchTest, SharedEvaluatorScoresConcurrently) {
     docs.push_back(
         MakeDoc("<mail><from>a</from><to>b</to><body>x</body></mail>"));
   }
+  util::ThreadPool pool(8);
   std::vector<classify::ClassificationOutcome> batch =
-      classifier.ClassifyBatch(docs, 8);
+      classifier.ClassifyBatch(Pointers(docs), &pool);
   for (const classify::ClassificationOutcome& outcome : batch) {
     EXPECT_TRUE(outcome.classified);
     EXPECT_DOUBLE_EQ(outcome.similarity, 1.0);
@@ -273,8 +283,9 @@ TEST(ClassifyBatchTest, TieBreakMatchesSequentialRule) {
         MakeDoc("<mail><from>a</from><to>b</to><body>x</body></mail>"));
   }
   for (size_t jobs : kJobsLevels) {
+    util::ThreadPool pool(jobs);
     for (const classify::ClassificationOutcome& outcome :
-         classifier.ClassifyBatch(docs, jobs)) {
+         classifier.ClassifyBatch(Pointers(docs), &pool)) {
       EXPECT_EQ(outcome.dtd_name, "aa-mail") << "jobs " << jobs;
     }
   }
@@ -303,8 +314,9 @@ TEST(ProcessBatchTest, IdenticalToSequentialProcessAtEveryJobsLevel) {
   for (size_t jobs : kJobsLevels) {
     core::XmlSource batch(EvolvingOptions());
     AddTestDtds(batch);
+    util::ThreadPool pool(jobs);
     std::vector<core::XmlSource::ProcessOutcome> outcomes =
-        batch.ProcessBatch(CloneAll(docs), jobs);
+        batch.ProcessBatch(CloneAll(docs), &pool);
     ASSERT_EQ(outcomes.size(), expected.size()) << "jobs " << jobs;
     for (size_t i = 0; i < outcomes.size(); ++i) {
       ExpectSameOutcome(outcomes[i], expected[i], i);
@@ -332,8 +344,9 @@ TEST(ProcessBatchTest, MidBatchEvolutionInvalidatesStaleScores) {
 
   core::XmlSource batch(options);
   AddTestDtds(batch);
+  util::ThreadPool pool(4);
   std::vector<core::XmlSource::ProcessOutcome> outcomes =
-      batch.ProcessBatch(CloneAll(docs), 4);
+      batch.ProcessBatch(CloneAll(docs), &pool);
   ASSERT_EQ(outcomes.size(), expected.size());
   for (size_t i = 0; i < outcomes.size(); ++i) {
     ExpectSameOutcome(outcomes[i], expected[i], i);
@@ -349,10 +362,11 @@ TEST(ProcessBatchTest, ReclassifyRepositoryParallelMatchesSequential) {
   auto run = [&](size_t jobs) {
     auto source = std::make_unique<core::XmlSource>(options);
     AddTestDtds(*source);
-    source->ProcessBatch(CloneAll(docs), jobs);
+    util::ThreadPool pool(jobs);
+    source->ProcessBatch(CloneAll(docs), &pool);
     source->ForceEvolve("mail");
     source->ForceEvolve("book");
-    size_t recovered = source->ReclassifyRepository(jobs);
+    size_t recovered = source->ReclassifyRepository(&pool);
     return std::make_pair(std::move(source), recovered);
   };
 

@@ -15,6 +15,7 @@
 #include "similarity/score_cache.h"
 #include "similarity/similarity.h"
 #include "util/symbol_table.h"
+#include "util/thread_pool.h"
 #include "workload/generator.h"
 #include "workload/mutator.h"
 #include "workload/scenarios.h"
@@ -479,9 +480,12 @@ TEST(FastPathTest, ConcurrentBatchesShareTheCacheSafely) {
     reference.push_back(fast.Classify(doc));
   }
   // Several concurrent batch rounds over the same shared cache.
+  std::vector<const xml::Document*> docs;
+  for (const xml::Document& doc : corpus.docs) docs.push_back(&doc);
+  util::ThreadPool pool(4);
   for (int round = 0; round < 3; ++round) {
     std::vector<classify::ClassificationOutcome> batch =
-        fast.ClassifyBatch(corpus.docs, 4);
+        fast.ClassifyBatch(docs, &pool);
     ASSERT_EQ(batch.size(), reference.size());
     for (size_t i = 0; i < batch.size(); ++i) {
       EXPECT_EQ(batch[i].classified, reference[i].classified);

@@ -554,7 +554,10 @@ int CmdInduce(std::vector<std::string> args) {
   // Promote best-coverage-first; each accept re-classifies the
   // repository, so re-induce between rounds. A cluster whose members
   // never re-classify would re-induce forever, so stop as soon as a
-  // round fails to shrink the repository.
+  // round fails to shrink the repository. Every round re-scores on the
+  // same pool.
+  std::optional<dtdevolve::util::ThreadPool> pool;
+  if (jobs > 1) pool.emplace(static_cast<size_t>(jobs));
   while (!source.candidates().empty()) {
     const dtdevolve::induce::Candidate* best = nullptr;
     for (const auto& candidate : source.candidates()) {
@@ -563,7 +566,7 @@ int CmdInduce(std::vector<std::string> args) {
       }
     }
     StatusOr<dtdevolve::core::XmlSource::AcceptOutcome> outcome =
-        source.AcceptCandidate(best->id, static_cast<size_t>(jobs));
+        source.AcceptCandidate(best->id, pool ? &*pool : nullptr);
     if (!outcome.ok()) {
       std::fprintf(stderr, "%s\n", outcome.status().ToString().c_str());
       return 1;
