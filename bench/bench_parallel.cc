@@ -103,7 +103,6 @@ void BM_ProcessBatch(benchmark::State& state) {
   options.sigma = 0.3;
   options.tau = 0.2;
   options.min_documents_before_check = 64;
-  options.keep_documents = false;
   std::vector<xml::Document> docs = MixedWorkload(kDocs);
   util::ThreadPool pool(jobs);
 

@@ -29,6 +29,8 @@ int main(int argc, char** argv) {
   options.sigma = 0.55;  // strict: heavy drift is rejected at first
   options.tau = 0.1;
   options.min_documents_before_check = 30;
+  // The XTRACT contrast below re-reads every classified document.
+  options.keep_documents = true;
   dtdevolve::core::XmlSource source(options);
   if (!source.AddDtd("catalog", scenario.InitialDtd()).ok()) return 1;
 

@@ -216,8 +216,6 @@ Scenario MakeScenario(uint64_t seed, uint64_t max_documents) {
   scenario.options.sigma = 0.25 + 0.2 * rng.NextDouble();
   scenario.options.tau = 0.08 + 0.15 * rng.NextDouble();
   scenario.options.min_documents_before_check = 4 + rng.Uniform(8);
-  // The oracle keeps its own document copies; the source need not.
-  scenario.options.keep_documents = false;
   scenario.options.evolution.psi = 0.05 + 0.25 * rng.NextDouble();
   scenario.options.evolution.min_support = 0.02 + 0.13 * rng.NextDouble();
 
@@ -281,7 +279,6 @@ Scenario MakeInductionScenario(uint64_t seed, uint64_t max_documents) {
   scenario.options.tau = 0.08 + 0.15 * rng.NextDouble();
   scenario.options.min_documents_before_check = 4 + rng.Uniform(8);
   scenario.options.auto_evolve = rng.Chance(0.5);
-  scenario.options.keep_documents = false;
   scenario.options.induce.cluster.min_cluster_size = 2;
 
   scenario.label = "induction " + streams[0].name() + "+" +

@@ -28,10 +28,14 @@ struct SourceOptions {
   /// The check phase never fires before this many documents were
   /// classified into the DTD ("after a certain number of documents").
   size_t min_documents_before_check = 10;
-  /// Keep classified documents in memory (experiments re-validate them
-  /// after evolution; a production deployment would store them in the
-  /// database instead).
-  bool keep_documents = true;
+  /// Keep a DOM copy of every classified document (`InstancesOf`). Off
+  /// by default: the extended DTD records what evolution needs, so the
+  /// documents are never re-read. Experiments that re-read instances
+  /// (re-validation after an evolution, batch re-inference baselines)
+  /// opt in. Serving never does: nothing in the server reads the
+  /// copies, checkpoints do not persist them, and on a memo hit the copy
+  /// would cost the DOM materialization the memo exists to skip.
+  bool keep_documents = false;
 
   evolve::EvolutionOptions evolution;
   /// Repository clustering → candidate-DTD induction knobs.

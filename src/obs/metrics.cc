@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <thread>
@@ -25,9 +26,13 @@ void AtomicAddDouble(std::atomic<double>& target, double delta) {
   }
 }
 
+/// Integral values (byte gauges, LSNs) print exactly; `%g` alone would
+/// round anything past six digits ("3.35544e+07").
 std::string FormatDouble(double value) {
   char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%g", value);
+  const bool integral = std::nearbyint(value) == value &&
+                        std::fabs(value) < 9007199254740992.0;  // 2^53
+  std::snprintf(buffer, sizeof(buffer), integral ? "%.0f" : "%g", value);
   return buffer;
 }
 

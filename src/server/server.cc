@@ -859,6 +859,7 @@ IngestServer::RouteResult IngestServer::Route(const HttpRequest& request,
   }
   if (request.path == "/metrics") {
     if (request.method != "GET") return {false, {405, "text/plain", {}, ""}};
+    manager_.RefreshLruGauges();
     return {false,
             {200, "text/plain; version=0.0.4; charset=utf-8", {},
              registry_.RenderPrometheus()}};

@@ -88,16 +88,20 @@ void CompleteWaiter(SourceManager::IngestWaiter& waiter) {
 }
 
 /// Wires a process-wide LRU's traffic to `<name>_{hits,misses,evictions}
-/// _total`; a null `lru` (the layer is off or borrowed) is skipped.
+/// _total` and returns its `<name>_bytes` gauge; a null `lru` (the layer
+/// is off or borrowed) is skipped and gets no gauge.
 template <typename Lru>
-void InstallLruCounters(obs::Registry* registry, Lru* lru,
-                        const std::string& name, const std::string& help) {
-  if (lru == nullptr) return;
+obs::Gauge* InstallLruMetrics(obs::Registry* registry, Lru* lru,
+                              const std::string& name,
+                              const std::string& help) {
+  if (lru == nullptr) return nullptr;
   lru->set_metrics(
       &registry->GetCounter(name + "_hits_total", help + " hits"),
       &registry->GetCounter(name + "_misses_total", help + " misses"),
       &registry->GetCounter(name + "_evictions_total",
                             help + " LRU evictions"));
+  return &registry->GetGauge(name + "_bytes",
+                             help + " bytes held (summed entry costs)");
 }
 
 }  // namespace
@@ -479,13 +483,15 @@ Status SourceManager::Start(obs::Registry* registry) {
       ->GetGauge("dtdevolve_tenants", "Number of tenant shards")
       .Set(static_cast<double>(shards_.size()));
   // The cache and the memo are process-wide, so their traffic counters
-  // are global — wired once here, never per shard (see
+  // and size gauges are global — wired once here, never per shard (see
   // Classifier::set_metrics).
-  InstallLruCounters(registry, shared_cache_.get(), "dtdevolve_score_cache",
-                     "Shared subtree score cache");
-  InstallLruCounters(registry, shared_memo_.get(),
-                     "dtdevolve_classification_memo",
-                     "Shared classification memo");
+  score_cache_bytes_ =
+      InstallLruMetrics(registry, shared_cache_.get(), "dtdevolve_score_cache",
+                        "Shared subtree score cache");
+  memo_bytes_ = InstallLruMetrics(registry, shared_memo_.get(),
+                                  "dtdevolve_classification_memo",
+                                  "Shared classification memo");
+  RefreshLruGauges();
 
   for (const auto& shard : shards_) {
     DTDEVOLVE_RETURN_IF_ERROR(StartShard(*shard, registry));
@@ -817,6 +823,16 @@ Status SourceManager::CheckpointShard(Shard& shard, uint64_t* captured_lsn) {
   // next periodic round re-checkpoint state that never moved.
   if (captured_lsn != nullptr) *captured_lsn = data.lsn;
   return Status::Ok();
+}
+
+void SourceManager::RefreshLruGauges() {
+  if (score_cache_bytes_ != nullptr) {
+    score_cache_bytes_->Set(
+        static_cast<double>(shared_cache_->GetStats().bytes));
+  }
+  if (memo_bytes_ != nullptr) {
+    memo_bytes_->Set(static_cast<double>(shared_memo_->GetStats().bytes));
+  }
 }
 
 void SourceManager::CheckpointLoop() {

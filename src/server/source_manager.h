@@ -359,6 +359,22 @@ class SourceManager {
   /// `Drain`); nullptr for unknown tenants. Empty = first shard.
   const core::XmlSource* source(const std::string& tenant = "") const;
 
+  /// The score cache and the classification memo every shard works
+  /// through (owned or brought in the source options); nullptr when the
+  /// layer is off. Their stats are safe to read from any thread.
+  const similarity::SubtreeScoreCache* score_cache() const {
+    return source_options_.classifier.shared_cache;
+  }
+  const classify::ClassificationMemo* classification_memo() const {
+    return source_options_.classifier.shared_memo;
+  }
+
+  /// Sets the `dtdevolve_score_cache_bytes` and
+  /// `dtdevolve_classification_memo_bytes` gauges from the owned LRUs'
+  /// current sizes. Called when `/metrics` is rendered, so the lookup
+  /// path never pays for it.
+  void RefreshLruGauges();
+
   /// The directory holding one tenant's WAL segments and checkpoints:
   /// `<wal_dir>/<SafeFileComponent(tenant)>`. Empty `tenant` resolves
   /// like anonymous reads; empty result without a WAL dir or for an
@@ -577,6 +593,9 @@ class SourceManager {
   /// brought their own.
   std::unique_ptr<similarity::SubtreeScoreCache> shared_cache_;
   std::unique_ptr<classify::ClassificationMemo> shared_memo_;
+  /// `<layer>_bytes` gauges of the owned LRUs (null when not owned).
+  obs::Gauge* score_cache_bytes_ = nullptr;
+  obs::Gauge* memo_bytes_ = nullptr;
   /// The one worker pool: every shard's batches, the re-scoring after an
   /// evolution and every accept run on it; no round spawns threads.
   std::optional<util::ThreadPool> pool_;

@@ -167,6 +167,15 @@ TEST(RegistryTest, RenderPrometheusFormat) {
   EXPECT_NE(text.find("latency_seconds_count 3\n"), std::string::npos);
 }
 
+TEST(RegistryTest, RenderPrintsIntegralGaugesExactly) {
+  Registry registry;
+  registry.GetGauge("bytes", "Bytes held").Set(33554431);
+  registry.GetGauge("ratio", "A fraction").Set(0.25);
+  const std::string text = registry.RenderPrometheus();
+  EXPECT_NE(text.find("bytes 33554431\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("ratio 0.25\n"), std::string::npos) << text;
+}
+
 TEST(RegistryTest, RenderGroupsFamiliesAndSortsSeries) {
   Registry registry;
   registry.GetCounter("http_total", "HTTP", {{"code", "500"}}).Increment();

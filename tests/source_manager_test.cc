@@ -154,6 +154,59 @@ TEST(SourceManagerTest, SafeFileComponentKeepsCollidingNamesDistinct) {
   EXPECT_EQ(SafeFileComponent("a/b").find('/'), std::string::npos);
 }
 
+/// The sample value of one exact series line ("name{labels}") in a
+/// /metrics scrape, or -1 when absent.
+double SeriesValue(const std::string& metrics, const std::string& series) {
+  const std::string needle = "\n" + series + " ";
+  const size_t pos = metrics.find(needle);
+  if (pos == std::string::npos) return -1;
+  return std::atof(metrics.c_str() + pos + needle.size());
+}
+
+TEST(SourceManagerTest, LruByteGaugesMatchStatsWithinBudget) {
+  core::SourceOptions source_options = EvolvingOptions();
+  source_options.classifier.score_cache_bytes = 16 << 10;
+  source_options.classifier.classification_memo_bytes = 8 << 10;
+  IngestServer server(source_options, TenantOptions({"alpha", "beta"}));
+  ASSERT_TRUE(server.AddDtdText("mail", kMailDtd).ok());
+  ASSERT_TRUE(server.Start().ok());
+
+  // A growing run of <to> gives every document a new shape, so both
+  // layers keep inserting (and evolutions keep drawing new epochs) past
+  // their small budgets.
+  for (int i = 0; i < 40; ++i) {
+    std::string doc = "<mail><envelope><from>a</from>";
+    for (int to = 0; to <= i % 20; ++to) doc += "<to>b</to>";
+    doc += "<subject>s</subject></envelope><body>x</body></mail>";
+    const std::string target =
+        std::string(i % 2 == 0 ? "/ingest/alpha" : "/ingest/beta") +
+        "?wait=1";
+    ASSERT_EQ(Post(server.port(), target, doc).status, 200);
+  }
+
+  const std::string metrics = Get(server.port(), "/metrics").body;
+  const similarity::SubtreeScoreCache* cache = server.manager().score_cache();
+  const classify::ClassificationMemo* memo =
+      server.manager().classification_memo();
+  ASSERT_NE(cache, nullptr);
+  ASSERT_NE(memo, nullptr);
+  const similarity::SubtreeScoreCache::Stats cache_stats = cache->GetStats();
+  const classify::ClassificationMemo::Stats memo_stats = memo->GetStats();
+  EXPECT_GT(memo_stats.bytes, 0u);
+  EXPECT_GT(memo_stats.evictions, 0u);
+  EXPECT_EQ(SeriesValue(metrics, "dtdevolve_score_cache_bytes"),
+            static_cast<double>(cache_stats.bytes))
+      << metrics;
+  EXPECT_EQ(SeriesValue(metrics, "dtdevolve_classification_memo_bytes"),
+            static_cast<double>(memo_stats.bytes))
+      << metrics;
+  EXPECT_LE(cache_stats.bytes, cache->config().capacity_bytes);
+  EXPECT_LE(memo_stats.bytes, memo->config().capacity_bytes);
+
+  server.Shutdown();
+  server.Wait();
+}
+
 TEST(SourceManagerTest, TenantRoutingAndEndpointSurface) {
   IngestServer server(EvolvingOptions(), TenantOptions({"alpha", "beta"}));
   ASSERT_TRUE(server.AddDtdText("mail", kMailDtd).ok());

@@ -4,6 +4,8 @@
 #include "dtd/dtd_writer.h"
 #include "validate/validator.h"
 #include "xml/parser.h"
+#include "xml/stream_reader.h"
+#include "xml/writer.h"
 
 namespace dtdevolve::core {
 namespace {
@@ -36,7 +38,9 @@ TEST(XmlSourceTest, AddDtdValidation) {
 }
 
 TEST(XmlSourceTest, ClassifiesIntoBestDtd) {
-  XmlSource source;
+  SourceOptions options;
+  options.keep_documents = true;
+  XmlSource source(options);
   ASSERT_TRUE(source.AddDtdText("mail", kMailDtd).ok());
   ASSERT_TRUE(source.AddDtdText("book", kBookDtd).ok());
 
@@ -222,6 +226,139 @@ TEST(FormatEvolutionTest, MentionsWindowsAndModels) {
   EXPECT_NE(report.find("policy  1"), std::string::npos);
   EXPECT_NE(report.find("added declarations: x y"), std::string::npos);
 }
+
+// --- Document retention: every path that can keep a classified document ---
+
+TEST(XmlSourceTest, ClassifiedDocumentsAreNotKeptByDefault) {
+  EXPECT_FALSE(SourceOptions().keep_documents);
+}
+
+/// The text a retained instance of `xml_text` must write back as: a DOM
+/// parse of the same text.
+std::string DomText(std::string_view xml_text) {
+  StatusOr<xml::Document> doc = xml::ParseDocument(xml_text);
+  EXPECT_TRUE(doc.ok());
+  return doc.ok() ? xml::WriteDocument(*doc) : "";
+}
+
+xml::ArenaDocument Arena(std::string_view xml_text) {
+  StatusOr<xml::ArenaDocument> doc = xml::ParseArenaDocument(xml_text);
+  EXPECT_TRUE(doc.ok());
+  return std::move(doc).value();
+}
+
+/// Runs each case with `keep_documents` off (nothing may be retained)
+/// and on (every classified document is retained, equal to its DOM
+/// parse, in classification order).
+class KeepDocumentsTest : public testing::TestWithParam<bool> {
+ protected:
+  KeepDocumentsTest() {
+    options_.keep_documents = GetParam();
+    options_.classifier.shared_memo = &memo_;
+  }
+
+  void ExpectInstances(const XmlSource& source, const std::string& name,
+                       const std::vector<std::string>& classified) {
+    const std::vector<xml::Document>& kept = source.InstancesOf(name);
+    if (!GetParam()) {
+      EXPECT_TRUE(kept.empty());
+      return;
+    }
+    ASSERT_EQ(kept.size(), classified.size());
+    for (size_t i = 0; i < kept.size(); ++i) {
+      EXPECT_EQ(xml::WriteDocument(kept[i]), DomText(classified[i])) << i;
+    }
+  }
+
+  classify::ClassificationMemo memo_;
+  SourceOptions options_;
+};
+
+// Equal structure, different text: after the first document every
+// arena ingest is a memo hit, so a retained copy is materialized from
+// the arena tree and must carry that document's own text.
+const char* kMailA = "<mail><from>a</from><to>b</to><body>x</body></mail>";
+const char* kMailB = "<mail><from>zz</from><to>y</to><body>w</body></mail>";
+const char* kMailC =
+    "<mail><from>c</from><to>d</to><body>v &amp; u</body></mail>";
+
+TEST_P(KeepDocumentsTest, SequentialProcess) {
+  XmlSource source(options_);
+  ASSERT_TRUE(source.AddDtdText("mail", kMailDtd).ok());
+  ASSERT_TRUE(source.ProcessText(kMailA).ok());
+  const uint64_t hits = memo_.GetStats().hits;
+  ASSERT_TRUE(source.ProcessText(kMailB).ok());
+  EXPECT_EQ(memo_.GetStats().hits, hits + 1);
+  EXPECT_TRUE(source.Process(Arena(kMailC)).classified);
+  StatusOr<xml::Document> dom = xml::ParseDocument(kMailA);
+  ASSERT_TRUE(dom.ok());
+  EXPECT_TRUE(source.Process(std::move(dom).value()).classified);
+  ExpectInstances(source, "mail", {kMailA, kMailB, kMailC, kMailA});
+}
+
+TEST_P(KeepDocumentsTest, MemoHitBatchOfArenaDocuments) {
+  XmlSource source(options_);
+  ASSERT_TRUE(source.AddDtdText("mail", kMailDtd).ok());
+  std::vector<xml::ArenaDocument> first;
+  first.push_back(Arena(kMailA));
+  ASSERT_EQ(source.ProcessBatch(std::move(first), nullptr).size(), 1u);
+
+  const uint64_t hits = memo_.GetStats().hits;
+  std::vector<xml::ArenaDocument> batch;
+  for (const char* text : {kMailB, kMailC, kMailA}) {
+    batch.push_back(Arena(text));
+  }
+  for (const XmlSource::ProcessOutcome& outcome :
+       source.ProcessBatch(std::move(batch), nullptr)) {
+    EXPECT_TRUE(outcome.classified);
+  }
+  EXPECT_EQ(memo_.GetStats().hits, hits + 3);
+  ExpectInstances(source, "mail", {kMailA, kMailB, kMailC, kMailA});
+}
+
+TEST_P(KeepDocumentsTest, ReclassifyRepositoryAfterAnEvolution) {
+  options_.sigma = 0.55;
+  options_.tau = 0.1;
+  options_.min_documents_before_check = 3;
+  XmlSource source(options_);
+  ASSERT_TRUE(source.AddDtdText("mail", kMailDtd).ok());
+  // Three carbon copies score 0.5 against (from, to, body): repository.
+  const std::string far1 =
+      "<mail><from>p</from><to>q</to><cc>1</cc><cc>2</cc><cc>3</cc>"
+      "<body>r</body></mail>";
+  const std::string far2 =
+      "<mail><from>s</from><to>t</to><cc>4</cc><cc>5</cc><cc>6</cc>"
+      "<body>u</body></mail>";
+  for (const std::string& text : {far1, far2}) {
+    StatusOr<XmlSource::ProcessOutcome> outcome = source.ProcessText(text);
+    ASSERT_TRUE(outcome.ok());
+    EXPECT_FALSE(outcome->classified);
+  }
+  // One carbon copy scores 0.75: classified, and its divergence evolves
+  // `mail` to take `cc`, which recovers the repository.
+  std::vector<std::string> classified;
+  size_t reclassified = 0;
+  for (int i = 0; i < 3 && reclassified == 0; ++i) {
+    const std::string near = "<mail><from>f" + std::to_string(i) +
+                             "</from><to>t</to><cc>c</cc><body>b</body>"
+                             "</mail>";
+    StatusOr<XmlSource::ProcessOutcome> outcome = source.ProcessText(near);
+    ASSERT_TRUE(outcome.ok());
+    ASSERT_TRUE(outcome->classified);
+    classified.push_back(near);
+    reclassified = outcome->reclassified;
+  }
+  ASSERT_EQ(reclassified, 2u);
+  EXPECT_EQ(source.repository().size(), 0u);
+  classified.push_back(far1);
+  classified.push_back(far2);
+  ExpectInstances(source, "mail", classified);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothSettings, KeepDocumentsTest, testing::Bool(),
+                         [](const testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Kept" : "Dropped";
+                         });
 
 }  // namespace
 }  // namespace dtdevolve::core

@@ -5,8 +5,11 @@
 # differential, crash-recovery, replication, overload and parse-path
 # oracles and fan out threads, where sanitizer findings actually live.
 # A RelWithDebInfo leg reruns the durability suites and the crash sweep
-# with their files on tmpfs (/dev/shm), and the last leg runs the repo
-# benchmark's own smoke test (perfbench/smoke_test.py). Every sanitizer configuration is
+# with their files on tmpfs (/dev/shm) and then runs the bounded-memory
+# soak (`ctest -L soak`), and the last leg runs the repo benchmark's own
+# smoke test (perfbench/smoke_test.py). The soak never runs under a
+# sanitizer: RSS there measures the sanitizer's shadow memory and
+# quarantine, not the program. Every sanitizer configuration is
 # a CMake preset (CMakePresets.json), so a single leg is reproducible by
 # hand:
 #
@@ -36,8 +39,8 @@ run_leg() {
   cmake --preset "$preset"
   cmake --build --preset "$preset" -j "$JOBS"
   if [ "$FULL" = 1 ]; then
-    # Full suite: bypass the preset's label filter.
-    ctest --test-dir "build-$preset" --output-on-failure -j "$JOBS"
+    # Full suite: bypass the preset's label filter, except the soak.
+    ctest --test-dir "build-$preset" --output-on-failure -j "$JOBS" -LE soak
   else
     ctest --preset "$preset" -j "$JOBS"
   fi
@@ -61,10 +64,15 @@ TMPDIR="$SHM_TMP" TEST_TMPDIR="$SHM_TMP/" \
 TMPDIR="$SHM_TMP" build/tools/dtdevolve check --crash-recovery
 TMPDIR="$SHM_TMP" build/tools/dtdevolve check --crash-recovery --induction
 
+# The bounded-memory soak on the uninstrumented build: VmRSS may grow by
+# at most 256 B/doc after the 25 % mark (src/check/soak.h).
+echo "=== leg: soak ==="
+ctest --test-dir build -L soak --output-on-failure
+
 # The repo benchmark's own test: every perfbench workload in --smoke
 # mode, traced and untraced, must pass its correctness checks and report
 # every metric BENCHMARK.json names. It builds into .bench_build/.
 echo "=== leg: perfbench-smoke ==="
 python3 perfbench/smoke_test.py
 
-echo "sanitizer matrix clean (asan-ubsan, tsan) + durability on tmpfs + perfbench smoke"
+echo "sanitizer matrix clean (asan-ubsan, tsan) + durability on tmpfs + soak + perfbench smoke"

@@ -16,7 +16,9 @@
 //                        [--auto-induce-threshold N]
 //   dtdevolve check      [--scenarios N] [--seed S] [--max-documents N]
 //                        [--max-failures K] [--no-persistence]
-//                        [--no-minimize] [--induction]
+//                        [--no-minimize] [--induction] [--soak]
+//
+// `evolve --jobs 0` and `induce --jobs 0` score on every core.
 //
 // Exit code 0 on success; 1 on usage/IO/parse errors; for `validate`,
 // 2 when at least one document is invalid; for `induce`, 2 when the
@@ -48,6 +50,7 @@
 #include "baseline/xtract.h"
 #include "check/oracle.h"
 #include "check/overload.h"
+#include "check/soak.h"
 #include "core/source.h"
 #include "dtd/diff.h"
 #include "dtd/dtd_parser.h"
@@ -140,7 +143,8 @@ int Usage() {
                "                       [--crash-recovery] [--crash-points N] "
                "[--checkpoint-every K]\n"
                "                       [--induction] [--replication] "
-               "[--overload] [--parse-path]\n");
+               "[--overload] [--parse-path] [--soak]\n"
+               "evolve and induce: --jobs 0 scores on every core.\n");
   return 1;
 }
 
@@ -556,8 +560,11 @@ int CmdInduce(std::vector<std::string> args) {
   // never re-classify would re-induce forever, so stop as soon as a
   // round fails to shrink the repository. Every round re-scores on the
   // same pool.
+  const size_t threads = jobs == 0
+                             ? dtdevolve::util::ThreadPool::DefaultJobs()
+                             : static_cast<size_t>(jobs);
   std::optional<dtdevolve::util::ThreadPool> pool;
-  if (jobs > 1) pool.emplace(static_cast<size_t>(jobs));
+  if (threads > 1) pool.emplace(threads);
   while (!source.candidates().empty()) {
     const dtdevolve::induce::Candidate* best = nullptr;
     for (const auto& candidate : source.candidates()) {
@@ -963,6 +970,7 @@ int CmdCheck(std::vector<std::string> args) {
   bool replication = false;
   bool overload = false;
   bool parse_path = false;
+  bool soak = false;
   bool minimize = true;
   for (size_t i = 0; i < args.size(); ++i) {
     bool bad_value = false;
@@ -1043,6 +1051,10 @@ int CmdCheck(std::vector<std::string> args) {
       parse_path = true;
       continue;
     }
+    if (args[i] == "--soak") {
+      soak = true;
+      continue;
+    }
     if (args[i] == "--induction") {
       induction = true;
       continue;
@@ -1057,6 +1069,14 @@ int CmdCheck(std::vector<std::string> args) {
     }
     if (IsFlag(args[i])) return UnknownFlag(args[i]);
     return Usage();  // check takes no positional arguments
+  }
+
+  if (soak) {
+    // Bounded memory: a fixed-length serving stream through one source
+    // and through a live 4-tenant manager; RSS must plateau.
+    dtdevolve::check::SoakReport soak_report = dtdevolve::check::RunSoak();
+    std::printf("%s", dtdevolve::check::FormatSoakReport(soak_report).c_str());
+    return soak_report.ok() ? 0 : 2;
   }
 
   if (parse_path) {
