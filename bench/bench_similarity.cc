@@ -1,11 +1,16 @@
 // Experiment F2/perf: cost of the structural-similarity evaluation
 // (the classification primitive) against document size, compared with
 // boolean validation; plus the per-element local/global evaluation used
-// by analysis. Counter `similarity` reports the measured value.
+// by analysis. Counter `similarity` reports the measured value. The
+// Arena/DomFromArena pair splits a classification-memo miss of the
+// streaming ingest path: the arena tree scored directly, against
+// converting it to a DOM first and scoring that.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
+#include "xml/stream_reader.h"
+#include "xml/writer.h"
 
 namespace dtdevolve {
 namespace {
@@ -70,6 +75,40 @@ void BM_GlobalSimilarity_DriftedDoc(benchmark::State& state) {
   state.counters["similarity"] = last;
 }
 BENCHMARK(BM_GlobalSimilarity_DriftedDoc)->Arg(10)->Arg(100)->Arg(1000);
+
+/// The drifted document as the streaming parser delivers it.
+xml::ArenaDocument DriftedArena(size_t entries) {
+  auto arena = xml::ParseArenaDocument(
+      xml::WriteDocument(DocWithEntries(entries, 0.3)));
+  return std::move(*arena);
+}
+
+void BM_GlobalSimilarity_DriftedArena(benchmark::State& state) {
+  dtd::Dtd dtd = WideDtd();
+  xml::ArenaDocument arena = DriftedArena(state.range(0));
+  similarity::SimilarityEvaluator evaluator(dtd);
+  double last = 0.0;
+  for (auto _ : state) {
+    last = evaluator.DocumentSimilarity(arena);
+    benchmark::DoNotOptimize(last);
+  }
+  state.counters["similarity"] = last;
+}
+BENCHMARK(BM_GlobalSimilarity_DriftedArena)->Arg(10)->Arg(100);
+
+void BM_GlobalSimilarity_DriftedDomFromArena(benchmark::State& state) {
+  dtd::Dtd dtd = WideDtd();
+  xml::ArenaDocument arena = DriftedArena(state.range(0));
+  similarity::SimilarityEvaluator evaluator(dtd);
+  double last = 0.0;
+  for (auto _ : state) {
+    xml::Document dom = arena.ToDocument();
+    last = evaluator.DocumentSimilarity(dom);
+    benchmark::DoNotOptimize(last);
+  }
+  state.counters["similarity"] = last;
+}
+BENCHMARK(BM_GlobalSimilarity_DriftedDomFromArena)->Arg(10)->Arg(100);
 
 void BM_BooleanValidation(benchmark::State& state) {
   dtd::Dtd dtd = WideDtd();

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -27,6 +28,7 @@
 #include "io/fault.h"
 #include "mining/rules.h"
 #include "similarity/score_cache.h"
+#include "similarity/similarity.h"
 #include "store/checkpoint.h"
 #include "store/wal.h"
 #include "util/thread_pool.h"
@@ -1989,6 +1991,33 @@ StatusOr<Fingerprint> ReplayThroughWal(const Scenario& scenario,
   return CrashFingerprintOf(src);
 }
 
+/// Scores one accepted document against `evaluator` as the arena tree
+/// and as a DOM of the same text; returns what differs (compared bit for
+/// bit), or the empty string.
+std::string ScoreDifference(const similarity::SimilarityEvaluator& evaluator,
+                            const xml::ArenaDocument& arena,
+                            const xml::Document& dom) {
+  auto bits = [](double value) { return std::bit_cast<uint64_t>(value); };
+  std::ostringstream detail;
+  detail.precision(17);
+  const double arena_score = evaluator.DocumentSimilarity(arena);
+  const double dom_score = evaluator.DocumentSimilarity(dom);
+  if (bits(arena_score) != bits(dom_score)) {
+    detail << "DocumentSimilarity " << arena_score << " (arena) vs "
+           << dom_score << " (DOM)";
+    return detail.str();
+  }
+  const double arena_bound = evaluator.ScoreUpperBound(
+      arena, validate::ContentSymbolIds(arena.root()));
+  const double dom_bound = evaluator.ScoreUpperBound(
+      dom, validate::ContentSymbolIds(dom.root()));
+  if (bits(arena_bound) != bits(dom_bound)) {
+    detail << "ScoreUpperBound " << arena_bound << " (arena) vs " << dom_bound
+           << " (DOM)";
+  }
+  return detail.str();
+}
+
 }  // namespace
 
 ScenarioResult RunParsePathScenario(uint64_t scenario_seed,
@@ -2016,8 +2045,21 @@ ScenarioResult RunParsePathScenario(uint64_t scenario_seed,
     texts.push_back(xml::WriteDocument(doc, compact));
   }
 
-  // Leg 1: dual-parse every document and compare the trees and the
-  // parse-time fingerprints against the after-the-fact DOM index.
+  // Leg 1: dual-parse every document and compare the trees, the
+  // parse-time fingerprints against the after-the-fact DOM index, and
+  // every scenario DTD's score of the arena tree against its DOM
+  // conversion and the DOM parse — with the score cache off, then on.
+  // The cache lives for the whole scenario, so later documents read
+  // entries any tree wrote.
+  similarity::SubtreeScoreCache score_cache;
+  std::vector<std::pair<std::string,
+                        std::unique_ptr<similarity::SimilarityEvaluator>>>
+      evaluators;
+  for (const auto& [name, dtd] : scenario.dtds) {
+    evaluators.emplace_back(name,
+                            std::make_unique<similarity::SimilarityEvaluator>(
+                                dtd, scenario.options.similarity));
+  }
   for (size_t i = 0; i < texts.size(); ++i) {
     StatusOr<xml::Document> dom = xml::ParseDocument(texts[i]);
     StatusOr<xml::ArenaDocument> arena = xml::ParseArenaDocument(texts[i]);
@@ -2070,6 +2112,23 @@ ScenarioResult RunParsePathScenario(uint64_t scenario_seed,
                  << std::dec << "/" << stats->element_count;
         }
         add("parse-path-document", i, detail.str());
+      }
+      for (const auto& [name, evaluator] : evaluators) {
+        for (similarity::SubtreeScoreCache* cache :
+             {static_cast<similarity::SubtreeScoreCache*>(nullptr),
+              &score_cache}) {
+          evaluator->set_shared_cache(cache);
+          std::string difference =
+              ScoreDifference(*evaluator, *arena, converted);
+          if (difference.empty()) {
+            difference = ScoreDifference(*evaluator, *arena, *dom);
+          }
+          if (!difference.empty()) {
+            add("parse-path-document", i,
+                "DTD '" + name + "', score cache " +
+                    (cache != nullptr ? "on" : "off") + ": " + difference);
+          }
+        }
       }
     }
   }

@@ -19,6 +19,36 @@ namespace {
 /// equal-score tie-break entirely.
 constexpr double kPruneSlack = 1e-9;
 
+using Clock = std::chrono::steady_clock;
+
+/// One DTD's exact score of a document, per representation: a DOM
+/// carries its fingerprint index beside it, an arena tree in its nodes.
+double ScoreOf(const similarity::SimilarityEvaluator& evaluator,
+               const xml::Document& doc,
+               const similarity::SubtreeFingerprints* fingerprints) {
+  return evaluator.DocumentSimilarity(doc, fingerprints);
+}
+double ScoreOf(const similarity::SimilarityEvaluator& evaluator,
+               const xml::ArenaDocument& doc,
+               const similarity::SubtreeFingerprints*) {
+  return evaluator.DocumentSimilarity(doc);
+}
+
+/// Runs `classify_one` over `docs` on `pool`'s workers, or inline.
+template <typename DocT, typename ClassifyOne>
+std::vector<ClassificationOutcome> ClassifyEach(
+    const std::vector<const DocT*>& docs, util::ThreadPool* pool,
+    const ClassifyOne& classify_one) {
+  std::vector<ClassificationOutcome> outcomes(docs.size());
+  auto score = [&](size_t i) { outcomes[i] = classify_one(*docs[i]); };
+  if (pool == nullptr || pool->size() <= 1) {
+    for (size_t i = 0; i < docs.size(); ++i) score(i);
+  } else {
+    pool->ParallelFor(docs.size(), score);
+  }
+  return outcomes;
+}
+
 }  // namespace
 
 Classifier::Classifier(double sigma, similarity::SimilarityOptions options,
@@ -106,53 +136,31 @@ const similarity::SimilarityEvaluator& Classifier::EvaluatorFor(
   return *it->second;
 }
 
-ClassificationOutcome Classifier::Classify(const xml::Document& doc) const {
+Clock::time_point Classifier::StartClock() const {
   // The clock is read only when someone actually installed a histogram,
   // so the uninstrumented hot path pays nothing.
-  const auto start = metrics_.score_seconds != nullptr
-                         ? std::chrono::steady_clock::now()
-                         : std::chrono::steady_clock::time_point();
+  return metrics_.score_seconds != nullptr ? Clock::now()
+                                           : Clock::time_point();
+}
+
+void Classifier::CountReplay() const {
+  if (metrics_.documents_scored != nullptr) {
+    metrics_.documents_scored->Increment();
+  }
+}
+
+template <typename DocT>
+ClassificationOutcome Classifier::Score(
+    const DocT& doc, const similarity::SubtreeFingerprints* fingerprints,
+    const ClassificationMemo::Key* memo_key, Clock::time_point start) const {
   ClassificationOutcome outcome;
   outcome.scores.resize(dtds_.size());
 
-  // Per-document work shared by every DTD: the root content symbols feed
-  // the score bounds, the subtree fingerprints feed the shared cache and
-  // the classification memo.
+  // The root content symbols feed the score bounds.
   const bool prune = classifier_options_.enable_pruning && dtds_.size() > 1;
   std::vector<int32_t> root_symbol_ids;
   if (prune && doc.has_root()) {
     root_symbol_ids = validate::ContentSymbolIds(doc.root());
-  }
-  std::optional<similarity::SubtreeFingerprints> fingerprints;
-  if ((cache_ != nullptr || memo_ != nullptr) && doc.has_root()) {
-    fingerprints.emplace(doc.root());
-  }
-  const similarity::SubtreeFingerprints* fingerprints_ptr =
-      cache_ != nullptr && fingerprints ? &*fingerprints : nullptr;
-
-  // Memo probe: within one set-epoch, equal root fingerprints imply an
-  // identical outcome against every DTD — replay it and skip scoring.
-  ClassificationMemo::Key memo_key;
-  bool memoizable = false;
-  if (memo_ != nullptr && fingerprints) {
-    const similarity::SubtreeStats* root_stats =
-        fingerprints->Find(&doc.root());
-    if (root_stats != nullptr) {
-      memo_key = {set_epoch_, root_stats->fp_hi, root_stats->fp_lo};
-      memoizable = true;
-      if (memo_->Lookup(memo_key, &outcome)) {
-        if (metrics_.documents_scored != nullptr) {
-          metrics_.documents_scored->Increment();
-        }
-        if (metrics_.score_seconds != nullptr) {
-          metrics_.score_seconds->Observe(
-              std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            start)
-                  .count());
-        }
-        return outcome;
-      }
-    }
   }
 
   struct Candidate {
@@ -200,7 +208,7 @@ ClassificationOutcome Classifier::Classify(const xml::Document& doc) const {
       }
       continue;
     }
-    double score = c.evaluator->DocumentSimilarity(doc, fingerprints_ptr);
+    double score = ScoreOf(*c.evaluator, doc, fingerprints);
     if (metrics_.similarity_evaluations != nullptr) {
       metrics_.similarity_evaluations->Increment();
     }
@@ -220,16 +228,43 @@ ClassificationOutcome Classifier::Classify(const xml::Document& doc) const {
   }
   outcome.classified =
       !outcome.dtd_name.empty() && outcome.similarity >= sigma_;
-  if (memoizable) memo_->Insert(memo_key, outcome);
+  if (memo_key != nullptr) memo_->Insert(*memo_key, outcome);
   if (metrics_.documents_scored != nullptr) {
     metrics_.documents_scored->Increment();
   }
   if (metrics_.score_seconds != nullptr) {
     metrics_.score_seconds->Observe(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count());
+        std::chrono::duration<double>(Clock::now() - start).count());
   }
   return outcome;
+}
+
+ClassificationOutcome Classifier::Classify(const xml::Document& doc) const {
+  const Clock::time_point start = StartClock();
+  // The subtree fingerprints feed the shared cache and the
+  // classification memo.
+  std::optional<similarity::SubtreeFingerprints> fingerprints;
+  if ((cache_ != nullptr || memo_ != nullptr) && doc.has_root()) {
+    fingerprints.emplace(doc.root());
+  }
+
+  // Memo probe: within one set-epoch, equal root fingerprints imply an
+  // identical outcome against every DTD — replay it and skip scoring.
+  std::optional<ClassificationMemo::Key> memo_key;
+  if (memo_ != nullptr && fingerprints) {
+    const similarity::SubtreeStats* root_stats =
+        fingerprints->Find(&doc.root());
+    if (root_stats != nullptr) {
+      memo_key.emplace(set_epoch_, root_stats->fp_hi, root_stats->fp_lo);
+      ClassificationOutcome outcome;
+      if (memo_->Lookup(*memo_key, &outcome)) {
+        CountReplay();
+        return outcome;
+      }
+    }
+  }
+  return Score(doc, cache_ != nullptr && fingerprints ? &*fingerprints : nullptr,
+               memo_key ? &*memo_key : nullptr, start);
 }
 
 std::optional<ClassificationOutcome> Classifier::MemoProbe(
@@ -239,36 +274,42 @@ std::optional<ClassificationOutcome> Classifier::MemoProbe(
   ClassificationMemo::Key key{set_epoch_, root.fp_hi, root.fp_lo};
   ClassificationOutcome outcome;
   if (!memo_->Lookup(key, &outcome)) return std::nullopt;
-  if (metrics_.documents_scored != nullptr) {
-    metrics_.documents_scored->Increment();
-  }
+  CountReplay();
   return outcome;
 }
 
 ClassificationOutcome Classifier::ClassifyArena(
     const xml::ArenaDocument& doc,
     std::optional<xml::Document>* materialized) const {
+  const Clock::time_point start = StartClock();
   if (std::optional<ClassificationOutcome> replayed = MemoProbe(doc)) {
     return *std::move(replayed);
   }
-  // Miss (or memo off): materialize once and take the DOM path, which
-  // inserts under the identical key — the arena fingerprint equals the
-  // DOM fingerprint of the materialized tree by construction.
-  materialized->emplace(doc.ToDocument());
-  return Classify(**materialized);
+  // Miss (or memo off): score the arena tree itself and insert under the
+  // key the probe used — the root fingerprint from the parse.
+  std::optional<ClassificationMemo::Key> memo_key;
+  if (memo_ != nullptr && doc.has_root()) {
+    memo_key.emplace(set_epoch_, doc.root().fp_hi, doc.root().fp_lo);
+  }
+  ClassificationOutcome outcome =
+      Score(doc, nullptr, memo_key ? &*memo_key : nullptr, start);
+  if (materialized != nullptr) materialized->emplace(doc.ToDocument());
+  return outcome;
 }
 
 std::vector<ClassificationOutcome> Classifier::ClassifyBatch(
     const std::vector<const xml::Document*>& docs,
     util::ThreadPool* pool) const {
-  std::vector<ClassificationOutcome> outcomes(docs.size());
-  auto score = [&](size_t i) { outcomes[i] = Classify(*docs[i]); };
-  if (pool == nullptr || pool->size() <= 1) {
-    for (size_t i = 0; i < docs.size(); ++i) score(i);
-  } else {
-    pool->ParallelFor(docs.size(), score);
-  }
-  return outcomes;
+  return ClassifyEach(docs, pool,
+                      [this](const xml::Document& doc) { return Classify(doc); });
+}
+
+std::vector<ClassificationOutcome> Classifier::ClassifyBatch(
+    const std::vector<const xml::ArenaDocument*>& docs,
+    util::ThreadPool* pool) const {
+  return ClassifyEach(docs, pool, [this](const xml::ArenaDocument& doc) {
+    return ClassifyArena(doc, nullptr);
+  });
 }
 
 std::optional<double> Classifier::Similarity(const xml::Document& doc,

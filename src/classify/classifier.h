@@ -1,6 +1,7 @@
 #ifndef DTDEVOLVE_CLASSIFY_CLASSIFIER_H_
 #define DTDEVOLVE_CLASSIFY_CLASSIFIER_H_
 
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -43,7 +44,9 @@ struct ClassifierMetrics {
   obs::Counter* memo_hits = nullptr;
   obs::Counter* memo_misses = nullptr;
   obs::Counter* memo_evictions = nullptr;
-  /// Wall-clock seconds spent scoring one document against the full set.
+  /// Wall-clock seconds spent scoring one document against the full set,
+  /// observed once per scored document on every entry point; a memo
+  /// replay scores nothing and observes nothing.
   obs::Histogram* score_seconds = nullptr;
 };
 
@@ -95,7 +98,9 @@ struct ClassifierOptions {
 /// container order. `ClassifyBatch` follows the same rule.
 ///
 /// Fast path: the document's root content symbols and subtree
-/// fingerprints are derived once, every DTD gets a conservative score
+/// fingerprints are derived once (an arena tree from the streaming
+/// parser carries its fingerprints and is scored as is, with no DOM
+/// built), every DTD gets a conservative score
 /// upper bound (root-tag gate + label-vocabulary overlap — see
 /// `SimilarityEvaluator::ScoreUpperBound`), DTDs are visited in
 /// bound-descending order, and an evaluation is skipped when its bound
@@ -163,13 +168,13 @@ class Classifier {
 
   /// Classifies a streaming-parsed document, memo-first: the arena
   /// carries the root fingerprint from the parse, so a hit replays the
-  /// cached outcome without materializing a DOM at all. On a miss (or
-  /// with the memo off) the document is materialized once into
-  /// `*materialized` and scored through `Classify` — which inserts the
-  /// outcome into the memo under the identical key, because arena and
-  /// DOM fingerprints are bit-identical by construction — and the
-  /// caller reuses the DOM (repository add, keep_documents) instead of
-  /// converting twice. `*materialized` stays empty on a memo hit.
+  /// cached outcome. On a miss (or with the memo off) the arena tree is
+  /// scored directly — bit-identical to `Classify` on its `ToDocument()`
+  /// — and the outcome is inserted under the same key `Classify` would
+  /// use, because arena and DOM fingerprints are bit-identical by
+  /// construction. No DOM is built unless `materialized` is non-null:
+  /// then it receives `doc.ToDocument()` on a miss and stays empty on a
+  /// memo hit.
   ClassificationOutcome ClassifyArena(
       const xml::ArenaDocument& doc,
       std::optional<xml::Document>* materialized) const;
@@ -177,8 +182,7 @@ class Classifier {
   /// Memo-probe half of `ClassifyArena`: replays the cached outcome for
   /// the arena root's fingerprint under the current set-epoch, or
   /// returns nullopt (memo off, rootless document, or a miss) without
-  /// scoring anything. Batch callers use this to split a chunk into
-  /// replayed hits and to-be-scored misses.
+  /// scoring anything. A replay counts on `documents_scored`.
   std::optional<ClassificationOutcome> MemoProbe(
       const xml::ArenaDocument& doc) const;
 
@@ -188,6 +192,12 @@ class Classifier {
   /// each document in order. Entries must be non-null.
   std::vector<ClassificationOutcome> ClassifyBatch(
       const std::vector<const xml::Document*>& docs,
+      util::ThreadPool* pool) const;
+  /// Arena twin: entry by entry identical to `ClassifyArena(doc, nullptr)`
+  /// on each document in order. Each worker scores on its own per-thread
+  /// scratch.
+  std::vector<ClassificationOutcome> ClassifyBatch(
+      const std::vector<const xml::ArenaDocument*>& docs,
       util::ThreadPool* pool) const;
 
   /// Similarity of `doc` against one registered DTD; nullopt when `name`
@@ -216,6 +226,21 @@ class Classifier {
  private:
   const similarity::SimilarityEvaluator& EvaluatorFor(
       const std::string& name) const;
+
+  /// Now, when a score histogram is installed; otherwise a zero time.
+  std::chrono::steady_clock::time_point StartClock() const;
+  /// Counts a memo replay on `documents_scored`.
+  void CountReplay() const;
+  /// Scores `doc` (an `xml::Document` or `xml::ArenaDocument`) against
+  /// every DTD: bound-ordered visit, pruning, tie-break, memo insert
+  /// under `memo_key` (when non-null) and the scoring metrics.
+  /// `fingerprints` indexes a DOM for the score cache; null for an
+  /// arena tree, or when the cache is off.
+  template <typename DocT>
+  ClassificationOutcome Score(
+      const DocT& doc, const similarity::SubtreeFingerprints* fingerprints,
+      const ClassificationMemo::Key* memo_key,
+      std::chrono::steady_clock::time_point start) const;
 
   double sigma_;
   similarity::SimilarityOptions options_;

@@ -106,7 +106,7 @@ XmlSource::ProcessOutcome XmlSource::Process(xml::ArenaDocument doc) {
   PendingDocument pending;
   pending.arena = &doc;
   classify::ClassificationOutcome classification =
-      classifier_.ClassifyArena(doc, &pending.dom);
+      classifier_.ClassifyArena(doc, nullptr);
   return ApplyClassification(std::move(pending), classification, nullptr);
 }
 
@@ -142,13 +142,13 @@ XmlSource::ProcessOutcome XmlSource::ApplyClassification(
   }
   const std::string& name = classification.dtd_name;
   evolve::ExtendedDtd& ext = dtds_.at(name);
-  if (doc.dom.has_value()) {
-    recorders_.at(name)->RecordDocument(*doc.dom);
-  } else {
-    // Memo-hit streaming path: record straight off the arena tree —
-    // the recorder extracts identical statistics from either
-    // representation of the same document.
+  if (doc.arena != nullptr) {
+    // Streaming path: record straight off the arena tree — the recorder
+    // extracts identical statistics from either representation of the
+    // same document.
     recorders_.at(name)->RecordDocument(*doc.arena);
+  } else {
+    recorders_.at(name)->RecordDocument(*doc.dom);
   }
   if (options_.keep_documents) {
     instances_.at(name).push_back(doc.TakeDom());
@@ -218,39 +218,33 @@ std::vector<XmlSource::ProcessOutcome> XmlSource::ProcessPending(
   const size_t jobs = pool != nullptr && pool->size() > 1 ? pool->size() : 1;
   std::vector<ProcessOutcome> outcomes;
   outcomes.reserve(docs.size());
-  // Classify a chunk, then apply serially in input order. Memo hits
-  // replay their outcome with no DOM and no scoring; the rest of the
-  // chunk is scored in parallel. The chunk bounds the speculation: an
-  // evolution bumps the set-epoch and invalidates the classifications
-  // of the documents after it, which are then classified again against
-  // the evolved DTD set — exactly what sequential `Process` would see.
+  // Classify a chunk in parallel, then apply serially in input order.
+  // Memo hits replay their outcome; misses are scored on the tree the
+  // caller gave (an arena tree is scored as is, with no DOM). The chunk
+  // bounds the speculation: an evolution bumps the set-epoch and
+  // invalidates the classifications of the documents after it, which
+  // are then classified again against the evolved DTD set — exactly
+  // what sequential `Process` would see.
   const size_t chunk = std::max<size_t>(32, 16 * jobs);
-  std::vector<std::optional<classify::ClassificationOutcome>> classified;
+  std::vector<classify::ClassificationOutcome> classified;
   size_t i = 0;
   while (i < docs.size()) {
     const size_t end = std::min(docs.size(), i + chunk);
-    classified.assign(end - i, std::nullopt);
-    std::vector<const xml::Document*> to_score;
-    std::vector<size_t> to_score_index;
-    for (size_t j = i; j < end; ++j) {
-      PendingDocument& doc = docs[j];
-      if (!doc.dom.has_value()) {
-        classified[j - i] = classifier_.MemoProbe(*doc.arena);
-        if (classified[j - i].has_value()) continue;
-        doc.dom.emplace(doc.arena->ToDocument());
-      }
-      to_score.push_back(&*doc.dom);
-      to_score_index.push_back(j - i);
-    }
-    std::vector<classify::ClassificationOutcome> scored =
-        classifier_.ClassifyBatch(to_score, pool);
-    for (size_t k = 0; k < to_score_index.size(); ++k) {
-      classified[to_score_index[k]] = std::move(scored[k]);
+    // One batch holds one representation (see the `ProcessBatch`
+    // overloads).
+    if (docs[i].arena != nullptr) {
+      std::vector<const xml::ArenaDocument*> chunk_docs;
+      for (size_t j = i; j < end; ++j) chunk_docs.push_back(docs[j].arena);
+      classified = classifier_.ClassifyBatch(chunk_docs, pool);
+    } else {
+      std::vector<const xml::Document*> chunk_docs;
+      for (size_t j = i; j < end; ++j) chunk_docs.push_back(&*docs[j].dom);
+      classified = classifier_.ClassifyBatch(chunk_docs, pool);
     }
     size_t applied = 0;
     for (size_t j = i; j < end; ++j) {
       outcomes.push_back(
-          ApplyClassification(std::move(docs[j]), *classified[j - i], pool));
+          ApplyClassification(std::move(docs[j]), classified[j - i], pool));
       ++applied;
       if (outcomes.back().evolved) break;  // remaining outcomes are stale
     }

@@ -128,11 +128,11 @@ class XmlSource {
   /// Classifies, records and (when the check phase fires) evolves.
   ProcessOutcome Process(xml::Document doc);
   /// Streaming twin: classifies memo-first from the arena's parse-time
-  /// root fingerprint. On a memo hit the whole classify → record tail
-  /// runs on the arena representation — no DOM is ever built (unless
-  /// the document is unclassified or `keep_documents` needs a copy); on
-  /// a miss the document is materialized once and takes the DOM path.
-  /// Outcome-equivalent to converting and calling the DOM overload.
+  /// root fingerprint, scores a miss on the arena tree itself and
+  /// records from it, so no DOM is built unless the document is
+  /// unclassified (the repository stores DOMs) or `keep_documents` needs
+  /// a copy. Outcome-equivalent to converting and calling the DOM
+  /// overload.
   ProcessOutcome Process(xml::ArenaDocument doc);
   /// Parses `xml_text` once, through the streaming reader, into an
   /// arena tree and processes it. This is the one way text is ingested:
@@ -160,10 +160,10 @@ class XmlSource {
   std::vector<ProcessOutcome> ProcessBatch(std::vector<xml::Document> docs,
                                            util::ThreadPool* pool);
 
-  /// The ingest batch: memo hits replay without DOM materialization or
-  /// scoring; only the misses of each chunk are materialized and scored.
-  /// Outcomes are identical — entry by entry — to converting every
-  /// document and calling the DOM `ProcessBatch`.
+  /// The ingest batch: memo hits replay without scoring, and misses are
+  /// scored on the arena trees; neither builds a DOM. Outcomes are
+  /// identical — entry by entry — to converting every document and
+  /// calling the DOM `ProcessBatch`.
   std::vector<ProcessOutcome> ProcessBatch(
       std::vector<xml::ArenaDocument> docs, util::ThreadPool* pool);
 
@@ -284,9 +284,9 @@ class XmlSource {
  private:
   /// A document on its way through classification and the apply tail,
   /// in whichever representation it still has: a DOM caller fills `dom`
-  /// only; ingest points `arena` at the caller's arena tree and fills
-  /// `dom` lazily — on a memo miss, or when the repository or
-  /// `keep_documents` genuinely needs an owning DOM.
+  /// only; ingest points `arena` at the caller's arena tree, which is
+  /// classified and recorded as is, and fills `dom` only when the
+  /// repository or `keep_documents` needs an owning DOM.
   struct PendingDocument {
     const xml::ArenaDocument* arena = nullptr;
     std::optional<xml::Document> dom;
@@ -306,9 +306,9 @@ class XmlSource {
       util::ThreadPool* pool);
 
   /// The one chunked-speculation batch loop behind both `ProcessBatch`
-  /// overloads. A document with only an arena probes the memo and is
-  /// materialized on a miss; one with a DOM goes straight to
-  /// `ClassifyBatch`, whose `Classify` probes the memo itself.
+  /// overloads. `docs` holds one representation throughout: arena trees
+  /// go to the arena `ClassifyBatch`, DOMs to the DOM one; both probe
+  /// the memo and score misses on the tree they were given.
   std::vector<ProcessOutcome> ProcessPending(
       std::vector<PendingDocument> docs, util::ThreadPool* pool);
 

@@ -46,9 +46,11 @@ std::vector<double> CommitDocsBounds() {
   return bounds;
 }
 
-/// fsync latency: 1-2-5 steps from 1 µs to 10 s (an fsync on a fast
-/// disk is well under the 100 µs floor of `DefaultLatencyBounds`).
-std::vector<double> SyncSecondsBounds() {
+/// 1-2-5 steps from 1 µs to 10 s, shared by the histograms whose
+/// samples fall well under the 100 µs floor of `DefaultLatencyBounds`:
+/// an fsync on a fast disk, and the scoring of one document (about
+/// 10 µs on a memo miss).
+std::vector<double> MicrosecondLatencyBounds() {
   std::vector<double> bounds;
   for (double decade = 1e-6; decade < 10; decade *= 10) {
     for (double step : {1.0, 2.0, 5.0}) bounds.push_back(decade * step);
@@ -334,7 +336,7 @@ void SourceManager::WireShardMetrics(Shard& shard, obs::Registry* registry) {
   metrics.score_seconds = &registry->GetHistogram(
       "dtdevolve_score_seconds",
       "Wall-clock seconds scoring one document against the full DTD set",
-      obs::Histogram::DefaultLatencyBounds(), labels);
+      MicrosecondLatencyBounds(), labels);
   metrics.documents_recorded = &registry->GetCounter(
       "dtdevolve_documents_recorded_total",
       "Documents recorded into extended DTDs", labels);
@@ -432,7 +434,7 @@ Status SourceManager::StartShard(Shard& shard, obs::Registry* registry) {
       CommitDocsBounds(), labels);
   wal_metrics.sync_seconds = &registry->GetHistogram(
       "dtdevolve_wal_sync_seconds",
-      "Seconds one group commit spent in fsync", SyncSecondsBounds(),
+      "Seconds one group commit spent in fsync", MicrosecondLatencyBounds(),
       labels);
   wal_metrics.rotations = &registry->GetCounter(
       "dtdevolve_wal_rotations_total", "WAL segment rotations", labels);

@@ -1,27 +1,39 @@
 #include "similarity/matcher.h"
 
 #include <algorithm>
-#include <cassert>
-#include <limits>
-#include <queue>
 #include <utility>
 
 namespace dtdevolve::similarity {
 
-namespace {
-
-constexpr double kInfinity = std::numeric_limits<double>::infinity();
-
-/// Back-pointer for path reconstruction.
-struct Step {
-  enum class Kind { kNone, kMatch, kPlus, kMinus };
-  Kind kind = Kind::kNone;
-  int prev_node = -1;
-  int position = -1;   // for kMatch / kMinus
-  double credit = 0.0;  // for kMatch
-};
-
-}  // namespace
+AlignmentScore ReadAlignmentScore(const dtd::Automaton& automaton,
+                                  size_t num_symbols, int best_node,
+                                  AlignScratch& scratch) {
+  const size_t num_states = automaton.num_states();
+  AlignmentScore score;
+  score.cost = scratch.dist[best_node];
+  scratch.assignments.resize(num_symbols);
+  for (int node = best_node;
+       scratch.back[node].kind != AlignStep::Kind::kNone;) {
+    const AlignStep& step = scratch.back[node];
+    const size_t i = static_cast<size_t>(node) / num_states;
+    switch (step.kind) {
+      case AlignStep::Kind::kMatch:
+        scratch.assignments[i - 1] = {ChildAssignment::Kind::kMatched,
+                                      step.position, step.credit};
+        break;
+      case AlignStep::Kind::kPlus:
+        scratch.assignments[i - 1] = {ChildAssignment::Kind::kPlus, -1, 0.0};
+        break;
+      case AlignStep::Kind::kMinus:
+        ++score.minus_count;
+        break;
+      case AlignStep::Kind::kNone:
+        break;
+    }
+    node = step.prev_node;
+  }
+  return score;
+}
 
 MatchResult AlignChildren(const dtd::Automaton& automaton,
                           const std::vector<std::string>& symbols,
@@ -42,103 +54,34 @@ MatchResult AlignChildrenById(const dtd::Automaton& automaton,
   MatchResult result;
   if (automaton.is_any()) {
     // ANY accepts everything: every child is a full-credit match.
-    result.assignments.resize(num_symbols);
-    for (ChildAssignment& a : result.assignments) {
-      a.kind = ChildAssignment::Kind::kMatched;
-      a.position = -1;
-      a.credit = 1.0;
-    }
+    result.assignments.assign(num_symbols,
+                              {ChildAssignment::Kind::kMatched, -1, 1.0});
     return result;
   }
 
-  const size_t n = num_symbols;
+  // A call-local scratch: the credit may itself align (recursively), and
+  // this entry point is off the scoring hot path.
+  AlignScratch scratch;
+  const int best_node =
+      SearchAlignment(automaton, num_symbols, credit, options, scratch);
+  result.cost =
+      ReadAlignmentScore(automaton, num_symbols, best_node, scratch).cost;
+  result.assignments = std::move(scratch.assignments);
+
+  // The path itself, for callers that replay it.
   const size_t num_states = automaton.num_states();
-  const size_t num_nodes = (n + 1) * num_states;
-  auto node_id = [&](size_t i, size_t state) {
-    return static_cast<int>(i * num_states + state);
-  };
-
-  std::vector<double> dist(num_nodes, kInfinity);
-  std::vector<Step> back(num_nodes);
-  using QueueItem = std::pair<double, int>;  // (distance, node)
-  std::priority_queue<QueueItem, std::vector<QueueItem>, std::greater<>> queue;
-
-  dist[node_id(0, 0)] = 0.0;
-  queue.push({0.0, node_id(0, 0)});
-
-  auto relax = [&](int to, double new_dist, Step step) {
-    if (new_dist < dist[to]) {
-      dist[to] = new_dist;
-      back[to] = step;
-      queue.push({new_dist, to});
-    }
-  };
-
-  while (!queue.empty()) {
-    auto [d, node] = queue.top();
-    queue.pop();
-    if (d > dist[node]) continue;
+  for (int node = best_node;
+       scratch.back[node].kind != AlignStep::Kind::kNone;) {
+    const AlignStep& step = scratch.back[node];
     const size_t i = static_cast<size_t>(node) / num_states;
-    const int state = node % static_cast<int>(num_states);
-
-    // minus: traverse a transition without consuming input.
-    for (int pos : automaton.SuccessorsOf(state)) {
-      relax(node_id(i, pos + 1), d + options.minus_cost,
-            {Step::Kind::kMinus, node, pos, 0.0});
-    }
-    if (i < n) {
-      // plus: consume the child without moving.
-      relax(node_id(i + 1, state), d + options.plus_cost,
-            {Step::Kind::kPlus, node, -1, 0.0});
-      // match: consume the child along a permitted transition.
-      for (int pos : automaton.SuccessorsOf(state)) {
-        double c = credit(i, pos);
-        if (c < 0.0) continue;
-        c = std::min(c, 1.0);
-        relax(node_id(i + 1, pos + 1), d + (1.0 - c),
-              {Step::Kind::kMatch, node, pos, c});
-      }
-    }
-  }
-
-  // Best accepting end state.
-  int best_node = -1;
-  double best_dist = kInfinity;
-  for (size_t state = 0; state < num_states; ++state) {
-    if (!automaton.IsAccepting(static_cast<int>(state))) continue;
-    int node = node_id(n, state);
-    if (dist[node] < best_dist) {
-      best_dist = dist[node];
-      best_node = node;
-    }
-  }
-  assert(best_node >= 0 &&
-         "alignment always exists: all-plus then all-minus to acceptance");
-
-  // Reconstruct.
-  result.cost = best_dist;
-  result.assignments.resize(n);
-  int node = best_node;
-  while (back[node].kind != Step::Kind::kNone) {
-    const Step& step = back[node];
-    const size_t i = static_cast<size_t>(node) / num_states;
-    switch (step.kind) {
-      case Step::Kind::kMatch:
-        result.assignments[i - 1] = {ChildAssignment::Kind::kMatched,
-                                     step.position, step.credit};
-        result.events.push_back(
-            {PathEvent::Kind::kMatch, i - 1, step.position});
-        break;
-      case Step::Kind::kPlus:
-        result.assignments[i - 1] = {ChildAssignment::Kind::kPlus, -1, 0.0};
-        result.events.push_back({PathEvent::Kind::kPlus, i - 1, -1});
-        break;
-      case Step::Kind::kMinus:
-        result.minus_labels.push_back(automaton.LabelOfPosition(step.position));
-        result.events.push_back({PathEvent::Kind::kMinus, i, step.position});
-        break;
-      case Step::Kind::kNone:
-        break;
+    if (step.kind == AlignStep::Kind::kMinus) {
+      result.minus_labels.push_back(automaton.LabelOfPosition(step.position));
+      result.events.push_back({PathEvent::Kind::kMinus, i, step.position});
+    } else {
+      result.events.push_back({step.kind == AlignStep::Kind::kMatch
+                                   ? PathEvent::Kind::kMatch
+                                   : PathEvent::Kind::kPlus,
+                               i - 1, step.position});
     }
     node = step.prev_node;
   }

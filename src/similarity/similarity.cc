@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <map>
+#include <memory>
 #include <optional>
 
 #include "util/string_util.h"
@@ -45,6 +45,92 @@ Triple MatchedChildContribution(const Triple& child, double tag_score,
 /// gets a process-unique id, so shared-cache entries written against a
 /// replaced evaluator can never be read by its successor.
 std::atomic<uint64_t> g_epoch_counter{0};
+
+// Shape adapters: the global recursion reads an element through these,
+// so one template serves the DOM and the arena tree.
+
+std::string_view TagOf(const xml::Element& element) { return element.tag(); }
+std::string_view TagOf(const xml::ArenaElement& element) {
+  return element.tag;
+}
+int32_t TagIdOf(const xml::Element& element) { return element.tag_id(); }
+int32_t TagIdOf(const xml::ArenaElement& element) { return element.tag_id; }
+
+/// The structural fingerprint of `element`'s subtree, or false when none
+/// is known (a DOM scored without an index).
+bool StatsOf(const xml::Element& element,
+             const SubtreeFingerprints* fingerprints, SubtreeStats* stats) {
+  if (fingerprints == nullptr) return false;
+  const SubtreeStats* found = fingerprints->Find(&element);
+  if (found == nullptr) return false;
+  *stats = *found;
+  return true;
+}
+bool StatsOf(const xml::ArenaElement& element, const SubtreeFingerprints*,
+             SubtreeStats* stats) {
+  *stats = {element.fp_hi, element.fp_lo, element.element_count};
+  return true;
+}
+
+/// An arena element's child slots already are its content symbols: blank
+/// runs dropped and adjacent text runs merged at parse time.
+struct ArenaSymbolChildren {
+  const xml::ArenaChild* slots;
+  size_t count;
+  size_t size() const { return count; }
+  const xml::ArenaElement* operator[](size_t i) const {
+    return slots[i].element;
+  }
+};
+
+}  // namespace
+
+/// One level of the global recursion's scratch: the alignment buffers
+/// and, for a DOM element, its content symbols as child pointers.
+struct EvalScratch {
+  struct Level {
+    AlignScratch align;
+    std::vector<const xml::Element*> dom_children;
+  };
+
+  /// The memo of the document being scored on this thread.
+  TripleMemo memo;
+  /// Heap-allocated so growing the ladder never moves a live level.
+  std::vector<std::unique_ptr<Level>> levels;
+
+  Level& At(size_t depth) {
+    while (levels.size() <= depth) levels.push_back(std::make_unique<Level>());
+    return *levels[depth];
+  }
+};
+
+namespace {
+
+thread_local EvalScratch t_eval_scratch;
+
+/// `element`'s content symbols (`validate::ContentSymbolIds`) as child
+/// pointers, null standing for a text run.
+const std::vector<const xml::Element*>& SymbolChildren(
+    const xml::Element& element,
+    EvalScratch::Level& level) {
+  std::vector<const xml::Element*>& out = level.dom_children;
+  out.clear();
+  bool last_was_text = false;
+  for (const auto& child : element.children()) {
+    if (child->is_element()) {
+      out.push_back(&child->AsElement());
+      last_was_text = false;
+    } else if (!IsBlank(static_cast<const xml::Text&>(*child).value())) {
+      if (!last_was_text) out.push_back(nullptr);
+      last_was_text = true;
+    }
+  }
+  return out;
+}
+ArenaSymbolChildren SymbolChildren(const xml::ArenaElement& element,
+                                   EvalScratch::Level&) {
+  return {element.children, element.child_count};
+}
 
 }  // namespace
 
@@ -104,15 +190,15 @@ SimilarityEvaluator::SimilarityEvaluator(const dtd::Dtd& dtd,
   }
 }
 
-double SimilarityEvaluator::TagScore(const std::string& a,
-                                     const std::string& b) const {
+double SimilarityEvaluator::TagScore(std::string_view a,
+                                     std::string_view b) const {
   if (options_.thesaurus != nullptr) return options_.thesaurus->Score(a, b);
   return a == b ? 1.0 : 0.0;
 }
 
-double SimilarityEvaluator::TagScoreId(int32_t a_id, const std::string& a,
+double SimilarityEvaluator::TagScoreId(int32_t a_id, std::string_view a,
                                        int32_t b_id,
-                                       const std::string& b) const {
+                                       std::string_view b) const {
   if (a_id >= 0 && b_id >= 0) {
     if (a_id == b_id) return 1.0;
     if (options_.thesaurus == nullptr) return 0.0;
@@ -135,9 +221,11 @@ const dtd::Automaton* SimilarityEvaluator::FindAutomaton(
   return id < 0 ? nullptr : FindAutomaton(id);
 }
 
-Triple SimilarityEvaluator::GlobalTripleCached(const xml::Element& element,
+template <typename ElementT>
+Triple SimilarityEvaluator::GlobalTripleCached(const ElementT& element,
                                                int32_t label_id,
-                                               EvalContext& ctx) const {
+                                               EvalContext& ctx,
+                                               size_t depth) const {
   if (const Triple* found = ctx.memo->Find(&element, label_id)) {
     return *found;
   }
@@ -146,58 +234,54 @@ Triple SimilarityEvaluator::GlobalTripleCached(const xml::Element& element,
   // identical triple, for any element anywhere in the stream.
   SubtreeScoreCache::Key cache_key;
   bool use_cache = false;
-  if (ctx.cache != nullptr && ctx.fingerprints != nullptr) {
-    const SubtreeStats* stats = ctx.fingerprints->Find(&element);
-    if (stats != nullptr && stats->element_count >= kMinCachedSubtreeElements) {
-      cache_key = {epoch_, stats->fp_hi, stats->fp_lo, label_id};
-      use_cache = true;
-      Triple cached;
-      if (ctx.cache->Lookup(cache_key, &cached)) {
-        ctx.memo->Insert(&element, label_id, cached);
-        return cached;
-      }
+  SubtreeStats stats;
+  if (ctx.cache != nullptr && StatsOf(element, ctx.fingerprints, &stats) &&
+      stats.element_count >= kMinCachedSubtreeElements) {
+    cache_key = {epoch_, stats.fp_hi, stats.fp_lo, label_id};
+    use_cache = true;
+    Triple cached;
+    if (ctx.cache->Lookup(cache_key, &cached)) {
+      ctx.memo->Insert(&element, label_id, cached);
+      return cached;
     }
   }
 
+  EvalScratch::Level& level = ctx.scratch->At(depth);
+  const auto& children = SymbolChildren(element, level);
+  const size_t n = children.size();
   const dtd::Automaton* automaton = FindAutomaton(label_id);
-  std::vector<int32_t> symbol_ids = validate::ContentSymbolIds(element);
   Triple triple;
   if (automaton == nullptr || automaton->is_any()) {
     // ANY (or an undeclared reference): everything is common.
-    triple.common = static_cast<double>(symbol_ids.size());
+    triple.common = static_cast<double>(n);
     ctx.memo->Insert(&element, label_id, triple);
     if (use_cache) ctx.cache->Insert(cache_key, triple);
     return triple;
   }
 
-  std::vector<const xml::Element*> children =
-      AlignSymbolElements(element, symbol_ids);
   const int32_t pcdata = dtd::PcdataSymbolId();
-
+  const double alpha = options_.tag_weight;
   // Credit of matching child i against a model position: tag similarity
-  // times the child's own global evaluation. Keyed by (child, label id)
-  // so positions sharing a label share the recursive result.
-  std::map<std::pair<size_t, int32_t>, Triple> child_triples;
+  // times the child's own global evaluation, which the memo then holds
+  // for the triple below.
   auto credit = [&](size_t i, int pos) -> double {
     int32_t pos_label_id = automaton->LabelIdOfPosition(pos);
     if (children[i] == nullptr) {  // text run
       return pos_label_id == pcdata ? 1.0 : -1.0;
     }
     if (pos_label_id == pcdata) return -1.0;
-    double tag = TagScoreId(children[i]->tag_id(), children[i]->tag(),
+    double tag = TagScoreId(TagIdOf(*children[i]), TagOf(*children[i]),
                             pos_label_id, automaton->LabelOfPosition(pos));
     if (tag <= 0.0) return -1.0;
-    Triple sub = GlobalTripleCached(*children[i], pos_label_id, ctx);
-    child_triples.emplace(std::make_pair(i, pos_label_id), sub);
-    double alpha = options_.tag_weight;
+    Triple sub = GlobalTripleCached(*children[i], pos_label_id, ctx, depth + 1);
     return tag * (alpha + (1.0 - alpha) * Evaluate(sub, options_.weights));
   };
 
-  MatchResult aligned =
-      AlignChildrenById(*automaton, symbol_ids.size(), credit, options_.match);
+  const AlignmentScore aligned =
+      AlignForScore(*automaton, n, credit, options_.match, level.align);
 
-  for (size_t i = 0; i < aligned.assignments.size(); ++i) {
-    const ChildAssignment& a = aligned.assignments[i];
+  for (size_t i = 0; i < n; ++i) {
+    const ChildAssignment& a = level.align.assignments[i];
     if (a.kind == ChildAssignment::Kind::kPlus) {
       triple.plus += 1.0;
       continue;
@@ -206,22 +290,14 @@ Triple SimilarityEvaluator::GlobalTripleCached(const xml::Element& element,
       triple.common += 1.0;  // matched text
       continue;
     }
-    int32_t matched_id = a.position >= 0
-                             ? automaton->LabelIdOfPosition(a.position)
-                             : children[i]->tag_id();
-    const std::string& matched_label =
-        a.position >= 0 ? automaton->LabelOfPosition(a.position)
-                        : children[i]->tag();
-    double tag = TagScoreId(children[i]->tag_id(), children[i]->tag(),
-                            matched_id, matched_label);
-    auto sub_it = child_triples.find(std::make_pair(i, matched_id));
-    Triple sub =
-        sub_it == child_triples.end()
-            ? GlobalTripleCached(*children[i], matched_id, ctx)
-            : sub_it->second;
-    triple += MatchedChildContribution(sub, tag, options_.tag_weight);
+    const int32_t matched_id = automaton->LabelIdOfPosition(a.position);
+    double tag = TagScoreId(TagIdOf(*children[i]), TagOf(*children[i]),
+                            matched_id, automaton->LabelOfPosition(a.position));
+    // A memo hit: the credit call of this match computed it.
+    Triple sub = GlobalTripleCached(*children[i], matched_id, ctx, depth + 1);
+    triple += MatchedChildContribution(sub, tag, alpha);
   }
-  triple.minus += static_cast<double>(aligned.minus_labels.size());
+  triple.minus += static_cast<double>(aligned.minus_count);
 
   ctx.memo->Insert(&element, label_id, triple);
   if (use_cache) ctx.cache->Insert(cache_key, triple);
@@ -232,7 +308,8 @@ Triple SimilarityEvaluator::GlobalTriple(const xml::Element& element,
                                          const std::string& decl_name) const {
   EvalContext ctx;
   ctx.memo = &memo_;
-  return GlobalTripleCached(element, util::InternSymbol(decl_name), ctx);
+  ctx.scratch = &t_eval_scratch;
+  return GlobalTripleCached(element, util::InternSymbol(decl_name), ctx, 0);
 }
 
 double SimilarityEvaluator::GlobalSimilarity(
@@ -305,6 +382,28 @@ double SimilarityEvaluator::RootTagScore(const xml::Element& root) const {
                     dtd_->root_name());
 }
 
+double SimilarityEvaluator::RootTagScore(const xml::ArenaElement& root) const {
+  return TagScoreId(root.tag_id, root.tag, root_name_id_, dtd_->root_name());
+}
+
+template <typename ElementT>
+double SimilarityEvaluator::ScoreRoot(
+    const ElementT& root, const SubtreeFingerprints* fingerprints) const {
+  double tag = RootTagScore(root);
+  if (tag <= 0.0) return 0.0;
+  // The per-thread memo keeps this entry point safe for concurrent use
+  // on a shared evaluator; it is scoped to one document anyway.
+  EvalScratch& scratch = t_eval_scratch;
+  scratch.memo.clear();
+  EvalContext ctx;
+  ctx.memo = &scratch.memo;
+  ctx.scratch = &scratch;
+  ctx.cache = cache_;
+  ctx.fingerprints = fingerprints;
+  Triple triple = GlobalTripleCached(root, root_name_id_, ctx, 0);
+  return tag * Evaluate(triple, options_.weights);
+}
+
 double SimilarityEvaluator::DocumentSimilarity(
     const xml::Document& doc) const {
   return DocumentSimilarity(doc, nullptr);
@@ -312,31 +411,38 @@ double SimilarityEvaluator::DocumentSimilarity(
 
 double SimilarityEvaluator::DocumentSimilarity(
     const xml::Document& doc, const SubtreeFingerprints* fingerprints) const {
-  // A call-local memo keeps this entry point safe for concurrent use on a
-  // shared evaluator; it is scoped to one document anyway.
   if (!doc.has_root() || dtd_->empty()) return 0.0;
-  double tag = RootTagScore(doc.root());
-  if (tag <= 0.0) return 0.0;
-  TripleMemo memo;
-  EvalContext ctx;
-  ctx.memo = &memo;
-  ctx.cache = cache_;
-  ctx.fingerprints = fingerprints;
   std::optional<SubtreeFingerprints> local_fingerprints;
-  if (cache_ != nullptr && fingerprints == nullptr) {
+  if (cache_ != nullptr && fingerprints == nullptr &&
+      RootTagScore(doc.root()) > 0.0) {
     local_fingerprints.emplace(doc.root());
-    ctx.fingerprints = &*local_fingerprints;
+    fingerprints = &*local_fingerprints;
   }
-  Triple triple =
-      GlobalTripleCached(doc.root(), root_name_id_, ctx);
-  return tag * Evaluate(triple, options_.weights);
+  return ScoreRoot(doc.root(), fingerprints);
+}
+
+double SimilarityEvaluator::DocumentSimilarity(
+    const xml::ArenaDocument& doc) const {
+  if (!doc.has_root() || dtd_->empty()) return 0.0;
+  return ScoreRoot(doc.root(), nullptr);
 }
 
 double SimilarityEvaluator::ScoreUpperBound(
     const xml::Document& doc,
     const std::vector<int32_t>& root_symbol_ids) const {
   if (!doc.has_root() || dtd_->empty()) return 0.0;
-  double tag = RootTagScore(doc.root());
+  return BoundFromTag(RootTagScore(doc.root()), root_symbol_ids);
+}
+
+double SimilarityEvaluator::ScoreUpperBound(
+    const xml::ArenaDocument& doc,
+    const std::vector<int32_t>& root_symbol_ids) const {
+  if (!doc.has_root() || dtd_->empty()) return 0.0;
+  return BoundFromTag(RootTagScore(doc.root()), root_symbol_ids);
+}
+
+double SimilarityEvaluator::BoundFromTag(
+    double tag, const std::vector<int32_t>& root_symbol_ids) const {
   if (tag <= 0.0) return 0.0;
   const EvalWeights& w = options_.weights;
   if (w.common_weight < 0.0 || w.plus_weight < 0.0 || w.minus_weight < 0.0) {
@@ -368,9 +474,10 @@ double SimilarityEvaluator::ScoreUpperBound(
 
 std::vector<ElementReport> SimilarityEvaluator::EvaluateElements(
     const xml::Element& root) const {
-  TripleMemo memo;  // call-local, as in DocumentSimilarity
+  TripleMemo memo;  // call-local: analysis, not the scoring hot path
   EvalContext ctx;
   ctx.memo = &memo;
+  ctx.scratch = &t_eval_scratch;
   ctx.cache = cache_;
   std::optional<SubtreeFingerprints> local_fingerprints;
   if (cache_ != nullptr) {
@@ -389,7 +496,7 @@ std::vector<ElementReport> SimilarityEvaluator::EvaluateElements(
       report.local_triple = LocalTriple(*element, element->tag());
       report.local_similarity = Evaluate(report.local_triple, options_.weights);
       report.global_triple =
-          GlobalTripleCached(*element, element->tag_id(), ctx);
+          GlobalTripleCached(*element, element->tag_id(), ctx, 0);
       report.global_similarity =
           Evaluate(report.global_triple, options_.weights);
     }

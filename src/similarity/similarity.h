@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "similarity/score_cache.h"
 #include "similarity/thesaurus.h"
 #include "similarity/triple.h"
+#include "xml/arena.h"
 #include "xml/document.h"
 
 namespace dtdevolve::similarity {
@@ -43,45 +45,57 @@ struct ElementReport {
 
 /// Call-scoped memo of the recursive global evaluation: an insert-only
 /// open-addressing flat hash table keyed by (element address, interned
-/// declaration label id). Replaces the former ordered map, whose string
-/// keys were copied on every probe.
+/// declaration label id). The element may be an `xml::Element` or an
+/// `xml::ArenaElement`; one evaluation only ever sees one tree. Slots
+/// are generation-stamped, so `clear()` is O(1) and a per-thread memo
+/// is reused across documents without rewriting its table.
 class TripleMemo {
  public:
   TripleMemo() { slots_.resize(kInitialCapacity); }
 
-  const Triple* Find(const xml::Element* element, int32_t label) const {
+  const Triple* Find(const void* element, int32_t label) const {
     size_t mask = slots_.size() - 1;
     for (size_t i = HashKey(element, label) & mask;; i = (i + 1) & mask) {
       const Slot& slot = slots_[i];
-      if (slot.element == nullptr) return nullptr;
+      if (slot.generation != generation_) return nullptr;
       if (slot.element == element && slot.label == label) return &slot.value;
     }
   }
 
-  void Insert(const xml::Element* element, int32_t label,
-              const Triple& value) {
+  void Insert(const void* element, int32_t label, const Triple& value) {
     if ((size_ + 1) * 3 > slots_.size() * 2) Grow();
     InsertNoGrow(element, label, value);
     ++size_;
   }
 
+  /// Empties the memo. A table grown past `kMaxRetainedCapacity` by a
+  /// large document shrinks back, so a long-lived memo stays small.
   void clear() {
-    for (Slot& slot : slots_) slot.element = nullptr;
     size_ = 0;
+    if (slots_.size() > kMaxRetainedCapacity) {
+      slots_.assign(kInitialCapacity, Slot{});
+      generation_ = 1;
+    } else if (++generation_ == 0) {
+      slots_.assign(slots_.size(), Slot{});
+      generation_ = 1;
+    }
   }
 
   size_t size() const { return size_; }
 
  private:
   struct Slot {
-    const xml::Element* element = nullptr;
+    const void* element = nullptr;
     int32_t label = 0;
+    /// The slot is live iff this equals the memo's `generation_`.
+    uint32_t generation = 0;
     Triple value;
   };
 
   static constexpr size_t kInitialCapacity = 64;  // power of two
+  static constexpr size_t kMaxRetainedCapacity = 1 << 14;
 
-  static size_t HashKey(const xml::Element* element, int32_t label) {
+  static size_t HashKey(const void* element, int32_t label) {
     // Element addresses are ≥ 8-byte aligned; drop the dead bits and mix
     // with the label by a 64-bit odd multiplier.
     uint64_t h = (reinterpret_cast<uintptr_t>(element) >> 3) ^
@@ -91,14 +105,15 @@ class TripleMemo {
     return static_cast<size_t>(h);
   }
 
-  void InsertNoGrow(const xml::Element* element, int32_t label,
+  void InsertNoGrow(const void* element, int32_t label,
                     const Triple& value) {
     size_t mask = slots_.size() - 1;
     for (size_t i = HashKey(element, label) & mask;; i = (i + 1) & mask) {
       Slot& slot = slots_[i];
-      if (slot.element == nullptr) {
+      if (slot.generation != generation_) {
         slot.element = element;
         slot.label = label;
+        slot.generation = generation_;
         slot.value = value;
         return;
       }
@@ -112,8 +127,10 @@ class TripleMemo {
   void Grow() {
     std::vector<Slot> old = std::move(slots_);
     slots_.assign(old.size() * 2, Slot{});
+    const uint32_t live = generation_;
+    generation_ = 1;
     for (const Slot& slot : old) {
-      if (slot.element != nullptr) {
+      if (slot.generation == live) {
         InsertNoGrow(slot.element, slot.label, slot.value);
       }
     }
@@ -121,6 +138,7 @@ class TripleMemo {
 
   std::vector<Slot> slots_;
   size_t size_ = 0;
+  uint32_t generation_ = 1;
 };
 
 /// Child nodes aligned 1:1 with the content-symbol ids of `element`
@@ -131,6 +149,9 @@ class TripleMemo {
 /// ignored — instead of indexing out of bounds.
 std::vector<const xml::Element*> AlignSymbolElements(
     const xml::Element& element, const std::vector<int32_t>& symbol_ids);
+
+/// Per-thread buffers of the global recursion (defined in similarity.cc).
+struct EvalScratch;
 
 /// The structural-similarity measure of the companion paper [2], extended
 /// with the *local similarity* variant this paper introduces (§3.1):
@@ -153,14 +174,20 @@ std::vector<const xml::Element*> AlignSymbolElements(
 /// `int32` ids; an optional shared `SubtreeScoreCache` carries triples
 /// across documents keyed by structural fingerprint and this evaluator's
 /// `epoch()` (drawn fresh at construction, which is what invalidates the
-/// cache when a DTD evolves and its evaluator is rebuilt).
+/// cache when a DTD evolves and its evaluator is rebuilt). The global
+/// recursion is one template over the element type: a document scores
+/// the same, bit for bit, as an `xml::Document` and as the
+/// `xml::ArenaDocument` the streaming parser built, whose nodes already
+/// carry their subtree fingerprints. The recursion allocates nothing
+/// once warm: the per-document memo and one alignment scratch per
+/// recursion depth are per-thread and reused.
 ///
 /// Thread-safety: after construction the evaluator is immutable except
 /// for the cross-call memo of the single-element API. `DocumentSimilarity`
-/// and `EvaluateElements` use a call-local memo and may therefore be
-/// called concurrently from any number of threads on one shared evaluator
-/// (this is what batch classification relies on); the shared cache is
-/// internally synchronized. The single-element `GlobalTriple` /
+/// (per-thread memo) and `EvaluateElements` (call-local memo) may
+/// therefore be called concurrently from any number of threads on one
+/// shared evaluator (this is what batch classification relies on); the
+/// shared cache is internally synchronized. The single-element `GlobalTriple` /
 /// `GlobalSimilarity` entry points share the member memo across calls and
 /// are NOT thread-safe; confine them (and `ClearMemo`) to one thread at a
 /// time. `set_shared_cache` is a mutating entry point: install the cache
@@ -186,9 +213,16 @@ class SimilarityEvaluator {
   double DocumentSimilarity(const xml::Document& doc,
                             const SubtreeFingerprints* fingerprints) const;
 
+  /// Arena-tree variant: scores the streaming parser's tree directly,
+  /// with no DOM and no fingerprint index (the nodes carry their
+  /// fingerprints). Bit-identical to the DOM overloads on the
+  /// `ToDocument()` of `doc`. Thread-safe.
+  double DocumentSimilarity(const xml::ArenaDocument& doc) const;
+
   /// Tag similarity of `root`'s tag against this DTD's root declaration
   /// name — the factor that scales (and gates) `DocumentSimilarity`.
   double RootTagScore(const xml::Element& root) const;
+  double RootTagScore(const xml::ArenaElement& root) const;
 
   /// Conservative upper bound on `DocumentSimilarity(doc)`, computed from
   /// the root tag and the document's root content-symbol ids
@@ -204,6 +238,8 @@ class SimilarityEvaluator {
   /// thesaurus in play, or u = 0). The classifier sorts DTDs by this
   /// bound and skips evaluations that cannot beat the best score so far.
   double ScoreUpperBound(const xml::Document& doc,
+                         const std::vector<int32_t>& root_symbol_ids) const;
+  double ScoreUpperBound(const xml::ArenaDocument& doc,
                          const std::vector<int32_t>& root_symbol_ids) const;
 
   /// Global triple / similarity of one element against declaration
@@ -255,27 +291,41 @@ class SimilarityEvaluator {
 
  private:
   /// Everything one recursive evaluation threads through: the call-local
-  /// memo plus the optional shared-cache machinery.
+  /// memo, the per-thread alignment scratch, plus the optional
+  /// shared-cache machinery. `fingerprints` indexes a DOM tree; arena
+  /// nodes carry their own.
   struct EvalContext {
     TripleMemo* memo = nullptr;
+    EvalScratch* scratch = nullptr;
     const SubtreeFingerprints* fingerprints = nullptr;
     SubtreeScoreCache* cache = nullptr;
   };
 
   /// Tag similarity per options (1/0 equality unless a thesaurus is set).
-  double TagScore(const std::string& a, const std::string& b) const;
+  double TagScore(std::string_view a, std::string_view b) const;
   /// Id fast path: equal non-negative ids short-circuit to 1 without
   /// touching strings. A negative id is the interning-overflow sentinel
   /// shared by every overflow tag, so either side being negative falls
   /// back to `TagScore` on the strings.
-  double TagScoreId(int32_t a_id, const std::string& a, int32_t b_id,
-                    const std::string& b) const;
+  double TagScoreId(int32_t a_id, std::string_view a, int32_t b_id,
+                    std::string_view b) const;
 
   const dtd::Automaton* FindAutomaton(int32_t label_id) const;
   const dtd::Automaton* FindAutomaton(const std::string& name) const;
 
-  Triple GlobalTripleCached(const xml::Element& element, int32_t label_id,
-                            EvalContext& ctx) const;
+  /// The global recursion, for `xml::Element` and `xml::ArenaElement`.
+  /// `depth` selects this level's alignment scratch: the credit of a
+  /// depth-d alignment recurses at depth d + 1 while d's search is live.
+  template <typename ElementT>
+  Triple GlobalTripleCached(const ElementT& element, int32_t label_id,
+                            EvalContext& ctx, size_t depth) const;
+  /// `DocumentSimilarity` of a root element, on this thread's scratch.
+  template <typename ElementT>
+  double ScoreRoot(const ElementT& root,
+                   const SubtreeFingerprints* fingerprints) const;
+  /// `ScoreUpperBound` once the root tag score is known.
+  double BoundFromTag(double tag,
+                      const std::vector<int32_t>& root_symbol_ids) const;
 
   const dtd::Dtd* dtd_;
   SimilarityOptions options_;

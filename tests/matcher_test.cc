@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 #include "dtd/dtd_parser.h"
 #include "similarity/matcher.h"
 #include "similarity/triple.h"
@@ -143,6 +146,94 @@ TEST(MatcherTest, MinusLabelsInModelOrder) {
   ASSERT_EQ(result.minus_labels.size(), 2u);
   EXPECT_EQ(result.minus_labels[0], "b");
   EXPECT_EQ(result.minus_labels[1], "d");
+}
+
+// --- The scoring reader of the shared search ---------------------------------
+
+/// A random content model over labels a–d: nested sequences and choices
+/// with random occurrence suffixes.
+std::string RandomParticle(std::mt19937_64& rng, int depth) {
+  static const char* const kSuffixes[] = {"", "", "?", "*", "+"};
+  const char* suffix = kSuffixes[rng() % 5];
+  if (depth == 0 || rng() % 3 == 0) {
+    return std::string(1, static_cast<char>('a' + rng() % 4)) + suffix;
+  }
+  const char* separator = rng() % 2 == 0 ? "," : "|";
+  const size_t arity = 1 + rng() % 3;
+  std::string group = "(";
+  for (size_t i = 0; i < arity; ++i) {
+    if (i > 0) group += separator;
+    group += RandomParticle(rng, depth - 1);
+  }
+  return group + ")" + suffix;
+}
+
+TEST(MatcherTest, ScoreReaderAgreesWithMatchResultOnRandomModels) {
+  // Credits include forbidden (negative), zero, partial and above-one
+  // (clamped) values, so every move kind and tie shape occurs.
+  static const double kCredits[] = {-1.0, -0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5};
+  static const double kCosts[] = {0.25, 1.0, 1.0, 2.0};
+  std::mt19937_64 rng(20261019);
+  // One scratch across every trial: a dirty scratch must not leak into
+  // the next alignment.
+  AlignScratch scratch;
+  for (int trial = 0; trial < 600; ++trial) {
+    const std::string text = "(" + RandomParticle(rng, 3) + ")";
+    auto model = dtd::ParseContentModel(text);
+    ASSERT_TRUE(model.ok()) << text << ": " << model.status().ToString();
+    const dtd::Automaton automaton = dtd::Automaton::Build(**model);
+    const size_t positions = automaton.num_states() - 1;
+    const size_t n = rng() % 7;
+    std::vector<std::vector<double>> table(n, std::vector<double>(positions));
+    for (std::vector<double>& row : table) {
+      for (double& credit : row) credit = kCredits[rng() % 8];
+    }
+    MatchOptions options;
+    options.plus_cost = kCosts[rng() % 4];
+    options.minus_cost = kCosts[rng() % 4];
+    auto credit = [&table](size_t i, int pos) { return table[i][pos]; };
+
+    const MatchResult full = AlignChildrenById(automaton, n, credit, options);
+    const AlignmentScore score =
+        AlignForScore(automaton, n, credit, options, scratch);
+    SCOPED_TRACE(text + " over " + std::to_string(n) + " symbols");
+    EXPECT_EQ(score.cost, full.cost);  // bitwise
+    EXPECT_EQ(score.minus_count, full.minus_labels.size());
+    ASSERT_EQ(full.assignments.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(scratch.assignments[i].kind, full.assignments[i].kind) << i;
+      EXPECT_EQ(scratch.assignments[i].position, full.assignments[i].position)
+          << i;
+      EXPECT_EQ(scratch.assignments[i].credit, full.assignments[i].credit)
+          << i;
+    }
+    // The reader against the path events: replaying them in path order
+    // re-derives every placement, the minus count and — summed as the
+    // search accumulates distances — the cost, bit for bit.
+    double cost = 0.0;
+    size_t minus = 0;
+    for (const PathEvent& event : full.events) {
+      if (event.kind == PathEvent::Kind::kMinus) {
+        ++minus;
+        cost = cost + options.minus_cost;
+        continue;
+      }
+      const ChildAssignment& a = scratch.assignments[event.child_index];
+      if (event.kind == PathEvent::Kind::kPlus) {
+        EXPECT_EQ(a.kind, ChildAssignment::Kind::kPlus);
+        cost = cost + options.plus_cost;
+        continue;
+      }
+      const double credit_value =
+          std::min(table[event.child_index][event.position], 1.0);
+      EXPECT_EQ(a.kind, ChildAssignment::Kind::kMatched);
+      EXPECT_EQ(a.position, event.position);
+      EXPECT_EQ(a.credit, credit_value);
+      cost = cost + (1.0 - credit_value);
+    }
+    EXPECT_EQ(minus, score.minus_count);
+    EXPECT_EQ(cost, score.cost);
+  }
 }
 
 // --- Evaluation function E ----------------------------------------------------

@@ -16,7 +16,10 @@
 #include "util/thread_pool.h"
 #include "workload/generator.h"
 #include "workload/mutator.h"
+#include "workload/scenarios.h"
 #include "xml/parser.h"
+#include "xml/stream_reader.h"
+#include "xml/writer.h"
 
 namespace dtdevolve {
 namespace {
@@ -352,6 +355,52 @@ TEST(ProcessBatchTest, MidBatchEvolutionInvalidatesStaleScores) {
     ExpectSameOutcome(outcomes[i], expected[i], i);
   }
   ExpectSameState(batch, sequential);
+}
+
+TEST(ProcessBatchTest, ArenaBatchOverDriftScenariosMatchesSequentialText) {
+  // Arena misses are scored on each worker's per-thread, per-depth
+  // alignment scratch; forum's recursive DTD drives that recursion deep.
+  // Mid-batch evolutions re-score the stale rest of a chunk.
+  core::SourceOptions options;
+  options.tau = 0.1;
+  options.min_documents_before_check = 10;
+  for (workload::ScenarioStream& stream :
+       workload::MakeAllScenarios(/*seed=*/11, /*docs_per_phase=*/40)) {
+    SCOPED_TRACE(stream.name());
+    const dtd::Dtd initial = stream.InitialDtd();
+    std::vector<std::string> texts;
+    while (!stream.Done()) texts.push_back(xml::WriteDocument(stream.Next()));
+
+    core::XmlSource sequential(options);
+    ASSERT_TRUE(sequential.AddDtd(stream.name(), initial.Clone()).ok());
+    std::vector<core::XmlSource::ProcessOutcome> expected;
+    for (const std::string& text : texts) {
+      StatusOr<core::XmlSource::ProcessOutcome> outcome =
+          sequential.ProcessText(text);
+      ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+      expected.push_back(*outcome);
+    }
+    ASSERT_GT(sequential.evolutions_performed(), 0u);
+
+    for (size_t jobs : {1, 2, 8}) {
+      core::XmlSource batch(options);
+      ASSERT_TRUE(batch.AddDtd(stream.name(), initial.Clone()).ok());
+      std::vector<xml::ArenaDocument> docs;
+      for (const std::string& text : texts) {
+        StatusOr<xml::ArenaDocument> doc = xml::ParseArenaDocument(text);
+        ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+        docs.push_back(std::move(*doc));
+      }
+      util::ThreadPool pool(jobs);
+      std::vector<core::XmlSource::ProcessOutcome> outcomes =
+          batch.ProcessBatch(std::move(docs), &pool);
+      ASSERT_EQ(outcomes.size(), expected.size()) << "jobs " << jobs;
+      for (size_t i = 0; i < outcomes.size(); ++i) {
+        ExpectSameOutcome(outcomes[i], expected[i], i);
+      }
+      ExpectSameState(batch, sequential);
+    }
+  }
 }
 
 TEST(ProcessBatchTest, ReclassifyRepositoryParallelMatchesSequential) {

@@ -17,6 +17,7 @@
 
 #include "check/oracle.h"
 #include "classify/classifier.h"
+#include "obs/metrics.h"
 #include "similarity/score_cache.h"
 #include "util/string_util.h"
 #include "workload/scenarios.h"
@@ -227,6 +228,67 @@ TEST(ParsePathTest, ClassificationOutcomesIdenticalAcrossPaths) {
       memoized.classifier->classification_memo();
   ASSERT_NE(memo, nullptr);
   EXPECT_GT(memo->GetStats().hits, 0u);
+}
+
+/// Scoring instrumentation of one classifier, for comparing entry points.
+struct ScoringMetrics {
+  obs::Counter scored;
+  obs::Counter evaluations;
+  obs::Counter pruned;
+  obs::Histogram seconds{obs::Histogram::DefaultLatencyBounds()};
+
+  classify::ClassifierMetrics Hooks() {
+    classify::ClassifierMetrics hooks;
+    hooks.documents_scored = &scored;
+    hooks.similarity_evaluations = &evaluations;
+    hooks.evaluations_pruned = &pruned;
+    hooks.score_seconds = &seconds;
+    return hooks;
+  }
+};
+
+TEST(ParsePathTest, ClassifyArenaScoresMissesOnTheArenaTree) {
+  classify::ClassifierOptions no_memo;
+  no_memo.classification_memo_bytes = 0;
+  ClassifierFixture reference(no_memo);
+  ClassifierFixture memoized(classify::ClassifierOptions{});
+  ScoringMetrics reference_metrics;
+  ScoringMetrics arena_metrics;
+  reference.classifier->set_metrics(reference_metrics.Hooks());
+  memoized.classifier->set_metrics(arena_metrics.Hooks());
+
+  xml::WriteOptions compact;
+  compact.indent = false;
+  size_t documents = 0;
+  size_t misses = 0;
+  for (workload::ScenarioStream& stream : workload::MakeAllScenarios(29, 10)) {
+    while (!stream.Done()) {
+      std::string text = xml::WriteDocument(stream.Next(), compact);
+      const std::string label = stream.name() + " #" + std::to_string(documents++);
+      StatusOr<xml::ArenaDocument> arena = xml::ParseArenaDocument(text);
+      ASSERT_TRUE(arena.ok()) << label;
+      const bool miss = !memoized.classifier->MemoProbe(*arena).has_value();
+      if (!miss) continue;
+      ++misses;
+      classify::ClassificationOutcome want =
+          reference.classifier->Classify(arena->ToDocument());
+      classify::ClassificationOutcome got =
+          memoized.classifier->ClassifyArena(*arena, nullptr);
+      ExpectOutcomesEqual(want, got, label);  // `scores` included, bitwise
+    }
+  }
+  ASSERT_GT(misses, 10u);
+  // The arena path meters a scored document exactly as the DOM path
+  // does: one document, its evaluations and prunes, one observation.
+  EXPECT_EQ(arena_metrics.evaluations.Value(),
+            reference_metrics.evaluations.Value());
+  EXPECT_EQ(arena_metrics.pruned.Value(), reference_metrics.pruned.Value());
+  EXPECT_EQ(arena_metrics.seconds.Count(), misses);
+  EXPECT_EQ(reference_metrics.seconds.Count(), misses);
+  // A replayed probe counts as a scored document too, so every document
+  // counts once on the memoized classifier.
+  EXPECT_EQ(reference_metrics.scored.Value(), misses);
+  EXPECT_EQ(arena_metrics.scored.Value(), documents);
 }
 
 TEST(ParsePathTest, MemoProbeReplaysOnlyAfterClassification) {

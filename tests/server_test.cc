@@ -246,6 +246,39 @@ double SeriesValue(const std::string& metrics, const std::string& series) {
   return std::atof(metrics.c_str() + pos + needle.size());
 }
 
+TEST(ServerTest, ScoreSecondsObservesEachScoredShapeAtMicrosecondResolution) {
+  core::SourceOptions options = EvolvingOptions();
+  options.auto_evolve = false;  // no evolution, so no re-scoring pass
+  IngestServer server(options, EphemeralOptions());
+  ASSERT_TRUE(server.AddDtdText("mail", kMailDtd).ok());
+  ASSERT_TRUE(server.Start().ok());
+
+  // Three distinct shapes, each sent twice: the repeats are memo
+  // replays, which score nothing and observe nothing.
+  const char* kNoSubjectDoc =
+      "<mail><envelope><from>a</from><to>b</to></envelope>"
+      "<body>hello</body></mail>";
+  for (const char* doc : {kConformingDoc, kDriftedDoc, kNoSubjectDoc}) {
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      ASSERT_EQ(Post(server.port(), "/ingest?wait=1", doc).status, 200);
+    }
+  }
+  const std::string metrics = Get(server.port(), "/metrics").body;
+  EXPECT_EQ(SeriesValue(metrics, "dtdevolve_documents_processed_total"), 6);
+  EXPECT_EQ(SeriesValue(metrics, "dtdevolve_score_seconds_count"), 3);
+  // The first bucket resolves a microsecond, not the 100 µs floor of
+  // the default latency bounds.
+  EXPECT_GE(
+      SeriesValue(metrics, "dtdevolve_score_seconds_bucket{le=\"1e-06\"}"),
+      0);
+  EXPECT_EQ(
+      SeriesValue(metrics, "dtdevolve_score_seconds_bucket{le=\"+Inf\"}"),
+      3);
+
+  server.Shutdown();
+  server.Wait();
+}
+
 TEST(ServerTest, QueuedIngestsShareOneGroupCommitFsync) {
   const std::string dir = testing::TempDir() + "server_group_commit";
   std::filesystem::remove_all(dir);
