@@ -5,12 +5,19 @@
 //   classified_pct — documents whose best similarity reached σ,
 //   validator_pct  — documents a rigid validator would accept (E10),
 //   correct_pct    — multi-DTD routing accuracy (best DTD = true origin).
+//
+// The parse rows time the step every arriving document pays before it is
+// classified: the one-pass arena reader (the ingest path) and the DOM
+// parser (the reference), over the serialized drift-scenario documents.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
 #include "classify/classifier.h"
 #include "workload/scenarios.h"
+#include "xml/parser.h"
+#include "xml/stream_reader.h"
+#include "xml/writer.h"
 
 namespace dtdevolve {
 namespace {
@@ -105,6 +112,51 @@ void BM_ClassifyOneDocument(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ClassifyOneDocument);
+
+/// The corpus documents as the ingest path receives them: serialized text.
+const std::vector<std::string>& SharedTexts() {
+  static const std::vector<std::string>* texts = [] {
+    auto* out = new std::vector<std::string>;
+    for (const xml::Document& doc : SharedCorpus().docs) {
+      out->push_back(xml::WriteDocument(doc));
+    }
+    return out;
+  }();
+  return *texts;
+}
+
+/// Parses every corpus text once per iteration with `parse`; reports
+/// documents and input bytes per second.
+template <typename Parse>
+void ParseDriftScenarios(benchmark::State& state, Parse parse) {
+  const std::vector<std::string>& texts = SharedTexts();
+  size_t bytes = 0;
+  for (const std::string& text : texts) bytes += text.size();
+  for (auto _ : state) {
+    for (const std::string& text : texts) {
+      auto doc = parse(text);
+      if (!doc.ok()) state.SkipWithError("corpus document failed to parse");
+      benchmark::DoNotOptimize(doc);
+    }
+  }
+  state.SetItemsProcessed(
+      static_cast<int64_t>(state.iterations() * texts.size()));
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * bytes));
+}
+
+void BM_ParseArena_DriftScenarios(benchmark::State& state) {
+  ParseDriftScenarios(state, [](const std::string& text) {
+    return xml::ParseArenaDocument(text);
+  });
+}
+BENCHMARK(BM_ParseArena_DriftScenarios)->Unit(benchmark::kMicrosecond);
+
+void BM_ParseDom_DriftScenarios(benchmark::State& state) {
+  ParseDriftScenarios(state, [](const std::string& text) {
+    return xml::ParseDocument(text);
+  });
+}
+BENCHMARK(BM_ParseDom_DriftScenarios)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace dtdevolve

@@ -1,12 +1,14 @@
-// Fuzz target: the streaming pull reader, differentially against the DOM
-// parser. Shares the xml seed corpus with fuzz_xml_parser:
+// Fuzz target: the one-pass arena reader (a push scanner that builds the
+// arena tree as it reads), differentially against the DOM parser. Shares
+// the xml seed corpus with fuzz_xml_parser:
 //
 //   build-fuzz/fuzz/fuzz_stream_reader tests/corpus/xml --seconds 60
 //
-// The two parsers must agree on accept/reject for every input; on accept
-// the arena tree must convert to a structurally equal DOM, the DOCTYPE
-// fields must match, the parse-time root fingerprint must be
-// bit-identical to the after-the-fact DOM fingerprint index — the
+// The two parsers must agree on accept/reject for every input, and a
+// rejection must carry the byte-identical error message, line number
+// included. On accept the arena tree must convert to a structurally equal
+// DOM, the DOCTYPE fields must match, the parse-time root fingerprint
+// must be bit-identical to the after-the-fact DOM fingerprint index — the
 // contract the classification memo's correctness rests on — and a
 // built-in DTD with mixed content and repetition must score the arena
 // tree bit-identically to its DOM conversion and to the DOM parse, with
@@ -81,7 +83,10 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   dtdevolve::StatusOr<dtdevolve::xml::ArenaDocument> arena =
       dtdevolve::xml::ParseArenaDocument(input);
   if (dom.ok() != arena.ok()) __builtin_trap();
-  if (!dom.ok()) return 0;
+  if (!dom.ok()) {
+    if (dom.status().message() != arena.status().message()) __builtin_trap();
+    return 0;
+  }
   if (dom->has_root() != arena->has_root()) __builtin_trap();
   if (dom->doctype_name() != arena->doctype_name() ||
       dom->internal_subset() != arena->internal_subset()) {

@@ -1,7 +1,5 @@
 #include "dtd/dtd_parser.h"
 
-#include <cctype>
-
 #include "util/string_util.h"
 #include "xml/text.h"
 
@@ -37,7 +35,7 @@ class DtdParser {
     return true;
   }
   void SkipWhitespace() {
-    while (!AtEnd() && std::isspace(static_cast<unsigned char>(Peek()))) {
+    while (!AtEnd() && xml::IsSpaceChar(Peek())) {
       Advance();
     }
   }
@@ -237,7 +235,7 @@ Status DtdParser::ParseAttlistDecl(Dtd& dtd) {
       Advance();
       while (!AtEnd() && Peek() != ')') {
         char c = Advance();
-        if (!std::isspace(static_cast<unsigned char>(c))) enumeration += c;
+        if (!xml::IsSpaceChar(c)) enumeration += c;
       }
       if (!Consume(')')) return ErrorHere("unterminated enumeration");
       enumeration += ')';

@@ -18,17 +18,20 @@ thread_local std::vector<std::unique_ptr<char[]>> chunk_pool;
 }  // namespace
 
 Arena::~Arena() {
-  for (Chunk& chunk : chunks_) {
+  auto release = [](Chunk& chunk) {
     if (chunk.data != nullptr && chunk.size == kDefaultChunkBytes &&
         chunk_pool.size() < kMaxPooledChunks) {
       chunk_pool.push_back(std::move(chunk.data));
     }
-  }
+  };
+  release(first_chunk_);
+  for (Chunk& chunk : more_chunks_) release(chunk);
 }
 
 void Arena::NewChunk(size_t min_bytes) {
   size_t size = std::max(kDefaultChunkBytes, min_bytes);
-  Chunk chunk;
+  Chunk& chunk = first_chunk_.data == nullptr ? first_chunk_
+                                              : more_chunks_.emplace_back();
   if (size == kDefaultChunkBytes && !chunk_pool.empty()) {
     chunk.data = std::move(chunk_pool.back());
     chunk_pool.pop_back();
@@ -41,31 +44,6 @@ void Arena::NewChunk(size_t min_bytes) {
   cursor_ = chunk.data.get();
   remaining_ = size;
   bytes_reserved_ += size;
-  chunks_.push_back(std::move(chunk));
-}
-
-void* Arena::Allocate(size_t bytes, size_t align) {
-  if (bytes == 0) bytes = 1;
-  size_t padding =
-      (align - reinterpret_cast<uintptr_t>(cursor_) % align) % align;
-  if (padding + bytes > remaining_) {
-    NewChunk(bytes + align);
-    padding = (align - reinterpret_cast<uintptr_t>(cursor_) % align) % align;
-  }
-  cursor_ += padding;
-  remaining_ -= padding;
-  void* result = cursor_;
-  cursor_ += bytes;
-  remaining_ -= bytes;
-  bytes_allocated_ += bytes;
-  return result;
-}
-
-std::string_view Arena::CopyString(std::string_view text) {
-  if (text.empty()) return {};
-  char* storage = AllocateArray<char>(text.size());
-  std::memcpy(storage, text.data(), text.size());
-  return {storage, text.size()};
 }
 
 namespace {

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string_view>
 #include <vector>
@@ -45,14 +46,32 @@ class Arena {
   /// Copies `text` into the arena; the returned view is stable for the
   /// arena's lifetime. Empty input yields an empty view without
   /// allocating.
-  std::string_view CopyString(std::string_view text);
+  std::string_view CopyString(std::string_view text) {
+    if (text.empty()) return {};
+    char* storage = AllocateArray<char>(text.size());
+    std::memcpy(storage, text.data(), text.size());
+    return {storage, text.size()};
+  }
 
   /// Bytes handed out to callers (the document's live footprint).
   size_t bytes_allocated() const { return bytes_allocated_; }
   /// Bytes reserved from the heap (chunk footprint, ≥ bytes_allocated).
   size_t bytes_reserved() const { return bytes_reserved_; }
 
-  void* Allocate(size_t bytes, size_t align);
+  /// `align` must be a power of two.
+  void* Allocate(size_t bytes, size_t align) {
+    if (bytes == 0) bytes = 1;
+    size_t padding = -reinterpret_cast<uintptr_t>(cursor_) & (align - 1);
+    if (padding + bytes > remaining_) {
+      NewChunk(bytes + align);
+      padding = -reinterpret_cast<uintptr_t>(cursor_) & (align - 1);
+    }
+    void* result = cursor_ + padding;
+    cursor_ += padding + bytes;
+    remaining_ -= padding + bytes;
+    bytes_allocated_ += bytes;
+    return result;
+  }
 
  private:
   static constexpr size_t kDefaultChunkBytes = 32 * 1024;
@@ -64,7 +83,10 @@ class Arena {
 
   void NewChunk(size_t min_bytes);
 
-  std::vector<Chunk> chunks_;
+  /// The first chunk is held inline, so a document that fits in one
+  /// chunk (nearly every one) costs no vector allocation.
+  Chunk first_chunk_;
+  std::vector<Chunk> more_chunks_;
   char* cursor_ = nullptr;
   size_t remaining_ = 0;
   size_t bytes_allocated_ = 0;

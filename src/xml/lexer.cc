@@ -1,7 +1,5 @@
 #include "xml/lexer.h"
 
-#include <cctype>
-
 #include "xml/text.h"
 
 namespace dtdevolve::xml {
@@ -25,7 +23,7 @@ bool Lexer::ConsumeWord(std::string_view word) {
 }
 
 void Lexer::SkipWhitespace() {
-  while (!AtEnd() && std::isspace(static_cast<unsigned char>(Peek()))) {
+  while (!AtEnd() && IsSpaceChar(Peek())) {
     Advance();
   }
 }

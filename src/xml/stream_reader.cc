@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <cctype>
+#include <cstring>
 #include <functional>
+#include <string>
+#include <vector>
 
-#include "util/string_util.h"
 #include "util/symbol_table.h"
 #include "xml/fingerprint.h"
 #include "xml/text.h"
@@ -18,6 +19,14 @@ namespace {
 /// or arena) is later walked recursively, so depth must stay bounded
 /// whichever path parsed it.
 constexpr size_t kMaxElementDepth = 512;
+
+/// Retention caps of the per-thread scratch. Past them a buffer is
+/// released after the parse, so one huge document does not pin its
+/// working set on a serving thread. The frame stack needs no cap: the
+/// depth bound already limits it to 512 entries.
+constexpr size_t kRetainedChildren = 4096;
+constexpr size_t kRetainedAttributes = 256;
+constexpr size_t kRetainedTextBytes = 64 * 1024;
 
 /// Small direct-mapped front cache over `util::InternSymbolBounded`:
 /// the global table takes a shared lock per probe, which adds up at one
@@ -45,531 +54,422 @@ int32_t InternTagCached(std::string_view tag) {
   return id;
 }
 
-}  // namespace
-
-char StreamReader::Advance() {
-  char c = input_[pos_++];
-  if (c == '\n') ++line_;
-  return c;
+bool IsBlankRun(std::string_view run) {
+  return std::all_of(run.begin(), run.end(), IsSpaceChar);
 }
 
-bool StreamReader::Consume(char expected) {
-  if (AtEnd() || Peek() != expected) return false;
-  Advance();
-  return true;
-}
+/// One open element: its node, where its child slots start on the shared
+/// child stack, and its running fingerprint.
+struct Frame {
+  ArenaElement* element;
+  size_t child_start;
+  FingerprintAccumulator fp;
+};
 
-bool StreamReader::ConsumeWord(std::string_view word) {
-  if (input_.substr(pos_, word.size()) != word) return false;
-  for (size_t i = 0; i < word.size(); ++i) Advance();
-  return true;
-}
+/// The reader's working stacks, one set per thread, reused across
+/// documents. Every parse clears them first (a failed parse leaves them
+/// mid-document) and trims them to the retention caps last.
+struct ReaderScratch {
+  std::vector<Frame> frames;               // open elements, innermost last
+  std::vector<ArenaChild> children;        // child slots of open elements
+  std::vector<ArenaAttribute> attributes;  // the current start tag's
+  std::string text;   // the pending text run, once merged or decoded
+  std::string value;  // one decoded attribute value
 
-void StreamReader::SkipWhitespace() {
-  // Explicit C-locale class (space \t \n \v \f \r): the libc call
-  // is an indirect table lookup per character, and this loop runs
-  // between every token of every tag.
-  while (!AtEnd()) {
-    const char c = Peek();
-    if (c != ' ' && c != '\t' && c != '\n' && c != '\v' && c != '\f' &&
-        c != '\r') {
-      break;
-    }
-    Advance();
+  void Clear() {
+    frames.clear();
+    children.clear();
+    attributes.clear();
+    text.clear();
   }
-}
 
-Status StreamReader::ErrorHere(std::string message) {
-  error_ = Status::ParseError("line " + std::to_string(line_) + ": " +
-                              std::move(message));
-  return error_;
-}
-
-Status StreamReader::LexNameView(std::string_view* out) {
-  if (AtEnd() || !IsNameStartChar(Peek())) {
-    return ErrorHere("expected a name");
-  }
-  size_t start = pos_;
-  while (!AtEnd() && IsNameChar(Peek())) ++pos_;  // names contain no '\n'
-  *out = input_.substr(start, pos_ - start);
-  return Status::Ok();
-}
-
-Status StreamReader::DecodeInto(std::string_view raw, std::string* scratch,
-                                std::string_view* out, size_t at_line) {
-  if (raw.find('&') == std::string_view::npos) {
-    *out = raw;
-    return Status::Ok();
-  }
-  StatusOr<std::string> decoded = UnescapeText(raw);
-  if (!decoded.ok()) {
-    error_ = Status::ParseError("line " + std::to_string(at_line) + ": " +
-                                std::string(decoded.status().message()));
-    return error_;
-  }
-  *scratch = std::move(decoded).value();
-  *out = *scratch;
-  return Status::Ok();
-}
-
-Status StreamReader::Next(StreamEvent* event) {
-  if (!error_.ok()) return error_;
-  *event = StreamEvent();
-  if (pending_end_) {
-    pending_end_ = false;
-    event->kind = StreamEventKind::kEndElement;
-    event->name = pending_end_name_;
-    event->line = line_;
-    return Status::Ok();
-  }
-  if (done_) {
-    event->kind = StreamEventKind::kEndDocument;
-    event->line = line_;
-    return Status::Ok();
-  }
-  while (true) {
-    if (AtEnd()) {
-      if (!open_.empty()) {
-        error_ = Status::ParseError("unexpected end of input: <" +
-                                    std::string(open_.back()) +
-                                    "> is not closed");
-        return error_;
-      }
-      if (!has_root_) {
-        error_ = Status::ParseError("document has no root element");
-        return error_;
-      }
-      done_ = true;
-      event->kind = StreamEventKind::kEndDocument;
-      event->line = line_;
-      return Status::Ok();
+  void Trim() {
+    if (children.capacity() > kRetainedChildren) {
+      std::vector<ArenaChild>().swap(children);
     }
-    bool emitted = false;
-    Status st;
-    if (Peek() == '<') {
-      Advance();
-      st = LexMarkup(event, &emitted);
-    } else {
-      st = LexText(event, &emitted);
+    if (attributes.capacity() > kRetainedAttributes) {
+      std::vector<ArenaAttribute>().swap(attributes);
     }
-    if (!st.ok()) return st;
-    if (emitted) return Status::Ok();
-  }
-}
-
-Status StreamReader::LexText(StreamEvent* event, bool* emitted) {
-  const size_t start_line = line_;
-  size_t start = pos_;
-  size_t lt = input_.find('<', pos_);
-  size_t end = lt == std::string_view::npos ? input_.size() : lt;
-  std::string_view raw = input_.substr(start, end - start);
-  line_ += static_cast<size_t>(std::count(raw.begin(), raw.end(), '\n'));
-  pos_ = end;
-  std::string_view decoded;
-  Status st = DecodeInto(raw, &text_scratch_, &decoded, start_line);
-  if (!st.ok()) return st;
-  if (IsBlank(decoded)) return Status::Ok();  // dropped, like the parser
-  if (open_.empty()) {
-    error_ = Status::ParseError("line " + std::to_string(start_line) +
-                                ": character data outside root element");
-    return error_;
-  }
-  event->kind = StreamEventKind::kText;
-  event->text = decoded;
-  event->line = start_line;
-  *emitted = true;
-  return Status::Ok();
-}
-
-Status StreamReader::LexMarkup(StreamEvent* event, bool* emitted) {
-  if (AtEnd()) return ErrorHere("unexpected end of input after '<'");
-  if (Peek() == '!') {
-    Advance();
-    if (ConsumeWord("--")) {
-      while (!AtEnd()) {
-        if (input_.substr(pos_, 3) == "-->") {
-          Advance();
-          Advance();
-          Advance();
-          return Status::Ok();  // comments are validated, then dropped
-        }
-        Advance();
-      }
-      return ErrorHere("unterminated comment");
-    }
-    if (ConsumeWord("[CDATA[")) {
-      const size_t start_line = line_;
-      size_t start = pos_;
-      while (!AtEnd()) {
-        if (input_.substr(pos_, 3) == "]]>") {
-          std::string_view raw = input_.substr(start, pos_ - start);
-          Advance();
-          Advance();
-          Advance();
-          // CDATA content is literal — never unescaped, like the lexer.
-          if (IsBlank(raw)) return Status::Ok();
-          if (open_.empty()) {
-            error_ =
-                Status::ParseError("line " + std::to_string(start_line) +
-                                   ": character data outside root element");
-            return error_;
-          }
-          event->kind = StreamEventKind::kText;
-          event->text = raw;
-          event->line = start_line;
-          *emitted = true;
-          return Status::Ok();
-        }
-        Advance();
-      }
-      return ErrorHere("unterminated CDATA section");
-    }
-    if (ConsumeWord("DOCTYPE")) {
-      Status st = LexDoctype(event);
-      if (!st.ok()) return st;
-      *emitted = true;
-      return Status::Ok();
-    }
-    return ErrorHere("unrecognized markup declaration");
-  }
-  if (Peek() == '?') {
-    Advance();
-    std::string_view target;
-    Status st = LexNameView(&target);
-    if (!st.ok()) return st;
-    while (!AtEnd()) {
-      if (Peek() == '?' && pos_ + 1 < input_.size() &&
-          input_[pos_ + 1] == '>') {
-        Advance();
-        Advance();
-        return Status::Ok();  // PIs are validated, then dropped
-      }
-      Advance();
-    }
-    return ErrorHere("unterminated processing instruction");
-  }
-  if (Peek() == '/') {
-    Advance();
-    Status st = LexEndTag(event);
-    if (!st.ok()) return st;
-    *emitted = true;
-    return Status::Ok();
-  }
-  Status st = LexStartTag(event);
-  if (!st.ok()) return st;
-  *emitted = true;
-  return Status::Ok();
-}
-
-Status StreamReader::LexStartTag(StreamEvent* event) {
-  const size_t start_line = line_;
-  std::string_view name;
-  Status st = LexNameView(&name);
-  if (!st.ok()) return st;
-  // Document discipline, checked before attribute lexing would not
-  // change the answer: the DOM parser sees the whole token first, but a
-  // token with these errors can never become valid, so checking either
-  // side of the attribute list accepts the same language.
-  if (open_.empty() && has_root_) {
-    error_ = Status::ParseError("line " + std::to_string(start_line) +
-                                ": multiple root elements (second is <" +
-                                std::string(name) + ">)");
-    return error_;
-  }
-  if (open_.size() >= kMaxElementDepth) {
-    error_ = Status::ParseError(
-        "line " + std::to_string(start_line) + ": elements nested deeper than " +
-        std::to_string(kMaxElementDepth));
-    return error_;
-  }
-  attributes_.clear();
-  attr_scratch_.clear();
-  bool self_closing = false;
-  while (true) {
-    SkipWhitespace();
-    if (AtEnd()) return ErrorHere("unterminated start tag");
-    if (Consume('>')) break;
-    if (Peek() == '/') {
-      Advance();
-      if (!Consume('>')) return ErrorHere("expected '>' after '/'");
-      self_closing = true;
-      break;
-    }
-    std::string_view attr_name;
-    st = LexNameView(&attr_name);
-    if (!st.ok()) return st;
-    SkipWhitespace();
-    if (!Consume('=')) return ErrorHere("expected '=' after attribute name");
-    SkipWhitespace();
-    if (AtEnd() || (Peek() != '"' && Peek() != '\'')) {
-      return ErrorHere("expected a quoted attribute value");
-    }
-    const size_t value_line = line_;
-    char quote = Advance();
-    size_t value_start = pos_;
-    size_t close = input_.find(quote, pos_);
-    if (close == std::string_view::npos) {
-      // The DOM lexer scans the whole remainder looking for the closing
-      // quote, counting newlines as it goes; mirror that so the error
-      // lands on the same line number.
-      std::string_view tail = input_.substr(pos_);
-      line_ += static_cast<size_t>(std::count(tail.begin(), tail.end(), '\n'));
-      pos_ = input_.size();
-      return ErrorHere("unterminated attribute value");
-    }
-    std::string_view raw = input_.substr(value_start, close - value_start);
-    line_ += static_cast<size_t>(std::count(raw.begin(), raw.end(), '\n'));
-    pos_ = close + 1;
-    std::string_view value;
-    if (raw.find('&') == std::string_view::npos) {
-      value = raw;
-    } else {
-      StatusOr<std::string> decoded = UnescapeText(raw);
-      if (!decoded.ok()) {
-        error_ =
-            Status::ParseError("line " + std::to_string(value_line) + ": " +
-                               std::string(decoded.status().message()));
-        return error_;
-      }
-      attr_scratch_.push_back(
-          std::make_unique<std::string>(std::move(decoded).value()));
-      value = *attr_scratch_.back();
-    }
-    attributes_.push_back({attr_name, value});
-  }
-  if (open_.empty()) has_root_ = true;
-  if (self_closing) {
-    pending_end_ = true;
-    pending_end_name_ = name;
-  } else {
-    open_.push_back(name);
-  }
-  event->kind = StreamEventKind::kStartElement;
-  event->name = name;
-  event->self_closing = self_closing;
-  event->line = start_line;
-  return Status::Ok();
-}
-
-Status StreamReader::LexEndTag(StreamEvent* event) {
-  const size_t start_line = line_;
-  std::string_view name;
-  Status st = LexNameView(&name);
-  if (!st.ok()) return st;
-  SkipWhitespace();
-  if (!Consume('>')) return ErrorHere("expected '>' in end tag");
-  if (open_.empty()) {
-    error_ = Status::ParseError("line " + std::to_string(start_line) +
-                                ": unmatched end tag </" + std::string(name) +
-                                ">");
-    return error_;
-  }
-  if (open_.back() != name) {
-    error_ = Status::ParseError("line " + std::to_string(start_line) +
-                                ": end tag </" + std::string(name) +
-                                "> does not match open <" +
-                                std::string(open_.back()) + ">");
-    return error_;
-  }
-  open_.pop_back();
-  event->kind = StreamEventKind::kEndElement;
-  event->name = name;
-  event->line = start_line;
-  return Status::Ok();
-}
-
-Status StreamReader::LexDoctype(StreamEvent* event) {
-  const size_t start_line = line_;
-  if (has_root_ || !open_.empty()) {
-    error_ = Status::ParseError("line " + std::to_string(start_line) +
-                                ": DOCTYPE after content");
-    return error_;
-  }
-  SkipWhitespace();
-  std::string_view name;
-  Status st = LexNameView(&name);
-  if (!st.ok()) return st;
-  // Skip external id (SYSTEM/PUBLIC with quoted literals) if present.
-  SkipWhitespace();
-  while (!AtEnd() && Peek() != '[' && Peek() != '>') {
-    if (Peek() == '"' || Peek() == '\'') {
-      char quote = Advance();
-      while (!AtEnd() && Peek() != quote) Advance();
-      if (!Consume(quote)) return ErrorHere("unterminated literal in DOCTYPE");
-    } else {
-      Advance();
-    }
-  }
-  std::string_view subset;
-  if (Consume('[')) {
-    // The internal subset is captured verbatim — a contiguous slice of
-    // the input, so the event can carry a direct view.
-    size_t start = pos_;
-    int depth = 1;
-    while (!AtEnd()) {
-      char c = Peek();
-      if (c == '[') {
-        ++depth;
-      } else if (c == ']') {
-        --depth;
-        if (depth == 0) {
-          subset = input_.substr(start, pos_ - start);
-          Advance();
-          break;
-        }
-      }
-      Advance();
-    }
-    if (depth != 0) return ErrorHere("unterminated DOCTYPE internal subset");
-    SkipWhitespace();
-  }
-  if (!Consume('>')) return ErrorHere("expected '>' closing DOCTYPE");
-  event->kind = StreamEventKind::kDoctype;
-  event->name = name;
-  event->text = subset;
-  event->line = start_line;
-  return Status::Ok();
-}
-
-/// Friend of `ArenaDocument`: brokers the private-state writes the tree
-/// builder needs and hosts the parse driver.
-class ArenaDocumentBuilder {
- public:
-  static StatusOr<ArenaDocument> Parse(std::string_view input);
-
-  static Arena& arena(ArenaDocument& doc) { return doc.arena_; }
-  static void SetRoot(ArenaDocument& doc, const ArenaElement* root) {
-    doc.root_ = root;
-  }
-  static void SetDoctype(ArenaDocument& doc, std::string_view name,
-                         std::string_view subset) {
-    doc.doctype_name_ = doc.arena_.CopyString(name);
-    doc.internal_subset_ = doc.arena_.CopyString(subset);
+    if (text.capacity() > kRetainedTextBytes) std::string().swap(text);
+    if (value.capacity() > kRetainedTextBytes) std::string().swap(value);
   }
 };
 
-namespace {
+}  // namespace
 
-/// Builds the arena tree from the event stream: one frame per open
-/// element accumulates the fingerprint, the pending text run and the
-/// child slice (on a shared stack, copied into a contiguous arena span
-/// when the element closes).
-class ArenaTreeBuilder {
+/// The push scanner. Friend of `ArenaDocument`, so it writes the tree's
+/// private fields directly. Each step returns false after recording the
+/// error in `error_`; nothing is returned per token on success.
+class ArenaDocumentBuilder {
  public:
-  explicit ArenaTreeBuilder(ArenaDocument* doc) : doc_(doc) {}
+  ArenaDocumentBuilder(std::string_view input, ReaderScratch& scratch)
+      : in_(input), s_(scratch) {}
 
-  void StartElement(std::string_view tag,
-                    const std::vector<StreamAttributeView>& attrs) {
-    if (!frames_.empty()) FlushText(frames_.back());
-    Arena& arena = ArenaDocumentBuilder::arena(*doc_);
+  StatusOr<ArenaDocument> Parse() {
+    if (!Scan()) return std::move(error_);
+    return std::move(doc_);
+  }
+
+ private:
+  /// Records `message` at byte offset `at`, numbering the line the way
+  /// the DOM lexer's cursor does: one more than the newlines before it.
+  bool Fail(size_t at, std::string_view message) {
+    const size_t line = 1 + static_cast<size_t>(std::count(
+                                in_.begin(), in_.begin() + at, '\n'));
+    error_ = Status::ParseError("line " + std::to_string(line) + ": " +
+                                std::string(message));
+    return false;
+  }
+
+  bool AtEnd() const { return pos_ >= in_.size(); }
+  bool At(char c) const { return !AtEnd() && in_[pos_] == c; }
+
+  void SkipSpace() {
+    while (!AtEnd() && IsSpaceChar(in_[pos_])) ++pos_;
+  }
+
+  bool ScanName(std::string_view* name) {
+    if (AtEnd() || !IsNameStartChar(in_[pos_])) {
+      return Fail(pos_, "expected a name");
+    }
+    const size_t start = pos_++;
+    while (!AtEnd() && IsNameChar(in_[pos_])) ++pos_;
+    *name = in_.substr(start, pos_ - start);
+    return true;
+  }
+
+  bool Scan() {
+    const char* const data = in_.data();
+    while (true) {
+      const void* lt =
+          AtEnd() ? nullptr : std::memchr(data + pos_, '<', in_.size() - pos_);
+      const size_t end =
+          lt == nullptr ? in_.size() : static_cast<const char*>(lt) - data;
+      if (end > pos_ && !Text(end)) return false;
+      if (lt == nullptr) break;
+      pos_ = end + 1;
+      if (!Markup(end)) return false;
+    }
+    if (!s_.frames.empty()) {
+      error_ = Status::ParseError("unexpected end of input: <" +
+                                  std::string(s_.frames.back().element->tag) +
+                                  "> is not closed");
+      return false;
+    }
+    if (doc_.root_ == nullptr) {
+      error_ = Status::ParseError("document has no root element");
+      return false;
+    }
+    return true;
+  }
+
+  /// The character data in [pos_, end). Blank runs are dropped after
+  /// decoding, as the DOM parser drops them; a decode error is reported
+  /// at the run's end, where the DOM lexer's cursor stands.
+  bool Text(size_t end) {
+    const size_t start = pos_;
+    pos_ = end;
+    const std::string_view raw = in_.substr(start, end - start);
+    if (IsBlankRun(raw)) return true;
+    if (raw.find('&') == std::string_view::npos) {
+      if (s_.frames.empty()) {
+        return Fail(start, "character data outside root element");
+      }
+      AppendRun(raw);
+      return true;
+    }
+    std::string& text = s_.text;
+    if (!text_buffered_) {
+      text.assign(pending_);
+      text_buffered_ = true;
+    }
+    const size_t base = text.size();
+    Status st = AppendUnescaped(raw, &text);
+    if (!st.ok()) return Fail(end, st.message());
+    if (IsBlankRun(std::string_view(text).substr(base))) {
+      text.resize(base);
+      return true;
+    }
+    if (s_.frames.empty()) {
+      return Fail(start, "character data outside root element");
+    }
+    return true;
+  }
+
+  /// Merges one non-blank run into the innermost element's pending text:
+  /// a single run stays a view, a second one moves both into scratch.
+  void AppendRun(std::string_view run) {
+    if (!text_buffered_) {
+      if (pending_.empty()) {
+        pending_ = run;
+        return;
+      }
+      s_.text.assign(pending_);
+      text_buffered_ = true;
+    }
+    s_.text.append(run);
+  }
+
+  void FlushText(Frame& frame) {
+    const std::string_view run =
+        text_buffered_ ? std::string_view(s_.text) : pending_;
+    pending_ = {};
+    text_buffered_ = false;
+    if (run.empty()) return;
+    s_.children.push_back(ArenaChild{nullptr, doc_.arena_.CopyString(run)});
+    frame.fp.AbsorbText();
+    frame.element->has_text = true;
+  }
+
+  /// After a '<' at offset `lt`; pos_ is the next byte.
+  bool Markup(size_t lt) {
+    if (AtEnd()) return Fail(pos_, "unexpected end of input after '<'");
+    switch (in_[pos_]) {
+      case '!':
+        ++pos_;
+        return Bang(lt);
+      case '?':
+        ++pos_;
+        return ProcessingInstruction();
+      case '/':
+        ++pos_;
+        return EndTag(lt);
+      default:
+        return StartTag(lt);
+    }
+  }
+
+  bool Bang(size_t lt) {
+    const std::string_view rest = in_.substr(pos_);
+    if (rest.starts_with("--")) {
+      const size_t close = in_.find("-->", pos_ + 2);
+      if (close == std::string_view::npos) {
+        return Fail(in_.size(), "unterminated comment");
+      }
+      pos_ = close + 3;
+      return true;
+    }
+    if (rest.starts_with("[CDATA[")) {
+      const size_t open = pos_ + 7;
+      const size_t close = in_.find("]]>", open);
+      if (close == std::string_view::npos) {
+        return Fail(in_.size(), "unterminated CDATA section");
+      }
+      pos_ = close + 3;
+      // CDATA content is literal: never unescaped, like the DOM lexer.
+      const std::string_view raw = in_.substr(open, close - open);
+      if (IsBlankRun(raw)) return true;
+      if (s_.frames.empty()) {
+        return Fail(lt, "character data outside root element");
+      }
+      AppendRun(raw);
+      return true;
+    }
+    if (rest.starts_with("DOCTYPE")) {
+      pos_ += 7;
+      return Doctype(lt);
+    }
+    return Fail(pos_, "unrecognized markup declaration");
+  }
+
+  bool ProcessingInstruction() {
+    std::string_view target;
+    if (!ScanName(&target)) return false;
+    const size_t close = in_.find("?>", pos_);
+    if (close == std::string_view::npos) {
+      return Fail(in_.size(), "unterminated processing instruction");
+    }
+    pos_ = close + 2;
+    return true;
+  }
+
+  bool Doctype(size_t lt) {
+    SkipSpace();
+    std::string_view name;
+    if (!ScanName(&name)) return false;
+    // Skip the external id (SYSTEM/PUBLIC with quoted literals), if any.
+    SkipSpace();
+    while (!AtEnd() && in_[pos_] != '[' && in_[pos_] != '>') {
+      const char c = in_[pos_++];
+      if (c == '"' || c == '\'') {
+        const size_t close = in_.find(c, pos_);
+        if (close == std::string_view::npos) {
+          return Fail(in_.size(), "unterminated literal in DOCTYPE");
+        }
+        pos_ = close + 1;
+      }
+    }
+    std::string_view subset;
+    if (At('[')) {
+      // The internal subset is captured verbatim, brackets balanced.
+      const size_t start = ++pos_;
+      int depth = 1;
+      for (; !AtEnd(); ++pos_) {
+        if (in_[pos_] == '[') {
+          ++depth;
+        } else if (in_[pos_] == ']' && --depth == 0) {
+          break;
+        }
+      }
+      if (depth != 0) {
+        return Fail(in_.size(), "unterminated DOCTYPE internal subset");
+      }
+      subset = in_.substr(start, pos_ - start);
+      ++pos_;
+      SkipSpace();
+    }
+    if (!At('>')) return Fail(pos_, "expected '>' closing DOCTYPE");
+    ++pos_;
+    if (doc_.root_ != nullptr || !s_.frames.empty()) {
+      return Fail(lt, "DOCTYPE after content");
+    }
+    doc_.doctype_name_ = doc_.arena_.CopyString(name);
+    doc_.internal_subset_ = doc_.arena_.CopyString(subset);
+    return true;
+  }
+
+  bool StartTag(size_t lt) {
+    std::string_view name;
+    if (!ScanName(&name)) return false;
+    Arena& arena = doc_.arena_;
+    s_.attributes.clear();
+    bool self_closing = false;
+    while (true) {
+      SkipSpace();
+      if (AtEnd()) return Fail(pos_, "unterminated start tag");
+      if (At('>')) {
+        ++pos_;
+        break;
+      }
+      if (At('/')) {
+        ++pos_;
+        if (!At('>')) return Fail(pos_, "expected '>' after '/'");
+        ++pos_;
+        self_closing = true;
+        break;
+      }
+      std::string_view attr_name;
+      if (!ScanName(&attr_name)) return false;
+      SkipSpace();
+      if (!At('=')) return Fail(pos_, "expected '=' after attribute name");
+      ++pos_;
+      SkipSpace();
+      if (!At('"') && !At('\'')) {
+        return Fail(pos_, "expected a quoted attribute value");
+      }
+      const size_t open = pos_ + 1;
+      const size_t close = in_.find(in_[pos_], open);
+      if (close == std::string_view::npos) {
+        return Fail(in_.size(), "unterminated attribute value");
+      }
+      pos_ = close + 1;
+      const std::string_view raw = in_.substr(open, close - open);
+      ArenaAttribute& attr = s_.attributes.emplace_back();
+      attr.name = arena.CopyString(attr_name);
+      if (raw.find('&') == std::string_view::npos) {
+        attr.value = arena.CopyString(raw);
+      } else {
+        s_.value.clear();
+        Status st = AppendUnescaped(raw, &s_.value);
+        if (!st.ok()) return Fail(pos_, st.message());
+        attr.value = arena.CopyString(s_.value);
+      }
+    }
+    // Document discipline after the whole token, as the DOM parser's
+    // tree builder sees it.
+    if (s_.frames.empty() && doc_.root_ != nullptr) {
+      return Fail(lt, "multiple root elements (second is <" +
+                          std::string(name) + ">)");
+    }
+    if (s_.frames.size() >= kMaxElementDepth) {
+      return Fail(lt, "elements nested deeper than " +
+                          std::to_string(kMaxElementDepth));
+    }
+    Open(name);
+    if (self_closing) Close();
+    return true;
+  }
+
+  bool EndTag(size_t lt) {
+    std::string_view name;
+    if (!ScanName(&name)) return false;
+    SkipSpace();
+    if (!At('>')) return Fail(pos_, "expected '>' in end tag");
+    ++pos_;
+    if (s_.frames.empty()) {
+      return Fail(lt, "unmatched end tag </" + std::string(name) + ">");
+    }
+    const std::string_view open = s_.frames.back().element->tag;
+    if (open != name) {
+      return Fail(lt, "end tag </" + std::string(name) +
+                          "> does not match open <" + std::string(open) + ">");
+    }
+    Close();
+    return true;
+  }
+
+  void Open(std::string_view tag) {
+    if (!s_.frames.empty()) FlushText(s_.frames.back());
+    Arena& arena = doc_.arena_;
     auto* element = new (arena.Allocate(sizeof(ArenaElement),
                                         alignof(ArenaElement))) ArenaElement();
     element->tag = arena.CopyString(tag);
     element->tag_id = InternTagCached(tag);
-    if (!attrs.empty()) {
-      auto* stored = arena.AllocateArray<ArenaAttribute>(attrs.size());
-      for (size_t i = 0; i < attrs.size(); ++i) {
-        stored[i].name = arena.CopyString(attrs[i].name);
-        stored[i].value = arena.CopyString(attrs[i].value);
-      }
+    if (!s_.attributes.empty()) {
+      auto* stored = arena.AllocateArray<ArenaAttribute>(s_.attributes.size());
+      std::copy(s_.attributes.begin(), s_.attributes.end(), stored);
       element->attrs = stored;
-      element->attr_count = static_cast<uint32_t>(attrs.size());
+      element->attr_count = static_cast<uint32_t>(s_.attributes.size());
     }
-    frames_.push_back(Frame{
-        element, child_stack_.size(),
+    s_.frames.push_back(Frame{
+        element, s_.children.size(),
         FingerprintAccumulator(FingerprintTagToken(element->tag_id, tag))});
   }
 
-  void Text(std::string_view text) { pending_text_.append(text); }
-
-  void EndElement() {
-    Frame& frame = frames_.back();
+  void Close() {
+    Frame& frame = s_.frames.back();
     FlushText(frame);
     frame.fp.Close();
     ArenaElement* element = frame.element;
     element->fp_hi = frame.fp.hi;
     element->fp_lo = frame.fp.lo;
     element->element_count = frame.fp.element_count;
-    size_t child_count = child_stack_.size() - frame.child_start;
+    const size_t child_count = s_.children.size() - frame.child_start;
     if (child_count > 0) {
-      Arena& arena = ArenaDocumentBuilder::arena(*doc_);
-      auto* children = arena.AllocateArray<ArenaChild>(child_count);
-      std::copy(child_stack_.begin() + frame.child_start, child_stack_.end(),
+      auto* children = doc_.arena_.AllocateArray<ArenaChild>(child_count);
+      std::copy(s_.children.begin() + frame.child_start, s_.children.end(),
                 children);
-      child_stack_.resize(frame.child_start);
+      s_.children.resize(frame.child_start);
       element->children = children;
       element->child_count = static_cast<uint32_t>(child_count);
     }
-    frames_.pop_back();
-    if (frames_.empty()) {
-      ArenaDocumentBuilder::SetRoot(*doc_, element);
+    s_.frames.pop_back();
+    if (s_.frames.empty()) {
+      doc_.root_ = element;
     } else {
-      frames_.back().fp.AbsorbElement(element->fp_hi, element->fp_lo,
-                                      element->element_count);
-      child_stack_.push_back(ArenaChild{element, {}});
+      s_.frames.back().fp.AbsorbElement(element->fp_hi, element->fp_lo,
+                                        element->element_count);
+      s_.children.push_back(ArenaChild{element, {}});
     }
   }
 
-  void Doctype(std::string_view name, std::string_view subset) {
-    ArenaDocumentBuilder::SetDoctype(*doc_, name, subset);
-  }
-
- private:
-  struct Frame {
-    ArenaElement* element;
-    size_t child_start;  // offset into child_stack_
-    FingerprintAccumulator fp;
-  };
-
-  void FlushText(Frame& frame) {
-    if (pending_text_.empty()) return;
-    child_stack_.push_back(ArenaChild{
-        nullptr, ArenaDocumentBuilder::arena(*doc_).CopyString(pending_text_)});
-    frame.fp.AbsorbText();
-    frame.element->has_text = true;
-    pending_text_.clear();
-  }
-
-  ArenaDocument* doc_;
-  std::vector<Frame> frames_;
-  std::vector<ArenaChild> child_stack_;
-  /// Merges consecutive non-blank runs (the reader never emits blank
-  /// ones); always belongs to the innermost open frame and is flushed
-  /// before any element starts or ends.
-  std::string pending_text_;
+  std::string_view in_;
+  size_t pos_ = 0;
+  ReaderScratch& s_;
+  ArenaDocument doc_;
+  Status error_;
+  /// The innermost element's pending text: a view of one run, or — once
+  /// a second run merges into it or a run needed decoding — `s_.text`.
+  std::string_view pending_;
+  bool text_buffered_ = false;
 };
 
-}  // namespace
-
-StatusOr<ArenaDocument> ArenaDocumentBuilder::Parse(std::string_view input) {
-  ArenaDocument doc;
-  ArenaTreeBuilder builder(&doc);
-  StreamReader reader(input);
-  StreamEvent event;
-  while (true) {
-    Status st = reader.Next(&event);
-    if (!st.ok()) return st;
-    switch (event.kind) {
-      case StreamEventKind::kStartElement:
-        builder.StartElement(event.name, reader.attributes());
-        break;
-      case StreamEventKind::kEndElement:
-        builder.EndElement();
-        break;
-      case StreamEventKind::kText:
-        builder.Text(event.text);
-        break;
-      case StreamEventKind::kDoctype:
-        builder.Doctype(event.name, event.text);
-        break;
-      case StreamEventKind::kEndDocument:
-        return doc;
-    }
-  }
-}
-
 StatusOr<ArenaDocument> ParseArenaDocument(std::string_view input) {
-  return ArenaDocumentBuilder::Parse(input);
+  thread_local ReaderScratch scratch;
+  scratch.Clear();
+  StatusOr<ArenaDocument> result = ArenaDocumentBuilder(input, scratch).Parse();
+  scratch.Trim();
+  return result;
 }
 
 }  // namespace dtdevolve::xml

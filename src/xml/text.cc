@@ -1,17 +1,8 @@
 #include "xml/text.h"
 
-#include <cctype>
+#include <algorithm>
 
 namespace dtdevolve::xml {
-
-bool IsNameStartChar(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == ':';
-}
-
-bool IsNameChar(char c) {
-  return IsNameStartChar(c) || std::isdigit(static_cast<unsigned char>(c)) ||
-         c == '-' || c == '.';
-}
 
 bool IsValidName(std::string_view name) {
   if (name.empty() || !IsNameStartChar(name[0])) return false;
@@ -48,12 +39,19 @@ std::string EscapeText(std::string_view text) {
 StatusOr<std::string> UnescapeText(std::string_view text) {
   std::string out;
   out.reserve(text.size());
+  Status st = AppendUnescaped(text, &out);
+  if (!st.ok()) return st;
+  return out;
+}
+
+Status AppendUnescaped(std::string_view text, std::string* out_ptr) {
+  std::string& out = *out_ptr;
   size_t i = 0;
   while (i < text.size()) {
-    char c = text[i];
-    if (c != '&') {
-      out += c;
-      ++i;
+    if (text[i] != '&') {
+      size_t amp = std::min(text.find('&', i), text.size());
+      out.append(text.substr(i, amp - i));
+      i = amp;
       continue;
     }
     size_t end = text.find(';', i + 1);
@@ -123,7 +121,7 @@ StatusOr<std::string> UnescapeText(std::string_view text) {
     }
     i = end + 1;
   }
-  return out;
+  return Status::Ok();
 }
 
 }  // namespace dtdevolve::xml

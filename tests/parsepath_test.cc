@@ -13,6 +13,7 @@
 #include <utility>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "check/oracle.h"
@@ -78,6 +79,61 @@ TEST(ParsePathTest, CorpusFilesAgreeAcrossParsers) {
     ExpectPathsAgree(Slurp(entry.path()), entry.path().filename().string());
   }
   EXPECT_GE(files, 4u);  // the corpus must actually be there
+}
+
+/// Everything a caller can observe of one arena parse: the error, or the
+/// serialized tree with its root fingerprint and arena footprint.
+std::string ParseSummary(const std::string& input) {
+  StatusOr<xml::ArenaDocument> arena = xml::ParseArenaDocument(input);
+  if (!arena.ok()) return "error: " + arena.status().message();
+  xml::WriteOptions compact;
+  compact.indent = false;
+  const xml::ArenaElement& root = arena->root();
+  return xml::WriteDocument(arena->ToDocument(), compact) + " fp " +
+         std::to_string(root.fp_hi) + ":" + std::to_string(root.fp_lo) +
+         " elements " + std::to_string(root.element_count) + " bytes " +
+         std::to_string(arena->arena().bytes_allocated());
+}
+
+TEST(ParsePathTest, ReaderScratchCarriesNoState) {
+  // The reader keeps its stacks in per-thread scratch reused across
+  // documents. A deep parse, a wide one (past the scratch's retention
+  // cap), and parses that fail mid-document with open elements, pending
+  // merged text and collected attributes must leave nothing behind that
+  // changes the next parse on the same thread.
+  std::string deep;
+  for (int i = 0; i < 400; ++i) {
+    deep += "<d k=\"" + std::to_string(i) + "\">t";
+  }
+  for (int i = 0; i < 400; ++i) deep += "u</d>";
+  std::string wide = "<w>";
+  for (int i = 0; i < 5000; ++i) wide += "x<i/>";
+  wide += "</w>";
+  const std::vector<std::string> inputs = {
+      deep,
+      "<a>one<!--c-->two &amp; three<b p=\"1\" q=\"&amp;\">in<c>deeper",
+      wide,
+      "<a>t1<![CDATA[t2]]><b p=\"1\" q=\"&bad;\"></b></a>",
+      "<a>x<b/>y</a><c/>",
+      "<r a=\"1\">x<!--c-->y<s/>z</r>",
+  };
+  std::vector<std::string> fresh;
+  for (const std::string& input : inputs) {
+    std::thread([&] { fresh.push_back(ParseSummary(input)); }).join();
+  }
+  std::vector<std::string> reused;
+  std::thread([&] {
+    for (const std::string& input : inputs) {
+      reused.push_back(ParseSummary(input));
+    }
+  }).join();
+  ASSERT_EQ(fresh.size(), reused.size());
+  for (size_t i = 0; i < fresh.size(); ++i) {
+    EXPECT_EQ(fresh[i], reused[i]) << "input #" << i;
+  }
+  EXPECT_EQ(reused[1].rfind("error: ", 0), 0u);
+  EXPECT_EQ(reused[3].rfind("error: ", 0), 0u);
+  EXPECT_EQ(reused[5].rfind("error: ", 0), std::string::npos);
 }
 
 TEST(ParsePathTest, WorkloadStreamsAgreeAcrossParsers) {

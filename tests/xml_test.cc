@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
+
 #include "xml/document.h"
 #include "xml/parser.h"
 #include "xml/path.h"
@@ -20,6 +22,20 @@ TEST(TextTest, NameValidation) {
   EXPECT_FALSE(IsValidName("1a"));
   EXPECT_FALSE(IsValidName("-a"));
   EXPECT_FALSE(IsValidName("a b"));
+}
+
+TEST(TextTest, CharacterClassTableMatchesCLocale) {
+  // The inline table must answer exactly what the C locale's <cctype>
+  // does, for every byte value, signed or not.
+  for (int value = 0; value < 256; ++value) {
+    const auto byte = static_cast<unsigned char>(value);
+    const char c = static_cast<char>(byte);
+    const bool start = std::isalpha(byte) || c == '_' || c == ':';
+    const bool name = start || std::isdigit(byte) || c == '-' || c == '.';
+    EXPECT_EQ(IsNameStartChar(c), start) << "byte " << value;
+    EXPECT_EQ(IsNameChar(c), name) << "byte " << value;
+    EXPECT_EQ(IsSpaceChar(c), std::isspace(byte) != 0) << "byte " << value;
+  }
 }
 
 TEST(TextTest, EscapeRoundTrip) {

@@ -6,8 +6,9 @@
 # oracles and fan out threads, where sanitizer findings actually live.
 # A RelWithDebInfo leg reruns the durability suites and the crash sweep
 # with their files on tmpfs (/dev/shm) and then runs the bounded-memory
-# soak (`ctest -L soak`), and the last leg runs the repo benchmark's own
-# smoke test (perfbench/smoke_test.py). The soak never runs under a
+# soak (`ctest -L soak`), a fuzz leg runs the two XML fuzz targets under
+# ASan+UBSan, and the last leg runs the repo benchmark's own smoke test
+# (perfbench/smoke_test.py). The soak never runs under a
 # sanitizer: RSS there measures the sanitizer's shadow memory and
 # quarantine, not the program. Every sanitizer configuration is
 # a CMake preset (CMakePresets.json), so a single leg is reproducible by
@@ -69,10 +70,27 @@ TMPDIR="$SHM_TMP" build/tools/dtdevolve check --crash-recovery --induction
 echo "=== leg: soak ==="
 ctest --test-dir build -L soak --output-on-failure
 
+# The XML fuzz targets under ASan+UBSan (the `fuzz` preset), 30 s each
+# over the xml seed corpus: the arena reader differentially against the
+# DOM parser (accept/reject, error message, tree, fingerprint, scores),
+# and the DOM parser alone. A g++ build links the bundled standalone
+# driver, which takes --seconds; a clang build links libFuzzer.
+echo "=== leg: fuzz ==="
+cmake --preset fuzz
+cmake --build --preset fuzz -j "$JOBS" --target fuzz_stream_reader fuzz_xml_parser
+if grep -q '^DTDEVOLVE_HAS_LIBFUZZER:INTERNAL=1' build-fuzz/CMakeCache.txt; then
+  FUZZ_TIME=(-max_total_time=30)
+else
+  FUZZ_TIME=(--seconds 30)
+fi
+for target in fuzz_stream_reader fuzz_xml_parser; do
+  "build-fuzz/fuzz/$target" tests/corpus/xml "${FUZZ_TIME[@]}"
+done
+
 # The repo benchmark's own test: every perfbench workload in --smoke
 # mode, traced and untraced, must pass its correctness checks and report
 # every metric BENCHMARK.json names. It builds into .bench_build/.
 echo "=== leg: perfbench-smoke ==="
 python3 perfbench/smoke_test.py
 
-echo "sanitizer matrix clean (asan-ubsan, tsan) + durability on tmpfs + soak + perfbench smoke"
+echo "sanitizer matrix clean (asan-ubsan, tsan) + durability on tmpfs + soak + fuzz + perfbench smoke"
