@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cerrno>
@@ -10,6 +11,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -17,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "check/harness.h"
 #include "core/report.h"
 #include "core/source.h"
 #include "dtd/dtd_parser.h"
@@ -44,11 +47,6 @@
 namespace dtdevolve::check {
 
 namespace {
-
-/// Per-scenario violation cap: one genuine divergence tends to cascade
-/// (every later accounting check also fails), so collecting everything
-/// buries the root cause.
-constexpr size_t kMaxViolationsPerScenario = 24;
 
 std::string FormatDouble(double value) {
   char buf[64];
@@ -85,8 +83,8 @@ std::string FirstDifference(const std::string& a, const std::string& b) {
     std::string_view la(a.data() + ia, ea - ia);
     std::string_view lb(b.data() + ib, eb - ib);
     if (la != lb) {
-      return "line " + std::to_string(line) + ": sequential \"" +
-             Truncate(la) + "\" vs batch \"" + Truncate(lb) + "\"";
+      return "line " + std::to_string(line) + ": expected \"" +
+             Truncate(la) + "\" vs actual \"" + Truncate(lb) + "\"";
     }
     ia = ea + 1;
     ib = eb + 1;
@@ -303,47 +301,252 @@ Scenario MakeInductionScenario(uint64_t seed, uint64_t max_documents) {
   return scenario;
 }
 
-/// Best pending candidate: highest coverage, ties to the lowest id.
-/// The reference run, the batch replicas and the durable crash pipeline
-/// all promote with this rule, so their op sequences stay in lockstep.
-const induce::Candidate* BestCandidate(const core::XmlSource& src) {
-  const induce::Candidate* best = nullptr;
-  for (const induce::Candidate& candidate : src.candidates()) {
-    if (best == nullptr || candidate.coverage > best->coverage ||
-        (candidate.coverage == best->coverage && candidate.id < best->id)) {
-      best = &candidate;
-    }
+/// The result a scenario run fills in: its seed, label and documents.
+ScenarioResult ResultFor(uint64_t seed, const Scenario& scenario) {
+  ScenarioResult result;
+  result.seed = seed;
+  result.scenario = scenario.label;
+  result.documents = scenario.documents.size();
+  return result;
+}
+
+/// Registers the scenario's seed DTDs with `src`.
+Status SeedDtds(const Scenario& scenario, core::XmlSource& src) {
+  for (const auto& [name, dtd] : scenario.dtds) {
+    DTDEVOLVE_RETURN_IF_ERROR(src.AddDtd(name, dtd.Clone()));
   }
-  return best;
+  return Status::Ok();
+}
+
+std::string CompactText(const xml::Document& doc) {
+  xml::WriteOptions compact;
+  compact.indent = false;
+  return xml::WriteDocument(doc, compact);
+}
+
+/// The scenario's documents as compact text, the bytes the WAL carries:
+/// the durable runs, the reference replays and the recoveries all see
+/// the same input.
+std::vector<std::string> CompactTexts(const Scenario& scenario) {
+  std::vector<std::string> texts;
+  texts.reserve(scenario.documents.size());
+  for (const xml::Document& doc : scenario.documents) {
+    texts.push_back(CompactText(doc));
+  }
+  return texts;
+}
+
+/// Feeds the scenario's documents to `src` in one `ProcessBatch` on `pool`.
+std::vector<core::XmlSource::ProcessOutcome> FeedBatch(
+    const Scenario& scenario, core::XmlSource& src, util::ThreadPool& pool) {
+  std::vector<xml::Document> docs;
+  docs.reserve(scenario.documents.size());
+  for (const xml::Document& doc : scenario.documents) {
+    docs.push_back(doc.Clone());
+  }
+  return src.ProcessBatch(std::move(docs), &pool);
 }
 
 /// Accept rounds are capped: a cluster whose members never re-classify
 /// would otherwise re-induce under a fresh name forever.
 constexpr size_t kMaxAcceptRounds = 6;
 
-// --- Fingerprints (invariant 3) ---------------------------------------------
+/// The candidate lifecycle of every induction run — the reference run,
+/// the batch replicas' plan, the durable crash pipeline and the
+/// replication planner — so their op sequences stay in lockstep: induce,
+/// hand the best pending candidate (highest coverage, ties to the lowest
+/// id) to `accept`, and repeat while the accept re-classified documents,
+/// at most `kMaxAcceptRounds` times. `accept` promotes the candidate and
+/// returns how many documents it re-classified, or nullopt to stop;
+/// `induced` sees each round's induction count.
+void RunAcceptRounds(
+    core::XmlSource& src,
+    const std::function<std::optional<size_t>(const induce::Candidate&,
+                                              size_t round)>& accept,
+    const std::function<void(size_t round, size_t induced)>& induced =
+        nullptr) {
+  for (size_t round = 0; round < kMaxAcceptRounds; ++round) {
+    const size_t count = src.InduceCandidates();
+    if (induced) induced(round, count);
+    const induce::Candidate* best = nullptr;
+    for (const induce::Candidate& candidate : src.candidates()) {
+      if (best == nullptr || candidate.coverage > best->coverage ||
+          (candidate.coverage == best->coverage && candidate.id < best->id)) {
+        best = &candidate;
+      }
+    }
+    if (best == nullptr) break;
+    const std::optional<size_t> reclassified = accept(*best, round);
+    if (!reclassified.has_value() || *reclassified == 0) break;
+  }
+}
 
-using Fingerprint = std::vector<std::pair<std::string, std::string>>;
+/// The first section where `actual` differs from `expected`; empty when
+/// they are equal.
+std::string SectionsDiff(const DigestSections& expected,
+                         const DigestSections& actual) {
+  for (size_t i = 0; i < std::min(expected.size(), actual.size()); ++i) {
+    if (expected[i].first != actual[i].first) {
+      return "section " + std::to_string(i) + " is " + actual[i].first +
+             ", expected " + expected[i].first;
+    }
+    if (expected[i].second != actual[i].second) {
+      return "section " + expected[i].first + " differs — " +
+             FirstDifference(expected[i].second, actual[i].second);
+    }
+  }
+  if (expected.size() == actual.size()) return "";
+  return "digest has " + std::to_string(actual.size()) +
+         " sections, expected " + std::to_string(expected.size());
+}
 
-/// Serializes every observable a batch run could diverge on: outcomes,
-/// the event log, the loop counters, the repository ids, and per DTD the
-/// declarations plus the full extended-DTD recording state. Byte equality
-/// of fingerprints is the "identical at any jobs level" claim.
-Fingerprint FingerprintOf(
+}  // namespace
+
+// --- The shared harness -----------------------------------------------------
+
+Tallies& Tallies::operator+=(const Tallies& other) {
+  documents += other.documents;
+  evolutions += other.evolutions;
+  crash_points += other.crash_points;
+  candidates += other.candidates;
+  accepts += other.accepts;
+  polls += other.polls;
+  faults += other.faults;
+  bootstraps += other.bootstraps;
+  requests += other.requests;
+  rejections += other.rejections;
+  recoveries += other.recoveries;
+  evictions += other.evictions;
+  wal_replays += other.wal_replays;
+  return *this;
+}
+
+void ScenarioResult::AddViolation(std::string invariant, std::string dtd_name,
+                                  uint64_t index, std::string detail) {
+  if (violations.size() >= kMaxViolationsPerScenario) return;
+  violations.push_back({std::move(invariant), std::move(dtd_name), index,
+                        std::move(detail)});
+}
+
+SweepReport SweepSeeds(SweepMode mode, const SweepOptions& sweep,
+                       std::string mode_flags, std::string option_flags,
+                       const ScenarioRunner& run) {
+  SweepReport report;
+  report.mode = mode;
+  report.sweep = sweep;
+  report.mode_flags = std::move(mode_flags);
+  report.option_flags = std::move(option_flags);
+  for (uint64_t i = 0; i < sweep.scenarios; ++i) {
+    ScenarioResult result = run(sweep.seed + i);
+    ++report.scenarios_run;
+    report += result;
+    if (!result.ok()) {
+      report.failures.push_back(std::move(result));
+      if (report.failures.size() >= sweep.max_failures) break;
+    }
+  }
+  return report;
+}
+
+std::string FormatSweepReport(const SweepReport& report) {
+  const char* title = "";
+  const char* held = "";
+  std::vector<std::pair<uint64_t, const char*>> tallies;
+  switch (report.mode) {
+    case SweepMode::kDifferential:
+      title = "oracle";
+      held = "all invariants held";
+      tallies = {{report.documents, "documents"},
+                 {report.evolutions, "evolutions"}};
+      break;
+    case SweepMode::kCrashRecovery:
+      title = "crash oracle";
+      held = "every recovery matched the acked prefix";
+      tallies = {{report.documents, "documents"},
+                 {report.crash_points, "crash points"}};
+      break;
+    case SweepMode::kInduction:
+      title = "induction oracle";
+      held = "all invariants held";
+      tallies = {{report.documents, "documents"},
+                 {report.candidates, "candidates"},
+                 {report.accepts, "accepts"}};
+      break;
+    case SweepMode::kReplication:
+      title = "replication oracle";
+      held = "every follower state matched the acked prefix";
+      tallies = {{report.documents, "documents"},
+                 {report.polls, "polls"},
+                 {report.faults, "faults"},
+                 {report.bootstraps, "bootstraps"}};
+      break;
+    case SweepMode::kOverload:
+      title = "overload oracle";
+      held = "every overload invariant held";
+      tallies = {{report.requests, "requests"},
+                 {report.rejections, "rejections"},
+                 {report.recoveries, "recoveries"},
+                 {report.evictions, "evictions"}};
+      break;
+    case SweepMode::kParsePath:
+      title = "parse-path oracle";
+      held = "streaming and DOM paths byte-identical";
+      tallies = {{report.documents, "documents"},
+                 {report.wal_replays, "WAL replays"}};
+      break;
+  }
+  std::ostringstream out;
+  out << title << ": " << report.scenarios_run << " scenario"
+      << (report.scenarios_run == 1 ? "" : "s");
+  for (const auto& [value, noun] : tallies) out << ", " << value << " " << noun;
+  out << " — "
+      << (report.ok() ? held
+                      : std::to_string(report.failures.size()) +
+                            " failing scenario(s)")
+      << "\n";
+  for (const ScenarioResult& failure : report.failures) {
+    out << FormatScenario(failure) << "  replay: dtdevolve check";
+    if (!report.mode_flags.empty()) out << " " << report.mode_flags;
+    out << " --seed " << failure.seed << " --scenarios 1 --max-documents "
+        << report.sweep.max_documents;
+    if (!report.option_flags.empty()) out << " " << report.option_flags;
+    out << "\n";
+  }
+  return out.str();
+}
+
+StateDigest DigestOf(
     const core::XmlSource& src,
-    const std::vector<core::XmlSource::ProcessOutcome>& outcomes) {
-  Fingerprint fp;
+    const std::vector<core::XmlSource::ProcessOutcome>* outcomes) {
+  StateDigest digest;
+  DigestSections& durable = digest.durable;
+  durable.emplace_back("counters",
+                       std::to_string(src.documents_processed()) + " " +
+                           std::to_string(src.documents_classified()) + " " +
+                           std::to_string(src.evolutions_performed()) + "\n");
+  std::string repository;
+  for (int id : src.repository().Ids()) {
+    repository += std::to_string(id) + " " +
+                  CompactText(src.repository().Get(id)) + "\n";
+  }
+  durable.emplace_back("repository", std::move(repository));
+  for (const std::string& name : src.DtdNames()) {
+    durable.emplace_back("dtd:" + name, dtd::WriteDtd(*src.FindDtd(name)));
+    durable.emplace_back("state:" + name,
+                         evolve::SerializeExtendedDtd(*src.FindExtended(name)));
+  }
+  if (outcomes == nullptr) return digest;
 
+  DigestSections& local = digest.local;
   std::string o;
-  for (size_t i = 0; i < outcomes.size(); ++i) {
-    const core::XmlSource::ProcessOutcome& out = outcomes[i];
+  for (size_t i = 0; i < outcomes->size(); ++i) {
+    const core::XmlSource::ProcessOutcome& out = (*outcomes)[i];
     o += std::to_string(i) + " " + (out.classified ? "C" : "U") + " " +
          out.dtd_name + " " + FormatDouble(out.similarity) + " " +
          (out.evolved ? "E" : "-") + " " + std::to_string(out.reclassified) +
          "\n";
   }
-  fp.emplace_back("outcomes", std::move(o));
-
+  local.emplace_back("outcomes", std::move(o));
   std::string e;
   for (const core::SourceEvent& event : src.events()) {
     e += core::EventKindName(event.kind) + " " + event.dtd_name + " " +
@@ -351,25 +554,72 @@ Fingerprint FingerprintOf(
          std::to_string(event.document_index) + " " +
          EscapeNewlines(event.detail) + "\n";
   }
-  fp.emplace_back("events", std::move(e));
-
-  std::string c = std::to_string(src.documents_processed()) + " " +
-                  std::to_string(src.documents_classified()) + " " +
-                  std::to_string(src.evolutions_performed()) + " " +
-                  std::to_string(src.repository().size()) + "\n";
-  fp.emplace_back("counters", std::move(c));
-
-  std::string r;
-  for (int id : src.repository().Ids()) r += std::to_string(id) + "\n";
-  fp.emplace_back("repository", std::move(r));
-
-  for (const std::string& name : src.DtdNames()) {
-    fp.emplace_back("dtd:" + name, dtd::WriteDtd(*src.FindDtd(name)));
-    fp.emplace_back("state:" + name,
-                    evolve::SerializeExtendedDtd(*src.FindExtended(name)));
+  local.emplace_back("events", std::move(e));
+  std::string c;
+  for (const induce::Candidate& candidate : src.candidates()) {
+    c += std::to_string(candidate.id) + " " + candidate.name + " m" +
+         std::to_string(candidate.members.size()) + " v" +
+         std::to_string(candidate.validated.size()) + " " +
+         FormatDouble(candidate.coverage) + " " +
+         FormatDouble(candidate.margin) + "\n";
   }
-  return fp;
+  local.emplace_back("candidates", std::move(c));
+  local.emplace_back("candidate-counters",
+                     std::to_string(src.candidates_proposed()) + " " +
+                         std::to_string(src.candidates_accepted()) + " " +
+                         std::to_string(src.candidates_rejected()) + "\n");
+  return digest;
 }
+
+std::string DigestDiff(const StateDigest& expected, const StateDigest& actual) {
+  std::string diff = SectionsDiff(expected.durable, actual.durable);
+  return diff.empty() ? SectionsDiff(expected.local, actual.local) : diff;
+}
+
+StatusOr<std::unique_ptr<store::Wal>> RecoverFrom(core::XmlSource& src,
+                                                  const std::string& dir) {
+  store::WalOptions wal_options;
+  wal_options.dir = dir;
+  return store::RecoverSource(src, wal_options, nullptr);
+}
+
+ScratchDir::ScratchDir(const std::string& label) {
+  static std::atomic<uint64_t> counter{0};
+  path_ = (std::filesystem::temp_directory_path() /
+           ("dtdevolve-" + label + "-" + std::to_string(::getpid()) + "-" +
+            std::to_string(counter.fetch_add(1))))
+              .string();
+  std::error_code ec;
+  std::filesystem::remove_all(path_, ec);
+}
+
+ScratchDir::~ScratchDir() {
+  std::error_code ec;
+  std::filesystem::remove_all(path_, ec);
+}
+
+std::string FormatScenario(const ScenarioResult& result) {
+  std::ostringstream out;
+  out << "scenario seed=" << result.seed << " (" << result.scenario << "): "
+      << result.documents << " documents, " << result.evolutions
+      << " evolutions";
+  if (result.ok()) {
+    out << " — OK\n";
+    return out.str();
+  }
+  out << " — " << result.violations.size() << " violation"
+      << (result.violations.size() == 1 ? "" : "s") << "\n";
+  for (const Violation& v : result.violations) {
+    out << "  [" << v.invariant << "] doc " << v.document_index;
+    if (!v.dtd_name.empty()) out << " dtd=" << v.dtd_name;
+    out << ": " << v.detail << "\n";
+  }
+  return out.str();
+}
+
+// --- Differential oracle ----------------------------------------------------
+
+namespace {
 
 // --- The sequential reference run -------------------------------------------
 
@@ -403,16 +653,12 @@ struct Shadow {
 
 class ReferenceRun {
  public:
-  ReferenceRun(const Scenario& scenario, const OracleOptions& options,
-               ScenarioResult& result)
-      : scenario_(&scenario), options_(&options), result_(&result),
-        src_(scenario.options) {
+  ReferenceRun(const Scenario& scenario, ScenarioResult& result)
+      : scenario_(&scenario), result_(&result), src_(scenario.options) {
+    if (Status st = SeedDtds(scenario, src_); !st.ok()) {
+      AddViolation("setup", "", 0, st.message());
+    }
     for (const auto& [name, dtd] : scenario.dtds) {
-      Status st = src_.AddDtd(name, dtd.Clone());
-      if (!st.ok()) {
-        AddViolation("setup", name, 0, st.message());
-        continue;
-      }
       shadows_[name] = std::make_unique<Shadow>(dtd.Clone());
     }
   }
@@ -433,12 +679,10 @@ class ReferenceRun {
 
     if (out.evolved) {
       CheckEvolutionInvariants(out.dtd_name, index);
-      if (options_->check_persistence) {
-        // The pre-evolution shadow carries the richest recording state
-        // (sequences, groups, plus structures) — the interesting input
-        // for the round-trip.
-        CheckPersistence(shadows_.at(out.dtd_name)->ext, out.dtd_name, index);
-      }
+      // The pre-evolution shadow carries the richest recording state
+      // (sequences, groups, plus structures) — the interesting input for
+      // the round-trip.
+      CheckPersistence(shadows_.at(out.dtd_name)->ext, out.dtd_name, index);
       ResyncShadow(out.dtd_name);
       MirrorReclassified(out, events_before, index);
     }
@@ -446,11 +690,9 @@ class ReferenceRun {
   }
 
   void Finish() {
-    if (options_->check_persistence) {
-      for (const std::string& name : src_.DtdNames()) {
-        CheckPersistence(*src_.FindExtended(name), name,
-                         scenario_->documents.size());
-      }
+    for (const std::string& name : src_.DtdNames()) {
+      CheckPersistence(*src_.FindExtended(name), name,
+                       scenario_->documents.size());
     }
   }
 
@@ -462,9 +704,8 @@ class ReferenceRun {
  private:
   void AddViolation(std::string invariant, std::string dtd_name,
                     uint64_t index, std::string detail) {
-    if (result_->violations.size() >= kMaxViolationsPerScenario) return;
-    result_->violations.push_back({std::move(invariant), std::move(dtd_name),
-                                   index, std::move(detail)});
+    result_->AddViolation(std::move(invariant), std::move(dtd_name), index,
+                          std::move(detail));
   }
 
   void MirrorClassified(const std::string& name, const xml::Document& doc) {
@@ -596,7 +837,7 @@ class ReferenceRun {
   }
 
   /// Invariant 4: serialize → deserialize → re-serialize is a byte-level
-  /// fixed point, and the Save/Load file round-trip yields the same state.
+  /// fixed point.
   void CheckPersistence(const evolve::ExtendedDtd& ext, const std::string& name,
                         uint64_t index) {
     std::string first = evolve::SerializeExtendedDtd(ext);
@@ -611,34 +852,6 @@ class ReferenceRun {
     if (first != second) {
       AddViolation("persist-fixed-point", name, index,
                    FirstDifference(first, second));
-      return;
-    }
-
-    static std::atomic<uint64_t> temp_counter{0};
-    std::filesystem::path path =
-        std::filesystem::temp_directory_path() /
-        ("dtdevolve-oracle-" + std::to_string(::getpid()) + "-" +
-         std::to_string(temp_counter.fetch_add(1)) + ".snapshot");
-    Status saved = evolve::SaveExtendedDtdFile(ext, path.string());
-    if (!saved.ok()) {
-      AddViolation("persist-fixed-point", name, index,
-                   "save failed: " + saved.message());
-      return;
-    }
-    StatusOr<evolve::ExtendedDtd> loaded =
-        evolve::LoadExtendedDtdFile(path.string());
-    std::error_code ec;
-    std::filesystem::remove(path, ec);
-    if (!loaded.ok()) {
-      AddViolation("persist-fixed-point", name, index,
-                   "load failed: " + loaded.status().message());
-      return;
-    }
-    std::string from_file = evolve::SerializeExtendedDtd(*loaded);
-    if (from_file != first) {
-      AddViolation("persist-fixed-point", name, index,
-                   "file round-trip diverged: " +
-                       FirstDifference(first, from_file));
     }
   }
 
@@ -676,7 +889,6 @@ class ReferenceRun {
   }
 
   const Scenario* scenario_;
-  const OracleOptions* options_;
   ScenarioResult* result_;
   core::XmlSource src_;
   std::map<std::string, std::unique_ptr<Shadow>> shadows_;
@@ -685,88 +897,43 @@ class ReferenceRun {
   std::vector<core::XmlSource::ProcessOutcome> outcomes_;
 };
 
-// --- Batch replicas (invariant 3) -------------------------------------------
-
-Fingerprint RunBatchReplica(const Scenario& scenario, size_t jobs) {
-  core::XmlSource src(scenario.options);
-  for (const auto& [name, dtd] : scenario.dtds) {
-    (void)src.AddDtd(name, dtd.Clone());
-  }
-  std::vector<xml::Document> docs;
-  docs.reserve(scenario.documents.size());
-  for (const xml::Document& doc : scenario.documents) {
-    docs.push_back(doc.Clone());
-  }
-  util::ThreadPool pool(jobs);
-  std::vector<core::XmlSource::ProcessOutcome> outcomes =
-      src.ProcessBatch(std::move(docs), &pool);
-  return FingerprintOf(src, outcomes);
-}
-
-void CompareFingerprints(const Fingerprint& reference,
-                         const Fingerprint& batch, size_t jobs,
-                         ScenarioResult& result) {
-  if (result.violations.size() >= kMaxViolationsPerScenario) return;
-  if (reference.size() != batch.size()) {
-    result.violations.push_back(
-        {"batch-divergence", "", 0,
-         "jobs=" + std::to_string(jobs) + ": fingerprint has " +
-             std::to_string(batch.size()) + " sections, expected " +
-             std::to_string(reference.size())});
-    return;
-  }
-  for (size_t i = 0; i < reference.size(); ++i) {
-    if (reference[i].first != batch[i].first ||
-        reference[i].second != batch[i].second) {
-      result.violations.push_back(
-          {"batch-divergence", "", 0,
-           "jobs=" + std::to_string(jobs) + ": section " +
-               reference[i].first + " differs — " +
-               FirstDifference(reference[i].second, batch[i].second)});
-      return;  // first divergent section is the diagnostic; rest cascades
-    }
-  }
-}
-
 }  // namespace
 
 ScenarioResult RunScenario(uint64_t scenario_seed,
                            const OracleOptions& options) {
-  Scenario scenario = MakeScenario(scenario_seed, options.max_documents);
-  ScenarioResult result;
-  result.seed = scenario_seed;
-  result.scenario = scenario.label;
-  result.documents = scenario.documents.size();
+  Scenario scenario = MakeScenario(scenario_seed, options.sweep.max_documents);
+  ScenarioResult result = ResultFor(scenario_seed, scenario);
 
-  ReferenceRun reference(scenario, options, result);
+  ReferenceRun reference(scenario, result);
   for (size_t i = 0; i < scenario.documents.size(); ++i) {
     reference.Feed(scenario.documents[i], i);
   }
   reference.Finish();
   result.evolutions = reference.source().evolutions_performed();
 
-  Fingerprint reference_fp =
-      FingerprintOf(reference.source(), reference.outcomes());
+  // Invariant 3: every jobs level lands on the reference's digest.
+  const StateDigest expected =
+      DigestOf(reference.source(), &reference.outcomes());
   for (size_t jobs : options.jobs) {
-    CompareFingerprints(reference_fp, RunBatchReplica(scenario, jobs), jobs,
-                        result);
+    core::XmlSource replica(scenario.options);
+    (void)SeedDtds(scenario, replica);
+    util::ThreadPool pool(jobs);
+    const std::vector<core::XmlSource::ProcessOutcome> outcomes =
+        FeedBatch(scenario, replica, pool);
+    const std::string diff = DigestDiff(expected, DigestOf(replica, &outcomes));
+    if (!diff.empty()) {
+      result.AddViolation("batch-divergence", "", 0,
+                          "jobs=" + std::to_string(jobs) + ": " + diff);
+    }
   }
   return result;
 }
 
-OracleReport RunOracle(const OracleOptions& options) {
-  OracleReport report;
-  for (uint64_t i = 0; i < options.scenarios; ++i) {
-    ScenarioResult result = RunScenario(options.seed + i, options);
-    ++report.scenarios_run;
-    report.documents += result.documents;
-    report.evolutions += result.evolutions;
-    if (!result.ok()) {
-      report.failures.push_back(std::move(result));
-      if (report.failures.size() >= options.max_failures) break;
-    }
-  }
-  return report;
+SweepReport RunSweep(const OracleOptions& options) {
+  return SweepSeeds(SweepMode::kDifferential, options.sweep, "", "",
+                    [&options](uint64_t seed) {
+                      return RunScenario(seed, options);
+                    });
 }
 
 ScenarioResult MinimizeFailure(uint64_t scenario_seed,
@@ -779,7 +946,7 @@ ScenarioResult MinimizeFailure(uint64_t scenario_seed,
   ScenarioResult best = std::move(full);
   while (lo < hi) {
     uint64_t mid = lo + (hi - lo) / 2;
-    shrunk.max_documents = mid;
+    shrunk.sweep.max_documents = mid;
     ScenarioResult attempt = RunScenario(scenario_seed, shrunk);
     if (!attempt.ok()) {
       hi = mid;
@@ -791,76 +958,9 @@ ScenarioResult MinimizeFailure(uint64_t scenario_seed,
   return best;
 }
 
-std::string FormatScenario(const ScenarioResult& result) {
-  std::ostringstream out;
-  out << "scenario seed=" << result.seed << " (" << result.scenario << "): "
-      << result.documents << " documents, " << result.evolutions
-      << " evolutions";
-  if (result.ok()) {
-    out << " — OK\n";
-    return out.str();
-  }
-  out << " — " << result.violations.size() << " violation"
-      << (result.violations.size() == 1 ? "" : "s") << "\n";
-  for (const Violation& v : result.violations) {
-    out << "  [" << v.invariant << "] doc " << v.document_index;
-    if (!v.dtd_name.empty()) out << " dtd=" << v.dtd_name;
-    out << ": " << v.detail << "\n";
-  }
-  return out.str();
-}
-
 // --- Crash-recovery oracle --------------------------------------------------
 
 namespace {
-
-/// Pipeline state restricted to what the durability layer promises to
-/// preserve across a crash: the loop counters, the repository (ids and
-/// document bytes), and per DTD the declarations plus the extended
-/// recording state. The event log and kept instances are process-local
-/// by design and excluded.
-Fingerprint CrashFingerprintOf(const core::XmlSource& src) {
-  Fingerprint fp;
-  std::string c = std::to_string(src.documents_processed()) + " " +
-                  std::to_string(src.documents_classified()) + " " +
-                  std::to_string(src.evolutions_performed()) + "\n";
-  fp.emplace_back("counters", std::move(c));
-
-  xml::WriteOptions compact;
-  compact.indent = false;
-  std::string r;
-  for (int id : src.repository().Ids()) {
-    r += std::to_string(id) + " " +
-         xml::WriteDocument(src.repository().Get(id), compact) + "\n";
-  }
-  fp.emplace_back("repository", std::move(r));
-
-  for (const std::string& name : src.DtdNames()) {
-    fp.emplace_back("dtd:" + name, dtd::WriteDtd(*src.FindDtd(name)));
-    fp.emplace_back("state:" + name,
-                    evolve::SerializeExtendedDtd(*src.FindExtended(name)));
-  }
-  return fp;
-}
-
-std::string FingerprintDiff(const Fingerprint& expected,
-                            const Fingerprint& actual) {
-  if (expected.size() != actual.size()) {
-    return "fingerprint has " + std::to_string(actual.size()) +
-           " sections, expected " + std::to_string(expected.size());
-  }
-  for (size_t i = 0; i < expected.size(); ++i) {
-    if (expected[i].first != actual[i].first) {
-      return "section " + std::to_string(i) + " is " + actual[i].first +
-             ", expected " + expected[i].first;
-    }
-    if (expected[i].second != actual[i].second) {
-      return "section " + expected[i].first + " differs — " +
-             FirstDifference(expected[i].second, actual[i].second);
-    }
-  }
-  return "fingerprints equal";
-}
 
 struct DurableRun {
   size_t acked = 0;        // records committed and applied
@@ -891,13 +991,8 @@ DurableRun RunDurablePipeline(const Scenario& scenario,
                               size_t group) {
   DurableRun run;
   core::XmlSource src(scenario.options);
-  for (const auto& [name, dtd] : scenario.dtds) {
-    (void)src.AddDtd(name, dtd.Clone());
-  }
-  store::WalOptions wal_options;
-  wal_options.dir = dir;
-  StatusOr<std::unique_ptr<store::Wal>> wal =
-      store::RecoverSource(src, wal_options, nullptr);
+  (void)SeedDtds(scenario, src);
+  StatusOr<std::unique_ptr<store::Wal>> wal = RecoverFrom(src, dir);
   if (!wal.ok()) return run;  // the crash hit a boot-time I/O op
   uint64_t since_checkpoint = 0;
   auto maybe_checkpoint = [&](uint64_t lsn) {
@@ -926,52 +1021,35 @@ DurableRun RunDurablePipeline(const Scenario& scenario,
     }
   }
   if (induction) {
-    src.InduceCandidates();
-    for (size_t round = 0; round < kMaxAcceptRounds; ++round) {
-      const induce::Candidate* best = BestCandidate(src);
-      if (best == nullptr) break;
-      const std::string record =
-          store::EncodeInduceAcceptRecord(best->name, best->ext);
+    bool crashed = false;
+    RunAcceptRounds(src, [&](const induce::Candidate& best, size_t) {
       ++run.written;
-      StatusOr<uint64_t> lsn = (*wal)->Append(record);
-      if (!lsn.ok()) return run;
+      StatusOr<uint64_t> lsn =
+          (*wal)->Append(store::EncodeInduceAcceptRecord(best.name, best.ext));
       StatusOr<core::XmlSource::AcceptOutcome> outcome =
-          src.AcceptCandidate(best->id);
-      if (!outcome.ok()) return run;
+          lsn.ok() ? src.AcceptCandidate(best.id)
+                   : StatusOr<core::XmlSource::AcceptOutcome>(lsn.status());
+      crashed = !outcome.ok();
+      if (crashed) return std::optional<size_t>();
       ++run.acked;
       maybe_checkpoint(*lsn);
-      if (outcome->reclassified == 0) break;
-      src.InduceCandidates();
-    }
+      return std::optional<size_t>(outcome->reclassified);
+    });
+    if (crashed) return run;
   }
   run.completed = true;
   return run;
 }
 
 /// Boots a fresh pipeline from whatever the crashed run left in `dir`
-/// and fingerprints the recovered state.
-StatusOr<Fingerprint> RecoverFingerprint(const Scenario& scenario,
-                                         const std::string& dir) {
+/// and digests the recovered state.
+StatusOr<StateDigest> RecoverDigest(const Scenario& scenario,
+                                    const std::string& dir) {
   core::XmlSource src(scenario.options);
-  for (const auto& [name, dtd] : scenario.dtds) {
-    (void)src.AddDtd(name, dtd.Clone());
-  }
-  store::WalOptions wal_options;
-  wal_options.dir = dir;
-  store::RecoveryReport report;
-  StatusOr<std::unique_ptr<store::Wal>> wal =
-      store::RecoverSource(src, wal_options, &report);
+  (void)SeedDtds(scenario, src);
+  StatusOr<std::unique_ptr<store::Wal>> wal = RecoverFrom(src, dir);
   if (!wal.ok()) return wal.status();
-  return CrashFingerprintOf(src);
-}
-
-std::string CrashTempDir(uint64_t seed, uint64_t point) {
-  static std::atomic<uint64_t> counter{0};
-  return (std::filesystem::temp_directory_path() /
-          ("dtdevolve-crash-" + std::to_string(::getpid()) + "-" +
-           std::to_string(seed) + "-" + std::to_string(point) + "-" +
-           std::to_string(counter.fetch_add(1))))
-      .string();
+  return DigestOf(src);
 }
 
 /// One leg of the crash sweep: a clean pass that counts the run's
@@ -980,21 +1058,17 @@ std::string CrashTempDir(uint64_t seed, uint64_t point) {
 /// 1 the recovered state must be the acked prefix or acked + 1 (the one
 /// in-flight append). With a larger group every written record of the
 /// crashed group may have reached the disk, so any prefix between the
-/// acked and the written count passes.
-template <typename AddViolation>
+/// acked and the written count passes. Violations carry `leg` first.
 void SweepCrashLeg(const Scenario& scenario,
                    const std::vector<std::string>& texts,
-                   const std::vector<Fingerprint>& prefix_fps,
+                   const std::vector<StateDigest>& prefixes,
                    const CrashOracleOptions& options, size_t group,
-                   uint64_t scenario_seed, uint64_t* crash_points,
-                   AddViolation add_violation) {
-  const uint64_t total_applies = prefix_fps.size() - 1;
+                   const std::string& leg, ScenarioResult& result) {
+  const uint64_t total_applies = prefixes.size() - 1;
   io::FaultInjector& injector = io::FaultInjector::Instance();
-  size_t violations = 0;
-  auto violate = [&](uint64_t op, std::string detail,
+  auto violate = [&](uint64_t op, const std::string& detail,
                      const char* invariant = "crash-recovery") {
-    ++violations;
-    add_violation(op, std::move(detail), invariant);
+    result.AddViolation(invariant, "", op, leg + detail);
   };
 
   // Clean pass: count the run's faultable I/O ops (a fail_at of 0 never
@@ -1002,10 +1076,9 @@ void SweepCrashLeg(const Scenario& scenario,
   // state as the plain sequential replay.
   uint64_t total_ops = 0;
   {
-    const std::string dir = CrashTempDir(scenario_seed, 0);
-    std::filesystem::remove_all(dir);
+    ScratchDir dir("crash");
     injector.Arm(io::FaultPlan{});
-    DurableRun clean = RunDurablePipeline(scenario, texts, dir,
+    DurableRun clean = RunDurablePipeline(scenario, texts, dir.path(),
                                           options.checkpoint_every,
                                           options.induction, group);
     total_ops = injector.ops_seen();
@@ -1013,17 +1086,17 @@ void SweepCrashLeg(const Scenario& scenario,
     if (!clean.completed) {
       violate(0, "clean durable run did not complete");
     } else {
-      StatusOr<Fingerprint> recovered = RecoverFingerprint(scenario, dir);
+      StatusOr<StateDigest> recovered = RecoverDigest(scenario, dir.path());
       if (!recovered.ok()) {
         violate(0, "clean-run recovery failed: " +
                        recovered.status().message());
-      } else if (*recovered != prefix_fps.back()) {
+      } else if (std::string diff = DigestDiff(prefixes.back(), *recovered);
+                 !diff.empty()) {
         violate(0, "clean durable run diverged from sequential replay: " +
-                       FingerprintDiff(prefix_fps.back(), *recovered));
+                       diff);
       }
     }
-    std::filesystem::remove_all(dir);
-    if (violations > 0) return;
+    if (!result.ok()) return;
   }
 
   const uint64_t wanted = options.max_crash_points == 0
@@ -1032,11 +1105,10 @@ void SweepCrashLeg(const Scenario& scenario,
   const uint64_t stride =
       wanted == 0 ? 1 : std::max<uint64_t>(1, total_ops / wanted);
   for (uint64_t op = 1;
-       op <= total_ops && violations < kMaxViolationsPerScenario;
+       op <= total_ops && result.violations.size() < kMaxViolationsPerScenario;
        op += stride) {
-    if (crash_points != nullptr) ++*crash_points;
-    const std::string dir = CrashTempDir(scenario_seed, op);
-    std::filesystem::remove_all(dir);
+    ++result.crash_points;
+    ScratchDir dir("crash");
 
     io::FaultPlan plan;
     plan.fail_at = op;
@@ -1048,17 +1120,16 @@ void SweepCrashLeg(const Scenario& scenario,
     plan.error_code = (op % 2 == 0) ? ENOSPC : EIO;
     plan.torn_fraction = static_cast<double>(op % 4) / 3.0;
     injector.Arm(plan);
-    DurableRun run = RunDurablePipeline(scenario, texts, dir,
+    DurableRun run = RunDurablePipeline(scenario, texts, dir.path(),
                                         options.checkpoint_every,
                                         options.induction, group);
     injector.Disarm();
 
-    StatusOr<Fingerprint> recovered = RecoverFingerprint(scenario, dir);
+    StatusOr<StateDigest> recovered = RecoverDigest(scenario, dir.path());
     if (!recovered.ok()) {
       violate(op, "recovery after crash at op " + std::to_string(op) +
                       " (acked " + std::to_string(run.acked) +
                       "): " + recovered.status().message());
-      std::filesystem::remove_all(dir);
       continue;
     }
     bool matched = false;
@@ -1068,9 +1139,9 @@ void SweepCrashLeg(const Scenario& scenario,
       // when the crash fell between a record's last byte and its fsync
       // returning — the acked prefix plus that single durable-but-unacked
       // document.
-      const bool exact = *recovered == prefix_fps[run.acked];
+      const bool exact = *recovered == prefixes[run.acked];
       const bool in_flight = run.acked < total_applies &&
-                             *recovered == prefix_fps[run.acked + 1];
+                             *recovered == prefixes[run.acked + 1];
       matched = exact || in_flight;
       expected = "the acked prefix nor acked+1";
     } else {
@@ -1079,7 +1150,7 @@ void SweepCrashLeg(const Scenario& scenario,
       // written prefix.
       const size_t written = std::min<size_t>(run.written, total_applies);
       for (size_t j = run.acked; j <= written && !matched; ++j) {
-        matched = *recovered == prefix_fps[j];
+        matched = *recovered == prefixes[j];
       }
       expected = "any prefix between acked and written (" +
                  std::to_string(run.written) + ")";
@@ -1089,164 +1160,84 @@ void SweepCrashLeg(const Scenario& scenario,
                       std::to_string(run.acked) +
                       " documents): recovered state matches neither " +
                       expected + " — " +
-                      FingerprintDiff(prefix_fps[run.acked], *recovered));
-    } else {
-      StatusOr<Fingerprint> again = RecoverFingerprint(scenario, dir);
-      if (!again.ok()) {
-        violate(op, "second recovery failed: " + again.status().message(),
-                "recovery-idempotence");
-      } else if (*again != *recovered) {
-        violate(op, "second recovery diverged from the first: " +
-                        FingerprintDiff(*recovered, *again),
-                "recovery-idempotence");
-      }
+                      DigestDiff(prefixes[run.acked], *recovered));
+      continue;
     }
-    std::filesystem::remove_all(dir);
+    StatusOr<StateDigest> again = RecoverDigest(scenario, dir.path());
+    if (!again.ok()) {
+      violate(op, "second recovery failed: " + again.status().message(),
+              "recovery-idempotence");
+    } else if (std::string diff = DigestDiff(*recovered, *again);
+               !diff.empty()) {
+      violate(op, "second recovery diverged from the first: " + diff,
+              "recovery-idempotence");
+    }
   }
 }
 
 }  // namespace
 
 ScenarioResult RunCrashScenario(uint64_t scenario_seed,
-                                const CrashOracleOptions& options,
-                                uint64_t* crash_points) {
+                                const CrashOracleOptions& options) {
   Scenario scenario =
       options.induction
-          ? MakeInductionScenario(scenario_seed, options.max_documents)
-          : MakeScenario(scenario_seed, options.max_documents);
-  ScenarioResult result;
-  result.seed = scenario_seed;
-  result.scenario = scenario.label;
-  result.documents = scenario.documents.size();
+          ? MakeInductionScenario(scenario_seed, options.sweep.max_documents)
+          : MakeScenario(scenario_seed, options.sweep.max_documents);
+  ScenarioResult result = ResultFor(scenario_seed, scenario);
+  const std::vector<std::string> texts = CompactTexts(scenario);
 
-  auto add_violation = [&result](uint64_t op, std::string detail,
-                                 const char* invariant = "crash-recovery") {
-    if (result.violations.size() >= kMaxViolationsPerScenario) return;
-    result.violations.push_back(
-        {invariant, "", op, std::move(detail)});
-  };
-
-  // The WAL carries document *text*; serialize the stream once so the
-  // durable runs, the reference replays and the recoveries all see the
-  // same bytes.
-  std::vector<std::string> texts;
-  texts.reserve(scenario.documents.size());
-  xml::WriteOptions compact;
-  compact.indent = false;
-  for (const xml::Document& doc : scenario.documents) {
-    texts.push_back(xml::WriteDocument(doc, compact));
-  }
-
-  // prefix_fps[j] = the pipeline state after sequentially applying the
+  // prefixes[j] = the pipeline state after sequentially applying the
   // first j operations (documents, then — under `induction` — the
   // accepted candidates) — what recovery from any crash point must match.
-  std::vector<Fingerprint> prefix_fps;
-  prefix_fps.reserve(texts.size() + 1);
+  std::vector<StateDigest> prefixes;
+  prefixes.reserve(texts.size() + 1);
   {
     core::XmlSource reference(scenario.options);
-    for (const auto& [name, dtd] : scenario.dtds) {
-      (void)reference.AddDtd(name, dtd.Clone());
-    }
-    prefix_fps.push_back(CrashFingerprintOf(reference));
+    (void)SeedDtds(scenario, reference);
+    prefixes.push_back(DigestOf(reference));
     for (const std::string& text : texts) {
       (void)reference.ProcessText(text);
-      prefix_fps.push_back(CrashFingerprintOf(reference));
+      prefixes.push_back(DigestOf(reference));
     }
     if (options.induction) {
-      // Mirror the durable pipeline's accept loop exactly; recovery
-      // replays each record through AdoptInducedDtd and must land on
-      // the same state as these live accepts.
-      reference.InduceCandidates();
-      for (size_t round = 0; round < kMaxAcceptRounds; ++round) {
-        const induce::Candidate* best = BestCandidate(reference);
-        if (best == nullptr) break;
+      // The durable pipeline's accept rounds; recovery replays each
+      // record through AdoptInducedDtd and must land on the same state
+      // as these live accepts.
+      RunAcceptRounds(reference, [&](const induce::Candidate& best, size_t) {
         StatusOr<core::XmlSource::AcceptOutcome> outcome =
-            reference.AcceptCandidate(best->id);
-        if (!outcome.ok()) break;
-        prefix_fps.push_back(CrashFingerprintOf(reference));
-        if (outcome->reclassified == 0) break;
-        reference.InduceCandidates();
-      }
+            reference.AcceptCandidate(best.id);
+        if (!outcome.ok()) return std::optional<size_t>();
+        prefixes.push_back(DigestOf(reference));
+        return std::optional<size_t>(outcome->reclassified);
+      });
     }
     result.evolutions = reference.evolutions_performed();
   }
   // Two legs: one Append per document, then groups of kCrashGroupSize
   // written before one Commit.
   for (const size_t group : {size_t{1}, kCrashGroupSize}) {
-    const std::string leg =
-        group == 1 ? "append leg: " : "group-commit leg: ";
-    SweepCrashLeg(scenario, texts, prefix_fps, options, group, scenario_seed,
-                  crash_points, [&](uint64_t op, std::string detail,
-                                    const char* invariant) {
-                    add_violation(op, leg + detail, invariant);
-                  });
-    if (!result.violations.empty()) break;
+    SweepCrashLeg(scenario, texts, prefixes, options, group,
+                  group == 1 ? "append leg: " : "group-commit leg: ", result);
+    if (!result.ok()) break;
   }
   return result;
 }
 
-CrashOracleReport RunCrashOracle(const CrashOracleOptions& options) {
-  CrashOracleReport report;
-  for (uint64_t i = 0; i < options.scenarios; ++i) {
-    ScenarioResult result =
-        RunCrashScenario(options.seed + i, options, &report.crash_points);
-    ++report.scenarios_run;
-    report.documents += result.documents;
-    if (!result.ok()) {
-      report.failures.push_back(std::move(result));
-      if (report.failures.size() >= options.max_failures) break;
-    }
-  }
-  return report;
-}
-
-std::string FormatCrashReport(const CrashOracleReport& report) {
-  std::ostringstream out;
-  out << "crash oracle: " << report.scenarios_run << " scenario"
-      << (report.scenarios_run == 1 ? "" : "s") << ", " << report.documents
-      << " documents, " << report.crash_points << " crash points — "
-      << (report.ok() ? "every recovery matched the acked prefix"
-                      : std::to_string(report.failures.size()) +
-                            " failing scenario(s)")
-      << "\n";
-  for (const ScenarioResult& failure : report.failures) {
-    out << FormatScenario(failure);
-    out << "  replay: dtdevolve check --crash-recovery --seed "
-        << failure.seed << " --scenarios 1\n";
-  }
-  return out.str();
+SweepReport RunSweep(const CrashOracleOptions& options) {
+  return SweepSeeds(
+      SweepMode::kCrashRecovery, options.sweep,
+      options.induction ? "--crash-recovery --induction" : "--crash-recovery",
+      "--crash-points " + std::to_string(options.max_crash_points) +
+          " --checkpoint-every " + std::to_string(options.checkpoint_every),
+      [&options](uint64_t seed) { return RunCrashScenario(seed, options); });
 }
 
 // --- Induction oracle -------------------------------------------------------
 
 namespace {
 
-/// Everything the candidate lifecycle could diverge on across jobs
-/// levels, appended to the regular pipeline fingerprint: the pending
-/// candidates and the lifecycle counters.
-void AppendInductionFingerprint(const core::XmlSource& src, Fingerprint* fp) {
-  std::string c;
-  for (const induce::Candidate& candidate : src.candidates()) {
-    c += std::to_string(candidate.id) + " " + candidate.name + " m" +
-         std::to_string(candidate.members.size()) + " v" +
-         std::to_string(candidate.validated.size()) + " " +
-         FormatDouble(candidate.coverage) + " " +
-         FormatDouble(candidate.margin) + "\n";
-  }
-  fp->emplace_back("candidates", std::move(c));
-  fp->emplace_back("candidate-counters",
-                   std::to_string(src.candidates_proposed()) + " " +
-                       std::to_string(src.candidates_accepted()) + " " +
-                       std::to_string(src.candidates_rejected()) + "\n");
-}
-
-void AddInductionViolation(ScenarioResult& result, std::string invariant,
-                           std::string dtd_name, uint64_t index,
-                           std::string detail) {
-  if (result.violations.size() >= kMaxViolationsPerScenario) return;
-  result.violations.push_back({std::move(invariant), std::move(dtd_name),
-                               index, std::move(detail)});
-}
+/// Jobs levels of the induction oracle's batch replicas.
+constexpr size_t kInductionJobs[] = {1, 2, 8};
 
 /// Invariants of one *pending* candidate: the DTD round-trips, and the
 /// validated set / coverage match an independent recount of the members
@@ -1257,22 +1248,22 @@ void CheckCandidateInvariants(const core::XmlSource& src,
   const dtd::Dtd& dtd = candidate.ext.dtd();
   Status checked = dtd.Check();
   if (!checked.ok()) {
-    AddInductionViolation(result, "induced-dtd-roundtrip", candidate.name,
+    result.AddViolation("induced-dtd-roundtrip", candidate.name,
                           round, "candidate DTD fails Check: " +
                                      checked.message());
   } else {
     const std::string text = dtd::WriteDtd(dtd);
     StatusOr<dtd::Dtd> reparsed = dtd::ParseDtd(text, dtd.root_name());
     if (!reparsed.ok()) {
-      AddInductionViolation(result, "induced-dtd-roundtrip", candidate.name,
+      result.AddViolation("induced-dtd-roundtrip", candidate.name,
                             round, "candidate DTD fails to re-parse: " +
                                        reparsed.status().message());
     } else if (Status recheck = reparsed->Check(); !recheck.ok()) {
-      AddInductionViolation(result, "induced-dtd-roundtrip", candidate.name,
+      result.AddViolation("induced-dtd-roundtrip", candidate.name,
                             round, "re-parsed candidate fails Check: " +
                                        recheck.message());
     } else if (dtd::WriteDtd(*reparsed) != text) {
-      AddInductionViolation(result, "induced-dtd-roundtrip", candidate.name,
+      result.AddViolation("induced-dtd-roundtrip", candidate.name,
                             round,
                             "WriteDtd → ParseDtd → WriteDtd is not a fixed "
                             "point");
@@ -1288,8 +1279,8 @@ void CheckCandidateInvariants(const core::XmlSource& src,
   std::set<int> claimed(candidate.validated.begin(),
                         candidate.validated.end());
   if (claimed != recount) {
-    AddInductionViolation(
-        result, "candidate-coverage-accounting", candidate.name, round,
+    result.AddViolation(
+        "candidate-coverage-accounting", candidate.name, round,
         "claims " + std::to_string(claimed.size()) +
             " validated member(s), independent recount finds " +
             std::to_string(recount.size()));
@@ -1301,14 +1292,14 @@ void CheckCandidateInvariants(const core::XmlSource& src,
           : static_cast<double>(candidate.validated.size()) /
                 static_cast<double>(candidate.members.size());
   if (std::fabs(candidate.coverage - expected) > 1e-12) {
-    AddInductionViolation(result, "candidate-coverage-accounting",
+    result.AddViolation("candidate-coverage-accounting",
                           candidate.name, round,
                           "coverage " + FormatDouble(candidate.coverage) +
                               " != validated/members " +
                               FormatDouble(expected));
   }
   if (candidate.coverage + 1e-12 < src.options().induce.min_coverage) {
-    AddInductionViolation(result, "candidate-coverage-accounting",
+    result.AddViolation("candidate-coverage-accounting",
                           candidate.name, round,
                           "coverage " + FormatDouble(candidate.coverage) +
                               " below the configured floor " +
@@ -1319,21 +1310,14 @@ void CheckCandidateInvariants(const core::XmlSource& src,
 }  // namespace
 
 ScenarioResult RunInductionScenario(uint64_t scenario_seed,
-                                    const InductionOracleOptions& options,
-                                    uint64_t* candidates, uint64_t* accepts) {
+                                    const InductionOracleOptions& options) {
   Scenario scenario =
-      MakeInductionScenario(scenario_seed, options.max_documents);
-  ScenarioResult result;
-  result.seed = scenario_seed;
-  result.scenario = scenario.label;
-  result.documents = scenario.documents.size();
+      MakeInductionScenario(scenario_seed, options.sweep.max_documents);
+  ScenarioResult result = ResultFor(scenario_seed, scenario);
 
   core::XmlSource reference(scenario.options);
-  for (const auto& [name, dtd] : scenario.dtds) {
-    Status st = reference.AddDtd(name, dtd.Clone());
-    if (!st.ok()) {
-      AddInductionViolation(result, "setup", name, 0, st.message());
-    }
+  if (Status st = SeedDtds(scenario, reference); !st.ok()) {
+    result.AddViolation("setup", "", 0, st.message());
   }
   std::vector<core::XmlSource::ProcessOutcome> outcomes;
   outcomes.reserve(scenario.documents.size());
@@ -1346,48 +1330,44 @@ ScenarioResult RunInductionScenario(uint64_t scenario_seed,
   // otherwise accept-by-name); the batch replicas replay it verbatim.
   std::vector<std::string> ops;
   std::set<uint64_t> seen_ids;
-  for (size_t round = 0; round < kMaxAcceptRounds; ++round) {
+  auto induced = [&](size_t round, size_t count) {
     ops.push_back("");
-    size_t induced = reference.InduceCandidates();
-    if (candidates != nullptr) *candidates += induced;
+    result.candidates += count;
     for (const induce::Candidate& candidate : reference.candidates()) {
       if (!seen_ids.insert(candidate.id).second) {
-        AddInductionViolation(result, "accept-reclassify-accounting",
-                              candidate.name, round,
-                              "candidate id " + std::to_string(candidate.id) +
-                                  " reissued");
+        result.AddViolation("accept-reclassify-accounting", candidate.name,
+                            round,
+                            "candidate id " + std::to_string(candidate.id) +
+                                " reissued");
       }
       CheckCandidateInvariants(reference, candidate, round, result);
     }
-    const induce::Candidate* best = BestCandidate(reference);
-    if (best == nullptr) break;
-
+  };
+  auto accept = [&](const induce::Candidate& best,
+                    size_t round) -> std::optional<size_t> {
     // Accept consumes repository documents — clone the claimed set first
     // so accept-member-validity can recount against the *live* DTD.
-    const std::string accept_name = best->name;
-    const uint64_t best_id = best->id;
+    const std::string accept_name = best.name;
     std::vector<xml::Document> claimed_docs;
-    for (int id : best->validated) {
+    for (int id : best.validated) {
       claimed_docs.push_back(reference.repository().Get(id).Clone());
     }
     const size_t repo_before = reference.repository().size();
 
     StatusOr<core::XmlSource::AcceptOutcome> outcome =
-        reference.AcceptCandidate(best_id);
+        reference.AcceptCandidate(best.id);
     if (!outcome.ok()) {
-      AddInductionViolation(result, "accept-member-validity", accept_name,
-                            round,
-                            "accept failed: " + outcome.status().message());
-      break;
+      result.AddViolation("accept-member-validity", accept_name, round,
+                          "accept failed: " + outcome.status().message());
+      return std::nullopt;
     }
     ops.push_back(accept_name);
-    if (accepts != nullptr) ++*accepts;
+    ++result.accepts;
 
     const dtd::Dtd* live = reference.FindDtd(outcome->dtd_name);
     if (live == nullptr) {
-      AddInductionViolation(result, "accept-member-validity",
-                            outcome->dtd_name, round,
-                            "accepted DTD missing from the live set");
+      result.AddViolation("accept-member-validity", outcome->dtd_name, round,
+                          "accepted DTD missing from the live set");
     } else {
       validate::Validator live_validator(*live);
       size_t invalid = 0;
@@ -1397,8 +1377,8 @@ ScenarioResult RunInductionScenario(uint64_t scenario_seed,
         }
       }
       if (invalid != 0) {
-        AddInductionViolation(
-            result, "accept-member-validity", outcome->dtd_name, round,
+        result.AddViolation(
+            "accept-member-validity", outcome->dtd_name, round,
             std::to_string(invalid) + " of " +
                 std::to_string(claimed_docs.size()) +
                 " claimed-validated member(s) invalid under the live DTD");
@@ -1406,30 +1386,23 @@ ScenarioResult RunInductionScenario(uint64_t scenario_seed,
     }
     const size_t removed = repo_before - reference.repository().size();
     if (removed != outcome->reclassified) {
-      AddInductionViolation(
-          result, "accept-reclassify-accounting", outcome->dtd_name, round,
+      result.AddViolation(
+          "accept-reclassify-accounting", outcome->dtd_name, round,
           "outcome reports " + std::to_string(outcome->reclassified) +
               " reclassified but " + std::to_string(removed) +
               " document(s) left the repository");
     }
-    if (outcome->reclassified == 0) break;
-  }
+    return outcome->reclassified;
+  };
+  RunAcceptRounds(reference, accept, induced);
 
-  Fingerprint reference_fp = FingerprintOf(reference, outcomes);
-  AppendInductionFingerprint(reference, &reference_fp);
-  for (size_t jobs : options.jobs) {
+  const StateDigest expected = DigestOf(reference, &outcomes);
+  for (size_t jobs : kInductionJobs) {
     core::XmlSource replica(scenario.options);
-    for (const auto& [name, dtd] : scenario.dtds) {
-      (void)replica.AddDtd(name, dtd.Clone());
-    }
-    std::vector<xml::Document> docs;
-    docs.reserve(scenario.documents.size());
-    for (const xml::Document& doc : scenario.documents) {
-      docs.push_back(doc.Clone());
-    }
+    (void)SeedDtds(scenario, replica);
     util::ThreadPool pool(jobs);
-    std::vector<core::XmlSource::ProcessOutcome> replica_outcomes =
-        replica.ProcessBatch(std::move(docs), &pool);
+    const std::vector<core::XmlSource::ProcessOutcome> replica_outcomes =
+        FeedBatch(scenario, replica, pool);
 
     bool replay_ok = true;
     for (const std::string& op : ops) {
@@ -1442,81 +1415,40 @@ ScenarioResult RunInductionScenario(uint64_t scenario_seed,
         if (candidate.name == op) target = &candidate;
       }
       if (target == nullptr) {
-        AddInductionViolation(result, "induction-batch-divergence", op, 0,
-                              "jobs=" + std::to_string(jobs) +
-                                  ": candidate " + op +
-                                  " missing in the batch replica");
+        result.AddViolation("induction-batch-divergence", op, 0,
+                            "jobs=" + std::to_string(jobs) + ": candidate " +
+                                op + " missing in the batch replica");
         replay_ok = false;
         break;
       }
       if (StatusOr<core::XmlSource::AcceptOutcome> accepted =
               replica.AcceptCandidate(target->id, &pool);
           !accepted.ok()) {
-        AddInductionViolation(result, "induction-batch-divergence", op, 0,
-                              "jobs=" + std::to_string(jobs) +
-                                  ": accept failed in the batch replica: " +
-                                  accepted.status().message());
+        result.AddViolation("induction-batch-divergence", op, 0,
+                            "jobs=" + std::to_string(jobs) +
+                                ": accept failed in the batch replica: " +
+                                accepted.status().message());
         replay_ok = false;
         break;
       }
     }
     if (!replay_ok) continue;
 
-    Fingerprint replica_fp = FingerprintOf(replica, replica_outcomes);
-    AppendInductionFingerprint(replica, &replica_fp);
-    if (replica_fp.size() != reference_fp.size()) {
-      AddInductionViolation(result, "induction-batch-divergence", "", 0,
-                            "jobs=" + std::to_string(jobs) +
-                                ": fingerprint section counts differ");
-      continue;
-    }
-    for (size_t i = 0; i < reference_fp.size(); ++i) {
-      if (reference_fp[i].first != replica_fp[i].first ||
-          reference_fp[i].second != replica_fp[i].second) {
-        AddInductionViolation(
-            result, "induction-batch-divergence", "", 0,
-            "jobs=" + std::to_string(jobs) + ": section " +
-                reference_fp[i].first + " differs — " +
-                FirstDifference(reference_fp[i].second, replica_fp[i].second));
-        break;
-      }
+    const std::string diff =
+        DigestDiff(expected, DigestOf(replica, &replica_outcomes));
+    if (!diff.empty()) {
+      result.AddViolation("induction-batch-divergence", "", 0,
+                          "jobs=" + std::to_string(jobs) + ": " + diff);
     }
   }
   return result;
 }
 
-InductionOracleReport RunInductionOracle(
-    const InductionOracleOptions& options) {
-  InductionOracleReport report;
-  for (uint64_t i = 0; i < options.scenarios; ++i) {
-    ScenarioResult result = RunInductionScenario(
-        options.seed + i, options, &report.candidates, &report.accepts);
-    ++report.scenarios_run;
-    report.documents += result.documents;
-    if (!result.ok()) {
-      report.failures.push_back(std::move(result));
-      if (report.failures.size() >= options.max_failures) break;
-    }
-  }
-  return report;
-}
-
-std::string FormatInductionReport(const InductionOracleReport& report) {
-  std::ostringstream out;
-  out << "induction oracle: " << report.scenarios_run << " scenario"
-      << (report.scenarios_run == 1 ? "" : "s") << ", " << report.documents
-      << " documents, " << report.candidates << " candidates, "
-      << report.accepts << " accepts — "
-      << (report.ok() ? "all invariants held"
-                      : std::to_string(report.failures.size()) +
-                            " failing scenario(s)")
-      << "\n";
-  for (const ScenarioResult& failure : report.failures) {
-    out << FormatScenario(failure);
-    out << "  replay: dtdevolve check --induction --seed " << failure.seed
-        << " --scenarios 1\n";
-  }
-  return out.str();
+SweepReport RunSweep(const InductionOracleOptions& options) {
+  return SweepSeeds(SweepMode::kInduction, options.sweep, "--induction", "",
+                    [&options](uint64_t seed) {
+                      return RunInductionScenario(seed, options);
+                    });
 }
 
 // --- Replication oracle -----------------------------------------------------
@@ -1527,9 +1459,7 @@ namespace {
 /// replica boots before its first checkpoint lands.
 std::unique_ptr<core::XmlSource> MakeFollowerSource(const Scenario& scenario) {
   auto src = std::make_unique<core::XmlSource>(scenario.options);
-  for (const auto& [name, dtd] : scenario.dtds) {
-    (void)src->AddDtd(name, dtd.Clone());
-  }
+  (void)SeedDtds(scenario, *src);
   return src;
 }
 
@@ -1542,15 +1472,6 @@ struct SimFollower {
   uint64_t applied = 0;
 };
 
-std::string ReplTempDir(uint64_t seed) {
-  static std::atomic<uint64_t> counter{0};
-  return (std::filesystem::temp_directory_path() /
-          ("dtdevolve-repl-" + std::to_string(::getpid()) + "-" +
-           std::to_string(seed) + "-" +
-           std::to_string(counter.fetch_add(1))))
-      .string();
-}
-
 /// One follower poll against the primary's WAL directory. Mirrors
 /// `Follower::SyncTenant` step for step: bootstrap from the checkpoint
 /// (through the wire-blob encode/decode), export a page from
@@ -1561,22 +1482,17 @@ std::string ReplTempDir(uint64_t seed) {
 /// cascades into every later check).
 bool PollFollower(const Scenario& scenario, const std::string& dir,
                   uint64_t wal_next_lsn,
-                  const std::vector<Fingerprint>& prefix_fps,
+                  const std::vector<StateDigest>& prefixes,
                   SimFollower& follower, workload::Rng& rng, bool allow_fault,
-                  ReplicationOracleReport* tally, ScenarioResult& result) {
-  auto add_violation = [&result](const char* invariant, uint64_t op,
-                                 std::string detail) {
-    if (result.violations.size() >= kMaxViolationsPerScenario) return;
-    result.violations.push_back({invariant, "", op, std::move(detail)});
-  };
-  if (tally != nullptr) ++tally->polls;
+                  ScenarioResult& result) {
+  ++result.polls;
 
   if (!follower.bootstrapped) {
     StatusOr<store::CheckpointData> checkpoint = store::ReadCheckpoint(dir);
     if (!checkpoint.ok()) {
-      add_violation("replication-bootstrap", follower.applied,
-                    "checkpoint read failed: " +
-                        checkpoint.status().message());
+      result.AddViolation("replication-bootstrap", "", follower.applied,
+                          "checkpoint read failed: " +
+                              checkpoint.status().message());
       return false;
     }
     // Round-trip through the transfer blob — the bytes a real follower
@@ -1584,29 +1500,30 @@ bool PollFollower(const Scenario& scenario, const std::string& dir,
     StatusOr<store::CheckpointData> wire =
         store::DecodeCheckpointBlob(store::EncodeCheckpointBlob(*checkpoint));
     if (!wire.ok()) {
-      add_violation("replication-bootstrap", follower.applied,
-                    "checkpoint blob round-trip failed: " +
-                        wire.status().message());
+      result.AddViolation("replication-bootstrap", "", follower.applied,
+                          "checkpoint blob round-trip failed: " +
+                              wire.status().message());
       return false;
     }
     std::unique_ptr<core::XmlSource> fresh = MakeFollowerSource(scenario);
     Status applied = store::ApplyCheckpointToSource(*wire, *fresh);
     if (!applied.ok()) {
-      add_violation("replication-bootstrap", follower.applied,
-                    "checkpoint apply failed: " + applied.message());
+      result.AddViolation("replication-bootstrap", "", follower.applied,
+                          "checkpoint apply failed: " + applied.message());
       return false;
     }
     follower.src = std::move(fresh);
     follower.applied = wire->lsn;
     follower.bootstrapped = true;
-    if (tally != nullptr) ++tally->bootstraps;
-    if (CrashFingerprintOf(*follower.src) != prefix_fps[follower.applied]) {
-      add_violation(
-          "replication-bootstrap", follower.applied,
-          "bootstrapped state diverges from the sequential replay of " +
-              std::to_string(follower.applied) + " ops: " +
-              FingerprintDiff(prefix_fps[follower.applied],
-                              CrashFingerprintOf(*follower.src)));
+    ++result.bootstraps;
+    if (std::string diff = DigestDiff(prefixes[follower.applied],
+                                      DigestOf(*follower.src));
+        !diff.empty()) {
+      result.AddViolation("replication-bootstrap", "", follower.applied,
+                          "bootstrapped state diverges from the sequential "
+                          "replay of " +
+                              std::to_string(follower.applied) +
+                              " ops: " + diff);
       return false;
     }
   }
@@ -1616,16 +1533,16 @@ bool PollFollower(const Scenario& scenario, const std::string& dir,
   uint64_t from = follower.applied + 1;
   if (allow_fault && follower.applied > 0 && rng.Chance(0.15)) {
     from = follower.applied;
-    if (tally != nullptr) ++tally->faults;
+    ++result.faults;
   }
   // Small, jittered pages force frame-boundary cuts mid-catch-up.
   const uint64_t max_bytes = 256 + rng.Uniform(4096);
   StatusOr<store::WalExport> page =
       store::ExportWalRecords(dir, from, max_bytes);
   if (!page.ok()) {
-    add_violation("replication-prefix-consistency", follower.applied,
-                  "WAL export from lsn " + std::to_string(from) +
-                      " failed: " + page.status().message());
+    result.AddViolation("replication-prefix-consistency", "", follower.applied,
+                        "WAL export from lsn " + std::to_string(from) +
+                            " failed: " + page.status().message());
     return false;
   }
 
@@ -1636,7 +1553,7 @@ bool PollFollower(const Scenario& scenario, const std::string& dir,
       (page->oldest_lsn == 0 && wal_next_lsn > 0 && from < wal_next_lsn);
   if (gone) {
     follower.bootstrapped = false;
-    if (tally != nullptr) ++tally->faults;
+    ++result.faults;
     return true;  // re-bootstraps on the next poll
   }
 
@@ -1645,7 +1562,7 @@ bool PollFollower(const Scenario& scenario, const std::string& dir,
   std::string bytes = std::move(page->bytes);
   if (allow_fault && !bytes.empty() && rng.Chance(0.35)) {
     bytes.resize(rng.Uniform(static_cast<uint32_t>(bytes.size())));
-    if (tally != nullptr) ++tally->faults;
+    ++result.faults;
   }
   size_t consumed = 0;
   const std::vector<store::WalRecord> records =
@@ -1653,31 +1570,31 @@ bool PollFollower(const Scenario& scenario, const std::string& dir,
   for (const store::WalRecord& record : records) {
     if (record.lsn <= follower.applied) continue;  // idempotent re-delivery
     if (record.lsn != follower.applied + 1) {
-      add_violation("replication-prefix-consistency", follower.applied,
-                    "export produced an LSN gap: applied " +
-                        std::to_string(follower.applied) + ", received " +
-                        std::to_string(record.lsn));
+      result.AddViolation("replication-prefix-consistency", "",
+                          follower.applied,
+                          "export produced an LSN gap: applied " +
+                              std::to_string(follower.applied) +
+                              ", received " + std::to_string(record.lsn));
       return false;
     }
     Status applied_record =
         store::ApplyWalRecordToSource(record.lsn, record.payload,
                                       *follower.src);
     if (!applied_record.ok()) {
-      add_violation("replication-prefix-consistency", record.lsn,
-                    "replicated record does not apply: " +
-                        applied_record.message());
+      result.AddViolation("replication-prefix-consistency", "", record.lsn,
+                          "replicated record does not apply: " +
+                              applied_record.message());
       return false;
     }
     follower.applied = record.lsn;
   }
 
-  if (CrashFingerprintOf(*follower.src) != prefix_fps[follower.applied]) {
-    add_violation(
-        "replication-prefix-consistency", follower.applied,
-        "follower at lsn " + std::to_string(follower.applied) +
-            " diverges from the sequential replay: " +
-            FingerprintDiff(prefix_fps[follower.applied],
-                            CrashFingerprintOf(*follower.src)));
+  if (std::string diff =
+          DigestDiff(prefixes[follower.applied], DigestOf(*follower.src));
+      !diff.empty()) {
+    result.AddViolation("replication-prefix-consistency", "", follower.applied,
+                        "follower at lsn " + std::to_string(follower.applied) +
+                            " diverges from the sequential replay: " + diff);
     return false;
   }
   return true;
@@ -1686,99 +1603,72 @@ bool PollFollower(const Scenario& scenario, const std::string& dir,
 }  // namespace
 
 ScenarioResult RunReplicationScenario(uint64_t scenario_seed,
-                                      const ReplicationOracleOptions& options,
-                                      ReplicationOracleReport* tally) {
+                                      const ReplicationOracleOptions& options) {
   // Alternate drift and induction scenarios so the replicated stream
   // carries both WAL record types.
-  const bool induction = options.induction && (scenario_seed % 2 == 1);
+  const bool induction = scenario_seed % 2 == 1;
   Scenario scenario =
-      induction ? MakeInductionScenario(scenario_seed, options.max_documents)
-                : MakeScenario(scenario_seed, options.max_documents);
-  ScenarioResult result;
-  result.seed = scenario_seed;
+      induction
+          ? MakeInductionScenario(scenario_seed, options.sweep.max_documents)
+          : MakeScenario(scenario_seed, options.sweep.max_documents);
+  ScenarioResult result = ResultFor(scenario_seed, scenario);
   result.scenario = "replication " + scenario.label;
-  result.documents = scenario.documents.size();
-
-  auto add_violation = [&result](const char* invariant, uint64_t op,
-                                 std::string detail) {
-    if (result.violations.size() >= kMaxViolationsPerScenario) return;
-    result.violations.push_back({invariant, "", op, std::move(detail)});
-  };
 
   // The acked-op sequence, as WAL payloads in LSN order (lsn = index+1):
   // document texts, then — for induction scenarios — the induce-accept
   // records a planning run chooses with the canonical best-first rule.
-  std::vector<std::string> ops;
-  ops.reserve(scenario.documents.size());
-  xml::WriteOptions compact;
-  compact.indent = false;
-  for (const xml::Document& doc : scenario.documents) {
-    ops.push_back(xml::WriteDocument(doc, compact));
-  }
+  std::vector<std::string> ops = CompactTexts(scenario);
   if (induction) {
     core::XmlSource planner(scenario.options);
-    for (const auto& [name, dtd] : scenario.dtds) {
-      (void)planner.AddDtd(name, dtd.Clone());
-    }
+    (void)SeedDtds(scenario, planner);
     for (const std::string& text : ops) (void)planner.ProcessText(text);
-    planner.InduceCandidates();
-    for (size_t round = 0; round < kMaxAcceptRounds; ++round) {
-      const induce::Candidate* best = BestCandidate(planner);
-      if (best == nullptr) break;
-      ops.push_back(store::EncodeInduceAcceptRecord(best->name, best->ext));
+    RunAcceptRounds(planner, [&](const induce::Candidate& best, size_t) {
+      std::string record = store::EncodeInduceAcceptRecord(best.name, best.ext);
       StatusOr<core::XmlSource::AcceptOutcome> outcome =
-          planner.AcceptCandidate(best->id);
-      if (!outcome.ok()) {
-        ops.pop_back();
-        break;
-      }
-      if (outcome->reclassified == 0) break;
-      planner.InduceCandidates();
-    }
+          planner.AcceptCandidate(best.id);
+      if (!outcome.ok()) return std::optional<size_t>();
+      ops.push_back(std::move(record));
+      return std::optional<size_t>(outcome->reclassified);
+    });
   }
 
-  // prefix_fps[j] = the state after replaying the first j ops through
-  // the shared dispatch — what the follower must match at every cut.
-  std::vector<Fingerprint> prefix_fps;
-  prefix_fps.reserve(ops.size() + 1);
+  // prefixes[j] = the state after replaying the first j ops through the
+  // shared dispatch — what the follower must match at every cut.
+  std::vector<StateDigest> prefixes;
+  prefixes.reserve(ops.size() + 1);
   {
     core::XmlSource reference(scenario.options);
-    for (const auto& [name, dtd] : scenario.dtds) {
-      (void)reference.AddDtd(name, dtd.Clone());
-    }
-    prefix_fps.push_back(CrashFingerprintOf(reference));
+    (void)SeedDtds(scenario, reference);
+    prefixes.push_back(DigestOf(reference));
     for (size_t i = 0; i < ops.size(); ++i) {
       Status applied = store::ApplyWalRecordToSource(i + 1, ops[i], reference);
       if (!applied.ok()) {
-        add_violation("replication-prefix-consistency", i + 1,
-                      "reference replay failed: " + applied.message());
+        result.AddViolation("replication-prefix-consistency", "", i + 1,
+                            "reference replay failed: " + applied.message());
         return result;
       }
-      prefix_fps.push_back(CrashFingerprintOf(reference));
+      prefixes.push_back(DigestOf(reference));
     }
     result.evolutions = reference.evolutions_performed();
   }
 
-  const std::string dir = ReplTempDir(scenario_seed);
-  std::filesystem::remove_all(dir);
+  const ScratchDir scratch("repl");
+  const std::string& dir = scratch.path();
 
   // The step-wise primary: append + apply per op, checkpoint (and
   // truncate — the follower-visible gap source) on the configured
   // cadence, with seeded fault-injected follower polls interleaved at
   // arbitrary cut points.
   core::XmlSource primary(scenario.options);
-  for (const auto& [name, dtd] : scenario.dtds) {
-    (void)primary.AddDtd(name, dtd.Clone());
-  }
+  (void)SeedDtds(scenario, primary);
   store::WalOptions wal_options;
   wal_options.dir = dir;
   store::WalReplay replay;
   StatusOr<std::unique_ptr<store::Wal>> wal =
       store::Wal::Open(wal_options, 0, &replay);
   if (!wal.ok()) {
-    add_violation("replication-prefix-consistency", 0,
-                  "primary WAL open failed: " + wal.status().message());
-    std::filesystem::remove_all(dir);
+    result.AddViolation("replication-prefix-consistency", "", 0,
+                        "primary WAL open failed: " + wal.status().message());
     return result;
   }
 
@@ -1793,16 +1683,16 @@ ScenarioResult RunReplicationScenario(uint64_t scenario_seed,
   for (size_t i = 0; i < ops.size(); ++i) {
     StatusOr<uint64_t> lsn = (*wal)->Append(ops[i]);
     if (!lsn.ok() || *lsn != i + 1) {
-      add_violation("replication-prefix-consistency", i + 1,
-                    "primary append failed: " +
-                        (lsn.ok() ? "unexpected lsn" :
-                                    lsn.status().message()));
+      result.AddViolation("replication-prefix-consistency", "", i + 1,
+                          "primary append failed: " +
+                              (lsn.ok() ? "unexpected lsn" :
+                                          lsn.status().message()));
       break;
     }
     Status applied = store::ApplyWalRecordToSource(*lsn, ops[i], primary);
     if (!applied.ok()) {
-      add_violation("replication-prefix-consistency", *lsn,
-                    "primary apply failed: " + applied.message());
+      result.AddViolation("replication-prefix-consistency", "", *lsn,
+                          "primary apply failed: " + applied.message());
       break;
     }
     if (options.checkpoint_every != 0 &&
@@ -1814,8 +1704,8 @@ ScenarioResult RunReplicationScenario(uint64_t scenario_seed,
       }
     }
     if (rng.Chance(0.4)) {
-      if (!PollFollower(scenario, dir, (*wal)->next_lsn(), prefix_fps,
-                        follower, rng, /*allow_fault=*/true, tally, result)) {
+      if (!PollFollower(scenario, dir, (*wal)->next_lsn(), prefixes,
+                        follower, rng, /*allow_fault=*/true, result)) {
         break;
       }
     }
@@ -1828,24 +1718,22 @@ ScenarioResult RunReplicationScenario(uint64_t scenario_seed,
   if (result.violations.empty()) {
     const uint64_t total = ops.size();
     for (int i = 0; i < 2000 && follower.applied < total; ++i) {
-      if (!PollFollower(scenario, dir, (*wal)->next_lsn(), prefix_fps,
-                        follower, rng, /*allow_fault=*/false, tally,
-                        result)) {
+      if (!PollFollower(scenario, dir, (*wal)->next_lsn(), prefixes,
+                        follower, rng, /*allow_fault=*/false, result)) {
         break;
       }
     }
     if (result.violations.empty() && follower.applied != total) {
-      add_violation("replication-convergence", follower.applied,
-                    "follower stalled at lsn " +
-                        std::to_string(follower.applied) + " of " +
-                        std::to_string(total));
+      result.AddViolation("replication-convergence", "", follower.applied,
+                          "follower stalled at lsn " +
+                              std::to_string(follower.applied) + " of " +
+                              std::to_string(total));
     }
-    if (result.violations.empty() &&
-        CrashFingerprintOf(*follower.src) != prefix_fps.back()) {
-      add_violation("replication-convergence", total,
-                    "caught-up follower diverges from the primary: " +
-                        FingerprintDiff(prefix_fps.back(),
-                                        CrashFingerprintOf(*follower.src)));
+    if (std::string diff = DigestDiff(prefixes.back(), DigestOf(*follower.src));
+        result.violations.empty() && !diff.empty()) {
+      result.AddViolation(
+          "replication-convergence", "", total,
+          "caught-up follower diverges from the primary: " + diff);
     }
   }
 
@@ -1856,74 +1744,49 @@ ScenarioResult RunReplicationScenario(uint64_t scenario_seed,
     restarted.src = MakeFollowerSource(scenario);
     const uint64_t total = ops.size();
     for (int i = 0; i < 2000 && restarted.applied < total; ++i) {
-      if (!PollFollower(scenario, dir, (*wal)->next_lsn(), prefix_fps,
-                        restarted, rng, /*allow_fault=*/false, tally,
-                        result)) {
+      if (!PollFollower(scenario, dir, (*wal)->next_lsn(), prefixes,
+                        restarted, rng, /*allow_fault=*/false, result)) {
         break;
       }
     }
     if (result.violations.empty() && restarted.applied != total) {
-      add_violation("replication-restart", restarted.applied,
-                    "restarted follower stalled at lsn " +
-                        std::to_string(restarted.applied) + " of " +
-                        std::to_string(total));
-    } else if (result.violations.empty() &&
-               CrashFingerprintOf(*restarted.src) != prefix_fps.back()) {
-      add_violation("replication-restart", total,
-                    "restarted follower diverges: " +
-                        FingerprintDiff(prefix_fps.back(),
-                                        CrashFingerprintOf(*restarted.src)));
+      result.AddViolation("replication-restart", "", restarted.applied,
+                          "restarted follower stalled at lsn " +
+                              std::to_string(restarted.applied) + " of " +
+                              std::to_string(total));
+    } else if (std::string diff =
+                   DigestDiff(prefixes.back(), DigestOf(*restarted.src));
+               result.violations.empty() && !diff.empty()) {
+      result.AddViolation("replication-restart", "", total,
+                          "restarted follower diverges: " + diff);
     }
   }
-
-  std::filesystem::remove_all(dir);
   return result;
 }
 
-ReplicationOracleReport RunReplicationOracle(
-    const ReplicationOracleOptions& options) {
-  ReplicationOracleReport report;
-  for (uint64_t i = 0; i < options.scenarios; ++i) {
-    ScenarioResult result =
-        RunReplicationScenario(options.seed + i, options, &report);
-    ++report.scenarios_run;
-    report.documents += result.documents;
-    if (!result.ok()) {
-      report.failures.push_back(std::move(result));
-      if (report.failures.size() >= options.max_failures) break;
-    }
-  }
-  return report;
-}
-
-std::string FormatReplicationReport(const ReplicationOracleReport& report) {
-  std::ostringstream out;
-  out << "replication oracle: " << report.scenarios_run << " scenario"
-      << (report.scenarios_run == 1 ? "" : "s") << ", " << report.documents
-      << " documents, " << report.polls << " polls, " << report.faults
-      << " faults, " << report.bootstraps << " bootstraps — "
-      << (report.ok() ? "every follower state matched the acked prefix"
-                      : std::to_string(report.failures.size()) +
-                            " failing scenario(s)")
-      << "\n";
-  for (const ScenarioResult& failure : report.failures) {
-    out << FormatScenario(failure);
-    out << "  replay: dtdevolve check --replication --seed " << failure.seed
-        << " --scenarios 1\n";
-  }
-  return out.str();
+SweepReport RunSweep(const ReplicationOracleOptions& options) {
+  return SweepSeeds(
+      SweepMode::kReplication, options.sweep, "--replication",
+      "--checkpoint-every " + std::to_string(options.checkpoint_every),
+      [&options](uint64_t seed) {
+        return RunReplicationScenario(seed, options);
+      });
 }
 
 // --- Parse-path oracle ------------------------------------------------------
 
 namespace {
 
+/// Run the sampled WAL-replay leg on scenarios whose seed is divisible
+/// by this: it recovers the stream from a real WAL.
+constexpr uint64_t kWalReplayEvery = 4;
+
 struct TextPipelineRun {
-  Fingerprint fingerprint;
+  StateDigest digest;
   std::string error;  // non-empty when some document failed to parse
 };
 
-/// Feeds the serialized stream through one pipeline and fingerprints the
+/// Feeds the serialized stream through one pipeline and digests the
 /// resulting state plus every outcome. The streaming run is the ingest
 /// path itself, `ProcessText`. The DOM reference parses each text with
 /// the two-pass `xml::ParseDocument` and calls `Process(xml::Document)`
@@ -1936,9 +1799,7 @@ TextPipelineRun RunTextPipeline(const Scenario& scenario,
   core::SourceOptions options = scenario.options;
   if (dom_reference) options.classifier.classification_memo_bytes = 0;
   core::XmlSource src(options);
-  for (const auto& [name, dtd] : scenario.dtds) {
-    (void)src.AddDtd(name, dtd.Clone());
-  }
+  (void)SeedDtds(scenario, src);
   using Outcome = core::XmlSource::ProcessOutcome;
   auto process = [&](const std::string& text) -> StatusOr<Outcome> {
     if (!dom_reference) return src.ProcessText(text);
@@ -1957,14 +1818,14 @@ TextPipelineRun RunTextPipeline(const Scenario& scenario,
     }
     outcomes.push_back(*outcome);
   }
-  run.fingerprint = FingerprintOf(src, outcomes);
+  run.digest = DigestOf(src, &outcomes);
   return run;
 }
 
 /// Appends `texts` to a fresh WAL in `dir`, then boots a recovery
 /// (`RecoverSource` replays every document record through
-/// `ProcessText`) and returns the recovered durable-state fingerprint.
-StatusOr<Fingerprint> ReplayThroughWal(const Scenario& scenario,
+/// `ProcessText`) and returns the recovered durable-state digest.
+StatusOr<StateDigest> ReplayThroughWal(const Scenario& scenario,
                                        const std::vector<std::string>& texts,
                                        const std::string& dir) {
   {
@@ -1980,15 +1841,10 @@ StatusOr<Fingerprint> ReplayThroughWal(const Scenario& scenario,
     }
   }
   core::XmlSource src(scenario.options);
-  for (const auto& [name, dtd] : scenario.dtds) {
-    (void)src.AddDtd(name, dtd.Clone());
-  }
-  store::WalOptions wal_options;
-  wal_options.dir = dir;
-  StatusOr<std::unique_ptr<store::Wal>> wal =
-      store::RecoverSource(src, wal_options, nullptr);
+  (void)SeedDtds(scenario, src);
+  StatusOr<std::unique_ptr<store::Wal>> wal = RecoverFrom(src, dir);
   if (!wal.ok()) return wal.status();
-  return CrashFingerprintOf(src);
+  return DigestOf(src);
 }
 
 /// Scores one accepted document against `evaluator` as the arena tree
@@ -2021,29 +1877,14 @@ std::string ScoreDifference(const similarity::SimilarityEvaluator& evaluator,
 }  // namespace
 
 ScenarioResult RunParsePathScenario(uint64_t scenario_seed,
-                                    const ParsePathOracleOptions& options,
-                                    bool* ran_wal_replay) {
-  Scenario scenario = MakeScenario(scenario_seed, options.max_documents);
-  ScenarioResult result;
-  result.seed = scenario_seed;
-  result.scenario = scenario.label;
-  result.documents = scenario.documents.size();
-  if (ran_wal_replay != nullptr) *ran_wal_replay = false;
-
-  auto add = [&result](std::string invariant, uint64_t index,
-                       std::string detail) {
-    if (result.violations.size() >= kMaxViolationsPerScenario) return;
-    result.violations.push_back(
-        {std::move(invariant), "", index, Truncate(detail, 240)});
+                                    const ParsePathOracleOptions& options) {
+  Scenario scenario = MakeScenario(scenario_seed, options.sweep.max_documents);
+  ScenarioResult result = ResultFor(scenario_seed, scenario);
+  auto add = [&result](const char* invariant, uint64_t index,
+                       const std::string& detail) {
+    result.AddViolation(invariant, "", index, Truncate(detail, 240));
   };
-
-  xml::WriteOptions compact;
-  compact.indent = false;
-  std::vector<std::string> texts;
-  texts.reserve(scenario.documents.size());
-  for (const xml::Document& doc : scenario.documents) {
-    texts.push_back(xml::WriteDocument(doc, compact));
-  }
+  const std::vector<std::string> texts = CompactTexts(scenario);
 
   // Leg 1: dual-parse every document and compare the trees, the
   // parse-time fingerprints against the after-the-fact DOM index, and
@@ -2143,91 +1984,38 @@ ScenarioResult RunParsePathScenario(uint64_t scenario_seed,
     add("parse-path-equivalence", 0,
         !dom_run.error.empty() ? "DOM pipeline: " + dom_run.error
                                : "streaming pipeline: " + stream_run.error);
-  } else if (dom_run.fingerprint != stream_run.fingerprint) {
-    add("parse-path-equivalence", 0,
-        FingerprintDiff(dom_run.fingerprint, stream_run.fingerprint));
+  } else if (std::string diff = DigestDiff(dom_run.digest, stream_run.digest);
+             !diff.empty()) {
+    add("parse-path-equivalence", 0, diff);
   }
 
   // Leg 3 (sampled): WAL replay must hit the same code path — recover
-  // the appended stream and compare the durable state against the live
+  // the appended stream and compare it with the durable sections of the
   // streaming run.
-  bool run_wal = options.wal_replay_every != 0 &&
-                 scenario_seed % options.wal_replay_every == 0;
-  if (run_wal && result.ok()) {
-    if (ran_wal_replay != nullptr) *ran_wal_replay = true;
-    const std::string dir = CrashTempDir(scenario_seed, 1);
-    StatusOr<Fingerprint> streamed = ReplayThroughWal(scenario, texts, dir);
-    std::error_code ec;
-    std::filesystem::remove_all(dir, ec);
-    if (!streamed.ok()) {
+  if (scenario_seed % kWalReplayEvery == 0 && result.ok()) {
+    ++result.wal_replays;
+    const ScratchDir dir("parse-path");
+    StatusOr<StateDigest> recovered =
+        ReplayThroughWal(scenario, texts, dir.path());
+    if (!recovered.ok()) {
       add("parse-path-replay", 0,
-          "WAL replay failed: " + streamed.status().message());
+          "WAL replay failed: " + recovered.status().message());
     } else {
-      core::XmlSource live(scenario.options);
-      for (const auto& [name, dtd] : scenario.dtds) {
-        (void)live.AddDtd(name, dtd.Clone());
-      }
-      for (const std::string& text : texts) (void)live.ProcessText(text);
-      Fingerprint live_fp = CrashFingerprintOf(live);
-      if (*streamed != live_fp) {
-        add("parse-path-replay", 0,
-            "recovery diverged from live run: " +
-                FingerprintDiff(live_fp, *streamed));
+      StateDigest live = std::move(stream_run.digest);
+      live.local.clear();
+      if (std::string diff = DigestDiff(live, *recovered); !diff.empty()) {
+        add("parse-path-replay", 0, "recovery diverged from live run: " + diff);
       }
     }
   }
   return result;
 }
 
-ParsePathOracleReport RunParsePathOracle(const ParsePathOracleOptions& options) {
-  ParsePathOracleReport report;
-  for (uint64_t i = 0; i < options.scenarios; ++i) {
-    bool ran_wal = false;
-    ScenarioResult result =
-        RunParsePathScenario(options.seed + i, options, &ran_wal);
-    ++report.scenarios_run;
-    report.documents += result.documents;
-    if (ran_wal) ++report.wal_replays;
-    if (!result.ok()) {
-      report.failures.push_back(std::move(result));
-      if (report.failures.size() >= options.max_failures) break;
-    }
-  }
-  return report;
-}
-
-std::string FormatParsePathReport(const ParsePathOracleReport& report) {
-  std::ostringstream out;
-  out << "parse-path oracle: " << report.scenarios_run << " scenario"
-      << (report.scenarios_run == 1 ? "" : "s") << ", " << report.documents
-      << " documents, " << report.wal_replays << " WAL replays — "
-      << (report.ok() ? "streaming and DOM paths byte-identical"
-                      : std::to_string(report.failures.size()) +
-                            " failing scenario(s)")
-      << "\n";
-  for (const ScenarioResult& failure : report.failures) {
-    out << FormatScenario(failure);
-    out << "  replay: dtdevolve check --parse-path --seed " << failure.seed
-        << " --scenarios 1\n";
-  }
-  return out.str();
-}
-
-std::string FormatReport(const OracleReport& report) {
-  std::ostringstream out;
-  out << "oracle: " << report.scenarios_run << " scenario"
-      << (report.scenarios_run == 1 ? "" : "s") << ", " << report.documents
-      << " documents, " << report.evolutions << " evolutions — "
-      << (report.ok() ? "all invariants held"
-                      : std::to_string(report.failures.size()) +
-                            " failing scenario(s)")
-      << "\n";
-  for (const ScenarioResult& failure : report.failures) {
-    out << FormatScenario(failure);
-    out << "  replay: dtdevolve check --seed " << failure.seed
-        << " --scenarios 1\n";
-  }
-  return out.str();
+SweepReport RunSweep(const ParsePathOracleOptions& options) {
+  return SweepSeeds(SweepMode::kParsePath, options.sweep, "--parse-path", "",
+                    [&options](uint64_t seed) {
+                      return RunParsePathScenario(seed, options);
+                    });
 }
 
 }  // namespace dtdevolve::check

@@ -3,7 +3,10 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "core/source.h"
 
 namespace dtdevolve::check {
 
@@ -22,8 +25,8 @@ namespace dtdevolve::check {
 ///     produces byte-identical outcomes, events, evolved DTDs and
 ///     extended-DTD state to feeding documents one at a time;
 ///  4. persist-fixed-point      — serialize → deserialize → re-serialize
-///     of the extended DTD is a byte-level fixed point (and the file
-///     round-trip through Save/LoadExtendedDtdFile matches);
+///     of the extended DTD is a byte-level fixed point (checkpoint files
+///     are covered by the crash oracle's clean-pass recovery);
 ///  5. trigger-accounting       — the recorded aggregates (Σ nonvalid /
 ///     elements over Doc_T) equal an independent recount of the raw
 ///     documents with a fresh Validator.
@@ -42,40 +45,119 @@ struct Violation {
   std::string detail;
 };
 
-struct ScenarioResult {
-  uint64_t seed = 0;
-  std::string scenario;  // human label, e.g. "bibliography+forum mutated"
+/// Per-scenario violation cap: one genuine divergence tends to cascade
+/// (every later accounting check also fails), so collecting everything
+/// buries the root cause.
+inline constexpr size_t kMaxViolationsPerScenario = 24;
+
+/// What a scenario counts, and what a sweep adds up over its scenarios.
+/// Every mode counts documents; each other tally, the modes that have it.
+struct Tallies {
   uint64_t documents = 0;
   uint64_t evolutions = 0;
+  uint64_t crash_points = 0;  // fault-injected crashes exercised
+  uint64_t candidates = 0;    // candidates proposed across all rounds
+  uint64_t accepts = 0;       // candidates promoted into the live set
+  uint64_t polls = 0;         // follower polls simulated
+  uint64_t faults = 0;        // torn pages, re-deliveries, forced gaps
+  uint64_t bootstraps = 0;    // checkpoint bootstraps (initial + post-gap)
+  uint64_t requests = 0;      // HTTP requests driven
+  uint64_t rejections = 0;    // documented 413/429/503 rejections observed
+  uint64_t recoveries = 0;    // shards probed back to ready after a fault
+  uint64_t evictions = 0;     // repository evictions enforced and replayed
+  uint64_t wal_replays = 0;   // scenarios that also ran the WAL-replay leg
+
+  Tallies& operator+=(const Tallies& other);
+};
+
+struct ScenarioResult : Tallies {
+  uint64_t seed = 0;
+  std::string scenario;  // human label, e.g. "bibliography+forum mutated"
   std::vector<Violation> violations;
 
   bool ok() const { return violations.empty(); }
+  /// Records a violation unless `kMaxViolationsPerScenario` are recorded.
+  void AddViolation(std::string invariant, std::string dtd_name,
+                    uint64_t index, std::string detail);
 };
 
-struct OracleOptions {
-  /// Number of scenarios `RunOracle` derives from `seed` (seed, seed+1, …).
+/// The options every seeded sweep reads; each oracle's options embed them
+/// with that oracle's defaults.
+struct SweepOptions {
+  /// Number of scenarios the sweep derives from `seed` (seed, seed+1, …).
   uint64_t scenarios = 20;
   uint64_t seed = 1;
-  /// Jobs levels the batch replicas run at; every level is compared
-  /// byte-for-byte against the sequential reference.
-  std::vector<size_t> jobs = {1, 2, 8};
   /// Feed only the first `max_documents` documents (0 = the full
   /// scenario). `MinimizeFailure` shrinks through this knob; prefixes are
   /// deterministic because generation never depends on the cap.
   uint64_t max_documents = 0;
-  /// Run the serialize/deserialize fixed-point and file round-trip checks.
-  bool check_persistence = true;
-  /// `RunOracle` stops collecting after this many failing scenarios.
+  /// The sweep stops collecting after this many failing scenarios.
   uint64_t max_failures = 1;
 };
 
-struct OracleReport {
+/// The seeded sweeps of `dtdevolve check`; each has its own summary line.
+enum class SweepMode {
+  kDifferential,
+  kCrashRecovery,
+  kInduction,
+  kReplication,
+  kOverload,
+  kParsePath,
+};
+
+struct SweepReport : Tallies {
+  SweepMode mode = SweepMode::kDifferential;
+  /// What the replay line of a failing scenario needs: the sweep's
+  /// options, the mode's flags (before `--seed`) and the flags of the
+  /// mode's own options with this run's values (after `--max-documents`).
+  SweepOptions sweep;
+  std::string mode_flags;
+  std::string option_flags;
   uint64_t scenarios_run = 0;
-  uint64_t documents = 0;
-  uint64_t evolutions = 0;
   std::vector<ScenarioResult> failures;
 
   bool ok() const { return failures.empty(); }
+};
+
+/// The summary line of a sweep, then each failure with its replay line:
+/// every flag the mode reads, with the run's values.
+std::string FormatSweepReport(const SweepReport& report);
+
+// --- State digest -----------------------------------------------------------
+
+/// Named sections of pipeline state, compared byte for byte.
+using DigestSections = std::vector<std::pair<std::string, std::string>>;
+
+/// One digest of a source's state. The durable sections are what the
+/// durability layer promises to preserve across a crash, a checkpoint or
+/// a replica bootstrap: the loop counters, the repository (ids and
+/// compact document bytes), and per DTD its declaration and serialized
+/// extended state. The process-local sections — outcomes, the event log
+/// and the pending candidates — exist only where they were asked for.
+struct StateDigest {
+  DigestSections durable;
+  DigestSections local;
+
+  bool operator==(const StateDigest&) const = default;
+};
+
+/// Digests the durable sections of `src`; given `outcomes`, also its
+/// process-local sections (those outcomes, the event log, the candidates).
+StateDigest DigestOf(
+    const core::XmlSource& src,
+    const std::vector<core::XmlSource::ProcessOutcome>* outcomes = nullptr);
+
+/// The first section where `actual` differs from `expected`, with its
+/// first differing line; empty when the digests are equal.
+std::string DigestDiff(const StateDigest& expected, const StateDigest& actual);
+
+// --- Differential oracle ----------------------------------------------------
+
+struct OracleOptions {
+  SweepOptions sweep;
+  /// Jobs levels the batch replicas run at; every level is compared
+  /// byte-for-byte against the sequential reference.
+  std::vector<size_t> jobs = {1, 2, 8};
 };
 
 /// Replays the scenario derived from `scenario_seed` and checks every
@@ -83,12 +165,12 @@ struct OracleReport {
 ScenarioResult RunScenario(uint64_t scenario_seed,
                            const OracleOptions& options = {});
 
-/// Runs `options.scenarios` scenarios starting at `options.seed`.
-OracleReport RunOracle(const OracleOptions& options = {});
+/// Sweeps `options.sweep` through `RunScenario`.
+SweepReport RunSweep(const OracleOptions& options);
 
 // --- Crash-recovery oracle --------------------------------------------------
 
-/// Options of the crash-recovery sweep (`RunCrashOracle`). Each scenario
+/// Options of the crash-recovery sweep. Each scenario
 /// sweeps two legs of the durable pipeline — WAL commit before every
 /// apply, periodic checkpoints — one `Wal::Append` per document, then
 /// groups of three documents written before one `Wal::Commit` (the
@@ -111,18 +193,14 @@ OracleReport RunOracle(const OracleOptions& options = {});
 ///   recovery-idempotence — recovering a second time from the same
 ///   directory yields the same state (a crash mid-recovery is harmless).
 struct CrashOracleOptions {
-  uint64_t scenarios = 5;
-  uint64_t seed = 1;
-  /// Documents per scenario (the durable run re-executes per crash
-  /// point, so this stays small).
-  uint64_t max_documents = 40;
+  /// 40 documents per scenario: the durable run re-executes per crash
+  /// point, so scenarios stay small.
+  SweepOptions sweep{5, 1, 40, 1};
   /// Crash points per scenario, spread evenly over the clean run's
   /// faultable ops (0 = every op).
   uint64_t max_crash_points = 64;
   /// Checkpoint cadence, in acked documents (0 = never checkpoint).
   uint64_t checkpoint_every = 16;
-  /// Stop after this many failing scenarios.
-  uint64_t max_failures = 1;
   /// Sweep induction scenarios instead of drift scenarios: the durable
   /// run ends with candidate induction and WAL-logged accepts, so the
   /// crash points cover the induce-accept record type (append, torn
@@ -130,28 +208,17 @@ struct CrashOracleOptions {
   bool induction = false;
 };
 
-struct CrashOracleReport {
-  uint64_t scenarios_run = 0;
-  uint64_t crash_points = 0;  // fault-injected crashes exercised
-  uint64_t documents = 0;
-  std::vector<ScenarioResult> failures;
-
-  bool ok() const { return failures.empty(); }
-};
-
-/// Sweeps crash points through the scenario derived from `scenario_seed`.
+/// Sweeps crash points through the scenario derived from `scenario_seed`,
+/// counting them in `crash_points`.
 ScenarioResult RunCrashScenario(uint64_t scenario_seed,
-                                const CrashOracleOptions& options = {},
-                                uint64_t* crash_points = nullptr);
+                                const CrashOracleOptions& options = {});
 
-/// Runs `options.scenarios` crash sweeps starting at `options.seed`.
-CrashOracleReport RunCrashOracle(const CrashOracleOptions& options = {});
-
-std::string FormatCrashReport(const CrashOracleReport& report);
+/// Sweeps `options.sweep` through `RunCrashScenario`.
+SweepReport RunSweep(const CrashOracleOptions& options);
 
 // --- Induction oracle -------------------------------------------------------
 
-/// Options of the induction oracle (`RunInductionOracle`). Each scenario
+/// Options of the induction oracle. Each scenario
 /// seeds one drift family's DTD and interleaves its stream with a
 /// mixed-population stream (disjoint root tags) that drains into the
 /// repository, then drives the full candidate lifecycle — induce →
@@ -170,47 +237,25 @@ std::string FormatCrashReport(const CrashOracleReport& report);
 ///     left the repository, and the accepted candidate's id is never
 ///     reissued;
 ///   induction-batch-divergence — replaying the stream through
-///     `ProcessBatch` at every jobs level plus the identical
+///     `ProcessBatch` at jobs levels 1, 2 and 8 plus the identical
 ///     induce/accept op sequence lands on byte-identical state
 ///     (including the pending-candidate list).
 struct InductionOracleOptions {
-  uint64_t scenarios = 20;
-  uint64_t seed = 1;
-  /// Jobs levels of the batch replicas.
-  std::vector<size_t> jobs = {1, 2, 8};
-  /// Feed only the first `max_documents` documents (0 = full scenario).
-  uint64_t max_documents = 0;
-  /// `RunInductionOracle` stops collecting after this many failures.
-  uint64_t max_failures = 1;
-};
-
-struct InductionOracleReport {
-  uint64_t scenarios_run = 0;
-  uint64_t documents = 0;
-  uint64_t candidates = 0;  // candidates proposed across all rounds
-  uint64_t accepts = 0;     // candidates promoted into the live set
-  std::vector<ScenarioResult> failures;
-
-  bool ok() const { return failures.empty(); }
+  SweepOptions sweep;
 };
 
 /// Replays the induction scenario derived from `scenario_seed` and
-/// checks every induction invariant. Deterministic.
+/// checks every induction invariant, counting `candidates` and
+/// `accepts`. Deterministic.
 ScenarioResult RunInductionScenario(uint64_t scenario_seed,
-                                    const InductionOracleOptions& options = {},
-                                    uint64_t* candidates = nullptr,
-                                    uint64_t* accepts = nullptr);
+                                    const InductionOracleOptions& options = {});
 
-/// Runs `options.scenarios` induction scenarios starting at
-/// `options.seed`.
-InductionOracleReport RunInductionOracle(
-    const InductionOracleOptions& options = {});
-
-std::string FormatInductionReport(const InductionOracleReport& report);
+/// Sweeps `options.sweep` through `RunInductionScenario`.
+SweepReport RunSweep(const InductionOracleOptions& options);
 
 // --- Replication oracle -----------------------------------------------------
 
-/// Options of the replication-correctness sweep (`RunReplicationOracle`).
+/// Options of the replication-correctness sweep.
 /// Each scenario runs a step-wise primary — WAL append + apply per
 /// operation, a checkpoint (plus WAL truncation) every
 /// `checkpoint_every` acked operations — and interleaves seeded polls of
@@ -231,56 +276,34 @@ std::string FormatInductionReport(const InductionOracleReport& report);
 /// re-bootstrap that lands on consistent state). Invariants:
 ///
 ///   replication-prefix-consistency — after *every* poll, the follower's
-///     state fingerprint is byte-identical to the sequential replay of
+///     state digest is byte-identical to the sequential replay of
 ///     exactly the primary's first `applied` acked operations;
 ///   replication-convergence — once faults stop, the follower reaches
 ///     the primary's final state, byte-identically;
 ///   replication-restart — a fresh follower bootstrapping from the final
 ///     checkpoint (a follower restart) converges to the same bytes.
+///
+/// Odd seeds replay induction scenarios, so the replicated stream covers
+/// the induce-accept WAL record type too.
 struct ReplicationOracleOptions {
-  uint64_t scenarios = 20;
-  uint64_t seed = 1;
-  /// Documents per scenario (every op is fingerprinted, so this stays
-  /// moderate).
-  uint64_t max_documents = 40;
+  /// 40 documents per scenario: every op is digested.
+  SweepOptions sweep{20, 1, 40, 1};
   /// Primary checkpoint cadence, in acked operations (0 = never — the
   /// truncation/re-bootstrap path is then never exercised).
   uint64_t checkpoint_every = 16;
-  /// Stop after this many failing scenarios.
-  uint64_t max_failures = 1;
-  /// Mix induction scenarios in (alternating seeds), so the replicated
-  /// stream covers the induce-accept WAL record type too.
-  bool induction = true;
-};
-
-struct ReplicationOracleReport {
-  uint64_t scenarios_run = 0;
-  uint64_t documents = 0;
-  uint64_t polls = 0;       // follower polls simulated
-  uint64_t faults = 0;      // torn pages, re-deliveries, forced gaps
-  uint64_t bootstraps = 0;  // checkpoint bootstraps (initial + post-gap)
-  std::vector<ScenarioResult> failures;
-
-  bool ok() const { return failures.empty(); }
 };
 
 /// Replays the replication scenario derived from `scenario_seed`,
-/// accumulating poll/fault/bootstrap counts into `*tally` when given.
-/// Deterministic.
+/// counting `polls`, `faults` and `bootstraps`. Deterministic.
 ScenarioResult RunReplicationScenario(
-    uint64_t scenario_seed, const ReplicationOracleOptions& options = {},
-    ReplicationOracleReport* tally = nullptr);
+    uint64_t scenario_seed, const ReplicationOracleOptions& options = {});
 
-/// Runs `options.scenarios` replication scenarios starting at
-/// `options.seed`.
-ReplicationOracleReport RunReplicationOracle(
-    const ReplicationOracleOptions& options = {});
-
-std::string FormatReplicationReport(const ReplicationOracleReport& report);
+/// Sweeps `options.sweep` through `RunReplicationScenario`.
+SweepReport RunSweep(const ReplicationOracleOptions& options);
 
 // --- Parse-path oracle ------------------------------------------------------
 
-/// Options of the parse-path-equivalence sweep (`RunParsePathOracle`).
+/// Options of the parse-path-equivalence sweep.
 /// Each scenario's documents are serialized and re-read through BOTH
 /// parsers — the two-pass DOM parser (`xml::ParseDocument`) and the
 /// single-pass streaming reader (`xml::ParseArenaDocument`) — and the
@@ -298,46 +321,23 @@ std::string FormatReplicationReport(const ReplicationOracleReport& report);
 ///     and the ingest path (`ProcessText`: arena parse + memo replay) —
 ///     land on byte-identical outcomes, events, counters, repository,
 ///     evolved DTDs and extended-DTD state;
-///   parse-path-replay      — WAL replay hits the same code path: the
-///     scenario's stream is appended to a real WAL and recovered
-///     (`store::RecoverSource` replays every document record through
-///     `ProcessText`), and the recovery must be byte-identical to the
-///     live run's durable state.
+///   parse-path-replay      — WAL replay hits the same code path: on
+///     every fourth seed the scenario's stream is appended to a real WAL
+///     and recovered (`store::RecoverSource` replays every document
+///     record through `ProcessText`), and the recovery must be
+///     byte-identical to the durable sections of the streaming run.
 struct ParsePathOracleOptions {
-  uint64_t scenarios = 20;
-  uint64_t seed = 1;
-  /// Feed only the first `max_documents` documents (0 = full scenario).
-  uint64_t max_documents = 0;
-  /// Stop after this many failing scenarios.
-  uint64_t max_failures = 1;
-  /// Run the WAL-replay leg on scenarios whose seed is divisible by this
-  /// (0 = never): the leg recovers the stream from a real WAL and re-runs
-  /// it live, so it is sampled rather than run per scenario.
-  uint64_t wal_replay_every = 4;
-};
-
-struct ParsePathOracleReport {
-  uint64_t scenarios_run = 0;
-  uint64_t documents = 0;
-  uint64_t wal_replays = 0;  // scenarios that also ran the WAL-replay leg
-  std::vector<ScenarioResult> failures;
-
-  bool ok() const { return failures.empty(); }
+  SweepOptions sweep;
 };
 
 /// Replays the scenario derived from `scenario_seed` through both parse
-/// paths and checks every parse-path invariant. Deterministic; sets
-/// `*ran_wal_replay` when the sampled WAL-replay leg executed.
+/// paths and checks every parse-path invariant, counting `wal_replays`.
+/// Deterministic.
 ScenarioResult RunParsePathScenario(uint64_t scenario_seed,
-                                    const ParsePathOracleOptions& options = {},
-                                    bool* ran_wal_replay = nullptr);
+                                    const ParsePathOracleOptions& options = {});
 
-/// Runs `options.scenarios` parse-path scenarios starting at
-/// `options.seed`.
-ParsePathOracleReport RunParsePathOracle(
-    const ParsePathOracleOptions& options = {});
-
-std::string FormatParsePathReport(const ParsePathOracleReport& report);
+/// Sweeps `options.sweep` through `RunParsePathScenario`.
+SweepReport RunSweep(const ParsePathOracleOptions& options);
 
 /// Shrinks a failing scenario to the shortest document prefix that still
 /// fails (binary search over `max_documents`). Returns the full run when
@@ -345,9 +345,8 @@ std::string FormatParsePathReport(const ParsePathOracleReport& report);
 ScenarioResult MinimizeFailure(uint64_t scenario_seed,
                                const OracleOptions& options = {});
 
-/// Human-readable summaries for the CLI and test logs.
+/// Human-readable summary of one scenario for the CLI and test logs.
 std::string FormatScenario(const ScenarioResult& result);
-std::string FormatReport(const OracleReport& report);
 
 }  // namespace dtdevolve::check
 

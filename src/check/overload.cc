@@ -5,23 +5,17 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstring>
-#include <filesystem>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <thread>
 
+#include "check/harness.h"
 #include "core/source.h"
-#include "dtd/dtd_writer.h"
-#include "evolve/persist.h"
 #include "io/fault.h"
 #include "server/server.h"
-#include "store/checkpoint.h"
 #include "store/wal.h"
-#include "xml/writer.h"
 
 namespace dtdevolve::check {
 
@@ -33,7 +27,7 @@ constexpr const char* kMailDtd =
     "<!ELEMENT body (#PCDATA)>\n";
 
 /// A conforming document; content varies by (seed, index) so repository
-/// and state fingerprints distinguish documents.
+/// and state digests distinguish documents.
 std::string MailDoc(uint64_t seed, uint64_t index) {
   return "<mail><subject>s" + std::to_string(seed) + "-" +
          std::to_string(index) + "</subject><body>overload scenario " +
@@ -190,50 +184,6 @@ class Client {
   std::string buffer_;
 };
 
-// --- Fingerprints ------------------------------------------------------------
-
-/// Mirrors the durability fingerprint of the crash oracle: the loop
-/// counters, the repository bytes, and per DTD the declarations plus the
-/// extended recording state.
-using Fp = std::vector<std::pair<std::string, std::string>>;
-
-Fp SourceFp(const core::XmlSource& src) {
-  Fp fp;
-  fp.emplace_back("counters",
-                  std::to_string(src.documents_processed()) + " " +
-                      std::to_string(src.documents_classified()) + " " +
-                      std::to_string(src.evolutions_performed()));
-  xml::WriteOptions compact;
-  compact.indent = false;
-  std::string repo;
-  for (int id : src.repository().Ids()) {
-    repo += std::to_string(id) + " " +
-            xml::WriteDocument(src.repository().Get(id), compact) + "\n";
-  }
-  fp.emplace_back("repository", std::move(repo));
-  for (const std::string& name : src.DtdNames()) {
-    fp.emplace_back("dtd:" + name, dtd::WriteDtd(*src.FindDtd(name)));
-    fp.emplace_back("state:" + name,
-                    evolve::SerializeExtendedDtd(*src.FindExtended(name)));
-  }
-  return fp;
-}
-
-std::string FpDiff(const Fp& expected, const Fp& actual) {
-  if (expected.size() != actual.size()) {
-    return "fingerprint has " + std::to_string(actual.size()) +
-           " sections, expected " + std::to_string(expected.size());
-  }
-  for (size_t i = 0; i < expected.size(); ++i) {
-    if (expected[i] != actual[i]) {
-      return "section '" + expected[i].first + "' differs\n  expected: " +
-             expected[i].second.substr(0, 400) + "\n  actual:   " +
-             actual[i].second.substr(0, 400);
-    }
-  }
-  return "fingerprints equal";
-}
-
 // --- Scenario plumbing -------------------------------------------------------
 
 struct Ctx {
@@ -241,34 +191,19 @@ struct Ctx {
   std::string dir;  // scratch WAL directory
   core::SourceOptions source_options;
   ScenarioResult* result = nullptr;
-  OverloadOracleReport* tally = nullptr;
 
   void Violate(const std::string& invariant, uint64_t index,
                const std::string& detail) {
-    Violation v;
-    v.invariant = invariant;
-    v.document_index = index;
-    v.detail = detail;
-    result->violations.push_back(std::move(v));
+    result->AddViolation(invariant, "", index, detail);
   }
 
   void CountRequest(const HttpReply& reply) {
-    if (tally == nullptr) return;
-    ++tally->requests;
+    ++result->requests;
     if (reply.status == 413 || reply.status == 429 || reply.status == 503) {
-      ++tally->rejections;
+      ++result->rejections;
     }
   }
 };
-
-std::string OverloadTempDir(uint64_t seed) {
-  static std::atomic<uint64_t> counter{0};
-  return (std::filesystem::temp_directory_path() /
-          ("dtdevolve-overload-" + std::to_string(::getpid()) + "-" +
-           std::to_string(seed) + "-" +
-           std::to_string(counter.fetch_add(1))))
-      .string();
-}
 
 server::ServerOptions BaseServerOptions(const Ctx& ctx) {
   server::ServerOptions options;
@@ -292,8 +227,8 @@ void CheckExactlyOnce(Ctx& ctx, const core::XmlSource& live,
   core::XmlSource replay(ctx.source_options);
   (void)replay.AddDtdText("mail", kMailDtd);
   for (const std::string& body : acked) (void)replay.ProcessText(body);
-  const std::string diff = FpDiff(SourceFp(replay), SourceFp(live));
-  if (diff != "fingerprints equal") {
+  const std::string diff = DigestDiff(DigestOf(replay), DigestOf(live));
+  if (!diff.empty()) {
     ctx.Violate("overload-exactly-once", acked.size(),
                 std::string(label) + ": live state diverges from the " +
                     "sequential replay of the acked documents — " + diff);
@@ -309,8 +244,8 @@ void RequireRetryAfter(Ctx& ctx, const HttpReply& reply, uint64_t index) {
 }
 
 uint64_t DocBudget(const OverloadOracleOptions& options, uint64_t kind_default) {
-  if (options.max_documents == 0) return kind_default;
-  return std::min<uint64_t>(options.max_documents, kind_default);
+  if (options.sweep.max_documents == 0) return kind_default;
+  return std::min<uint64_t>(options.sweep.max_documents, kind_default);
 }
 
 // --- Kind 0: rate-limit flood beside a victim --------------------------------
@@ -693,8 +628,8 @@ void RunWalFaultFlood(Ctx& ctx, const OverloadOracleOptions& options) {
                 "server never returned to ready after the WAL fault "
                 "cleared (last status " +
                     std::to_string(ready.status) + ")");
-  } else if (ctx.tally != nullptr) {
-    ++ctx.tally->recoveries;
+  } else {
+    ++ctx.result->recoveries;
   }
 
   const uint64_t recovered_docs = DocBudget(options, 5);
@@ -721,19 +656,17 @@ void RunWalFaultFlood(Ctx& ctx, const OverloadOracleOptions& options) {
   // empty eviction records; recovery must replay both to the live state.
   core::XmlSource recovered(ctx.source_options);
   (void)recovered.AddDtdText("mail", kMailDtd);
-  store::WalOptions wal_options;
-  wal_options.dir = server.manager().WalDirFor("default");
   StatusOr<std::unique_ptr<store::Wal>> wal =
-      store::RecoverSource(recovered, wal_options, nullptr);
+      RecoverFrom(recovered, server.manager().WalDirFor("default"));
   if (!wal.ok()) {
     ctx.Violate("overload-readiness", acked.size(),
                 "recovery from the post-fault WAL failed: " +
                     wal.status().message());
     return;
   }
-  const std::string diff = FpDiff(SourceFp(server.source()),
-                                  SourceFp(recovered));
-  if (diff != "fingerprints equal") {
+  const std::string diff =
+      DigestDiff(DigestOf(server.source()), DigestOf(recovered));
+  if (!diff.empty()) {
     ctx.Violate("overload-exactly-once", acked.size(),
                 "WAL recovery diverges from the live state — " + diff);
   }
@@ -801,26 +734,24 @@ void RunEvictionRecovery(Ctx& ctx, const OverloadOracleOptions& options) {
                 "the stream overfilled the repository but no eviction was "
                 "recorded");
   }
-  if (ctx.tally != nullptr) ctx.tally->evictions += evicted;
+  ctx.result->evictions += evicted;
 
   // Recovery must land on the identical bounded state — twice, so a
   // crash mid-recovery (re-replaying eviction records) is also covered.
-  const Fp live_fp = SourceFp(live);
+  const StateDigest live_digest = DigestOf(live);
   for (int round = 0; round < 2; ++round) {
     core::XmlSource recovered(ctx.source_options);
     (void)recovered.AddDtdText("mail", kMailDtd);
-    store::WalOptions wal_options;
-    wal_options.dir = server.manager().WalDirFor("default");
     StatusOr<std::unique_ptr<store::Wal>> wal =
-        store::RecoverSource(recovered, wal_options, nullptr);
+        RecoverFrom(recovered, server.manager().WalDirFor("default"));
     if (!wal.ok()) {
       ctx.Violate("overload-eviction-recovery", docs,
                   "recovery round " + std::to_string(round) +
                       " failed: " + wal.status().message());
       return;
     }
-    const std::string diff = FpDiff(live_fp, SourceFp(recovered));
-    if (diff != "fingerprints equal") {
+    const std::string diff = DigestDiff(live_digest, DigestOf(recovered));
+    if (!diff.empty()) {
       ctx.Violate("overload-eviction-recovery", docs,
                   "recovery round " + std::to_string(round) +
                       " diverges from the live bounded state — " + diff);
@@ -832,16 +763,15 @@ void RunEvictionRecovery(Ctx& ctx, const OverloadOracleOptions& options) {
 }  // namespace
 
 ScenarioResult RunOverloadScenario(uint64_t scenario_seed,
-                                   const OverloadOracleOptions& options,
-                                   OverloadOracleReport* tally) {
+                                   const OverloadOracleOptions& options) {
   ScenarioResult result;
   result.seed = scenario_seed;
 
+  const ScratchDir dir("overload");
   Ctx ctx;
   ctx.seed = scenario_seed;
-  ctx.dir = OverloadTempDir(scenario_seed);
+  ctx.dir = dir.path();
   ctx.result = &result;
-  ctx.tally = tally;
   // Fast classification defaults; every scenario uses the same options
   // for the server and for its replay reference.
   ctx.source_options.min_documents_before_check = 4;
@@ -869,42 +799,14 @@ ScenarioResult RunOverloadScenario(uint64_t scenario_seed,
       break;
   }
 
-  std::error_code ec;
-  std::filesystem::remove_all(ctx.dir, ec);
   return result;
 }
 
-OverloadOracleReport RunOverloadOracle(const OverloadOracleOptions& options) {
-  OverloadOracleReport report;
-  for (uint64_t i = 0; i < options.scenarios; ++i) {
-    ScenarioResult result =
-        RunOverloadScenario(options.seed + i, options, &report);
-    ++report.scenarios_run;
-    if (!result.ok()) {
-      report.failures.push_back(std::move(result));
-      if (report.failures.size() >= options.max_failures) break;
-    }
-  }
-  return report;
-}
-
-std::string FormatOverloadReport(const OverloadOracleReport& report) {
-  std::ostringstream out;
-  out << "overload oracle: " << report.scenarios_run << " scenario"
-      << (report.scenarios_run == 1 ? "" : "s") << ", " << report.requests
-      << " requests, " << report.rejections << " rejections, "
-      << report.recoveries << " recoveries, " << report.evictions
-      << " evictions — "
-      << (report.ok() ? "every overload invariant held"
-                      : std::to_string(report.failures.size()) +
-                            " failing scenario(s)")
-      << "\n";
-  for (const ScenarioResult& failure : report.failures) {
-    out << FormatScenario(failure);
-    out << "  replay: dtdevolve check --overload --seed " << failure.seed
-        << " --scenarios 1\n";
-  }
-  return out.str();
+SweepReport RunSweep(const OverloadOracleOptions& options) {
+  return SweepSeeds(SweepMode::kOverload, options.sweep, "--overload", "",
+                    [&options](uint64_t seed) {
+                      return RunOverloadScenario(seed, options);
+                    });
 }
 
 }  // namespace dtdevolve::check

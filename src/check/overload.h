@@ -2,8 +2,6 @@
 #define DTDEVOLVE_CHECK_OVERLOAD_H_
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "check/oracle.h"
 
@@ -21,7 +19,7 @@ namespace dtdevolve::check {
 ///     429/503 carries `Retry-After`;
 ///   overload-isolation / overload-exactly-once — a well-behaved victim
 ///     tenant flooded from a neighboring tenant loses nothing: its
-///     acked documents land exactly once, proven by fingerprinting the
+///     acked documents land exactly once, proven by digesting the
 ///     victim shard against a sequential replay of exactly the acked
 ///     bodies in ack order;
 ///   overload-quota-accounting — the tenant-labeled rejection counters
@@ -45,36 +43,18 @@ namespace dtdevolve::check {
 /// eviction with crash recovery. All randomness derives from the
 /// scenario seed.
 struct OverloadOracleOptions {
-  /// Number of scenarios `RunOverloadOracle` derives from `seed`.
-  uint64_t scenarios = 100;
-  uint64_t seed = 1;
-  /// Caps the documents each scenario sends (0 = the kind's default).
-  uint64_t max_documents = 0;
-  /// Stop collecting after this many failing scenarios.
-  uint64_t max_failures = 1;
+  /// 100 scenarios; `max_documents` caps the documents each scenario
+  /// sends (0 = the kind's default).
+  SweepOptions sweep{100, 1, 0, 1};
 };
 
-struct OverloadOracleReport {
-  uint64_t scenarios_run = 0;
-  uint64_t requests = 0;    // HTTP requests driven across all scenarios
-  uint64_t rejections = 0;  // documented 413/429/503 rejections observed
-  uint64_t recoveries = 0;  // shards probed back to ready after a fault
-  uint64_t evictions = 0;   // repository evictions enforced and replayed
-  std::vector<ScenarioResult> failures;
-
-  bool ok() const { return failures.empty(); }
-};
-
-/// Runs the hostile scenario derived from `scenario_seed`, accumulating
-/// request/rejection/recovery tallies into `*tally` when given.
+/// Runs the hostile scenario derived from `scenario_seed`, counting
+/// `requests`, `rejections`, `recoveries` and `evictions`.
 ScenarioResult RunOverloadScenario(uint64_t scenario_seed,
-                                   const OverloadOracleOptions& options = {},
-                                   OverloadOracleReport* tally = nullptr);
+                                   const OverloadOracleOptions& options = {});
 
-/// Runs `options.scenarios` scenarios starting at `options.seed`.
-OverloadOracleReport RunOverloadOracle(const OverloadOracleOptions& options = {});
-
-std::string FormatOverloadReport(const OverloadOracleReport& report);
+/// Sweeps `options.sweep` through `RunOverloadScenario`.
+SweepReport RunSweep(const OverloadOracleOptions& options);
 
 }  // namespace dtdevolve::check
 

@@ -1,12 +1,9 @@
 #include "check/soak.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -17,6 +14,7 @@
 #include <malloc.h>
 #endif
 
+#include "check/harness.h"
 #include "core/source.h"
 #include "dtd/dtd_writer.h"
 #include "server/source_manager.h"
@@ -309,12 +307,6 @@ SoakLegReport RunEngineLeg() {
   return leg;
 }
 
-std::string SoakTempDir() {
-  return (std::filesystem::temp_directory_path() /
-          ("dtdevolve-soak-" + std::to_string(::getpid())))
-      .string();
-}
-
 /// p99 of `latencies[begin, end)` in milliseconds.
 double P99Ms(const std::vector<double>& latencies, size_t begin, size_t end) {
   std::vector<double> slice(latencies.begin() + begin,
@@ -329,15 +321,13 @@ SoakLegReport RunLiveLeg() {
   SoakLegReport leg;
   leg.result.seed = kSeed;
   leg.result.scenario = "live, 4 tenants, WAL fsync none, wait ingests";
-  const std::string dir = SoakTempDir();
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
+  const ScratchDir dir("soak");
 
   server::SourceManagerOptions options;
   for (size_t t = 0; t < kTenants; ++t) {
     options.tenants.push_back("soak-" + std::to_string(t));
   }
-  options.wal_dir = dir;
+  options.wal_dir = dir.path();
   options.fsync_policy = store::FsyncPolicy::kNone;
   // Checkpoints (and the WAL truncation after each) run during the leg,
   // as they do over a server's life.
@@ -360,7 +350,6 @@ SoakLegReport RunLiveLeg() {
     if (!started.ok()) {
       Violate(leg, "soak-setup", 0, started.ToString());
       manager.Drain();
-      std::filesystem::remove_all(dir, ec);
       return leg;
     }
 
@@ -449,7 +438,6 @@ SoakLegReport RunLiveLeg() {
       }
     }
   }
-  std::filesystem::remove_all(dir, ec);
   return leg;
 }
 

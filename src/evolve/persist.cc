@@ -1,17 +1,12 @@
 #include "evolve/persist.h"
 
-#include <unistd.h>
-
-#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 
 #include "dtd/dtd_parser.h"
 #include "dtd/dtd_writer.h"
-#include "io/file.h"
 
 namespace dtdevolve::evolve {
 
@@ -358,16 +353,6 @@ StatusOr<ExtendedDtd> DeserializeExtendedDtd(std::string_view data) {
         ParseElementStats(reader, ext.StatsFor(*name), /*depth=*/0));
   }
   return ext;
-}
-
-Status SaveExtendedDtdFile(const ExtendedDtd& ext, const std::string& path) {
-  return io::WriteFileAtomic(path, SerializeExtendedDtd(ext));
-}
-
-StatusOr<ExtendedDtd> LoadExtendedDtdFile(const std::string& path) {
-  StatusOr<std::string> data = io::ReadFile(path);
-  if (!data.ok()) return data.status();
-  return DeserializeExtendedDtd(*data);
 }
 
 }  // namespace dtdevolve::evolve

@@ -24,20 +24,6 @@ std::string SerializeExtendedDtd(const ExtendedDtd& ext);
 /// Parses a serialization produced by `SerializeExtendedDtd`.
 StatusOr<ExtendedDtd> DeserializeExtendedDtd(std::string_view data);
 
-/// Writes the serialization of `ext` to `path` **atomically** via
-/// `io::WriteFileAtomic`: the bytes go to `path + ".tmp"` in the same
-/// directory, are fsynced, the temporary is renamed over `path`, and the
-/// parent directory is fsynced so the rename itself survives a crash. A
-/// crash at any point leaves either the previous snapshot or the new one
-/// — never a torn file. Going through the `io` layer also makes the
-/// failure paths fault-injectable (`io/fault.h`).
-Status SaveExtendedDtdFile(const ExtendedDtd& ext, const std::string& path);
-
-/// Reads and parses a snapshot written by `SaveExtendedDtdFile`.
-/// A missing file yields `kNotFound`; a truncated or corrupted snapshot
-/// yields a clean `kParseError` from the deserializer.
-StatusOr<ExtendedDtd> LoadExtendedDtdFile(const std::string& path);
-
 }  // namespace dtdevolve::evolve
 
 #endif  // DTDEVOLVE_EVOLVE_PERSIST_H_

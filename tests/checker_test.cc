@@ -14,10 +14,10 @@ namespace {
 
 TEST(CheckerTest, InvariantsHoldOnSeededScenarios) {
   OracleOptions options;
-  options.scenarios = 40;
-  options.seed = 1;
-  OracleReport report = RunOracle(options);
-  EXPECT_TRUE(report.ok()) << FormatReport(report);
+  options.sweep.scenarios = 40;
+  options.sweep.seed = 1;
+  SweepReport report = RunSweep(options);
+  EXPECT_TRUE(report.ok()) << FormatSweepReport(report);
   EXPECT_EQ(report.scenarios_run, 40u);
   // The sweep must actually exercise the pipeline, not vacuously pass.
   EXPECT_GT(report.documents, 1000u);
@@ -38,7 +38,7 @@ TEST(CheckerTest, MaxDocumentsTruncatesToExactPrefix) {
   ScenarioResult full = RunScenario(11);
   ASSERT_GT(full.documents, 10u);
   OracleOptions capped;
-  capped.max_documents = 10;
+  capped.sweep.max_documents = 10;
   ScenarioResult prefix = RunScenario(11, capped);
   EXPECT_EQ(prefix.documents, 10u);
   EXPECT_EQ(prefix.scenario, full.scenario);
@@ -56,19 +56,19 @@ TEST(CheckerTest, MinimizeReturnsFullRunWhenScenarioPasses) {
 
 TEST(CheckerTest, CustomJobsLevelsAreCompared) {
   OracleOptions options;
-  options.scenarios = 3;
-  options.seed = 21;
+  options.sweep.scenarios = 3;
+  options.sweep.seed = 21;
   options.jobs = {1, 3, 5};
-  OracleReport report = RunOracle(options);
-  EXPECT_TRUE(report.ok()) << FormatReport(report);
+  SweepReport report = RunSweep(options);
+  EXPECT_TRUE(report.ok()) << FormatSweepReport(report);
 }
 
 TEST(CheckerTest, InductionInvariantsHoldOnSeededScenarios) {
   InductionOracleOptions options;
-  options.scenarios = 25;
-  options.seed = 1;
-  InductionOracleReport report = RunInductionOracle(options);
-  EXPECT_TRUE(report.ok()) << FormatInductionReport(report);
+  options.sweep.scenarios = 25;
+  options.sweep.seed = 1;
+  SweepReport report = RunSweep(options);
+  EXPECT_TRUE(report.ok()) << FormatSweepReport(report);
   EXPECT_EQ(report.scenarios_run, 25u);
   // The sweep must drive the whole candidate lifecycle, not vacuously
   // pass: candidates get induced and some get promoted.
@@ -86,7 +86,10 @@ TEST(CheckerTest, InductionScenarioRunsAreDeterministic) {
 }
 
 TEST(CheckerTest, InductionReportFormattingCarriesReplaySeed) {
-  InductionOracleReport report;
+  // A sweep of no scenarios is the empty report of its options.
+  InductionOracleOptions options;
+  options.sweep.scenarios = 0;
+  SweepReport report = RunSweep(options);
   report.scenarios_run = 1;
   report.documents = 30;
   ScenarioResult failing;
@@ -96,13 +99,13 @@ TEST(CheckerTest, InductionReportFormattingCarriesReplaySeed) {
       {"accept-member-validity", "induced-invoice", 2, "member invalid"});
   report.failures.push_back(failing);
 
-  std::string text = FormatInductionReport(report);
+  std::string text = FormatSweepReport(report);
   EXPECT_NE(text.find("--induction --seed 77"), std::string::npos);
   EXPECT_NE(text.find("accept-member-validity"), std::string::npos);
 
-  InductionOracleReport clean;
+  SweepReport clean = RunSweep(options);
   clean.scenarios_run = 2;
-  EXPECT_NE(FormatInductionReport(clean).find("all invariants held"),
+  EXPECT_NE(FormatSweepReport(clean).find("all invariants held"),
             std::string::npos);
 }
 
@@ -113,7 +116,7 @@ TEST(CheckerTest, ReportFormattingCarriesReplaySeed) {
   failing.documents = 12;
   failing.violations.push_back(
       {"trigger-accounting", "mail", 7, "counter drift"});
-  OracleReport report;
+  SweepReport report;
   report.scenarios_run = 1;
   report.documents = 12;
   report.failures.push_back(failing);
@@ -123,13 +126,13 @@ TEST(CheckerTest, ReportFormattingCarriesReplaySeed) {
   EXPECT_NE(scenario_text.find("trigger-accounting"), std::string::npos);
   EXPECT_NE(scenario_text.find("dtd=mail"), std::string::npos);
 
-  std::string report_text = FormatReport(report);
+  std::string report_text = FormatSweepReport(report);
   EXPECT_NE(report_text.find("--seed 99"), std::string::npos);
   EXPECT_NE(report_text.find("failing scenario"), std::string::npos);
 
-  OracleReport clean;
+  SweepReport clean;
   clean.scenarios_run = 2;
-  EXPECT_NE(FormatReport(clean).find("all invariants held"),
+  EXPECT_NE(FormatSweepReport(clean).find("all invariants held"),
             std::string::npos);
 }
 

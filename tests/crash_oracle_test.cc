@@ -17,13 +17,13 @@ namespace {
 
 TEST(CrashOracleTest, RecoveryMatchesAckedPrefixAcrossCrashPoints) {
   CrashOracleOptions options;
-  options.scenarios = 2;
-  options.seed = 1;
-  options.max_documents = 12;
+  options.sweep.scenarios = 2;
+  options.sweep.seed = 1;
+  options.sweep.max_documents = 12;
   options.max_crash_points = 16;
   options.checkpoint_every = 5;  // the sweep crosses checkpoint writes
-  CrashOracleReport report = RunCrashOracle(options);
-  EXPECT_TRUE(report.ok()) << FormatCrashReport(report);
+  SweepReport report = RunSweep(options);
+  EXPECT_TRUE(report.ok()) << FormatSweepReport(report);
   EXPECT_EQ(report.scenarios_run, 2u);
   // Vacuity guard: the sweep must have injected real crashes.
   EXPECT_GE(report.crash_points, 16u);
@@ -34,66 +34,83 @@ TEST(CrashOracleTest, GroupCommitLegSweepsItsOwnCrashPoints) {
   // Each scenario sweeps two legs: one append per document, then groups
   // written before one commit. Each leg enumerates its own crash points.
   CrashOracleOptions options;
-  options.scenarios = 1;
-  options.seed = 3;
-  options.max_documents = 10;
+  options.sweep.max_documents = 10;
   options.max_crash_points = 12;
   options.checkpoint_every = 4;
-  uint64_t points = 0;
-  ScenarioResult result = RunCrashScenario(options.seed, options, &points);
+  ScenarioResult result = RunCrashScenario(3, options);
   EXPECT_TRUE(result.ok()) << FormatScenario(result);
-  EXPECT_GE(points, 2 * options.max_crash_points);
+  EXPECT_GE(result.crash_points, 2 * options.max_crash_points);
 }
 
 TEST(CrashOracleTest, InductionSweepCoversInduceAcceptRecords) {
   CrashOracleOptions options;
   options.induction = true;
-  options.scenarios = 2;
-  options.seed = 1;
-  options.max_documents = 16;
+  options.sweep.scenarios = 2;
+  options.sweep.seed = 1;
+  options.sweep.max_documents = 16;
   options.max_crash_points = 20;
   options.checkpoint_every = 7;  // checkpoints land between accepts too
-  CrashOracleReport report = RunCrashOracle(options);
-  EXPECT_TRUE(report.ok()) << FormatCrashReport(report);
+  SweepReport report = RunSweep(options);
+  EXPECT_TRUE(report.ok()) << FormatSweepReport(report);
   EXPECT_EQ(report.scenarios_run, 2u);
   EXPECT_GE(report.crash_points, 20u);
 }
 
 TEST(CrashOracleTest, SweepIsDeterministic) {
   CrashOracleOptions options;
-  options.scenarios = 1;
-  options.seed = 5;
-  options.max_documents = 8;
+  options.sweep.max_documents = 8;
   options.max_crash_points = 6;
-  uint64_t points_first = 0;
-  uint64_t points_second = 0;
-  ScenarioResult first = RunCrashScenario(5, options, &points_first);
-  ScenarioResult second = RunCrashScenario(5, options, &points_second);
+  ScenarioResult first = RunCrashScenario(5, options);
+  ScenarioResult second = RunCrashScenario(5, options);
   EXPECT_TRUE(first.ok()) << FormatScenario(first);
   EXPECT_EQ(first.documents, second.documents);
-  EXPECT_EQ(points_first, points_second);
+  EXPECT_EQ(first.crash_points, second.crash_points);
   EXPECT_EQ(first.violations.size(), second.violations.size());
 }
 
-TEST(CrashOracleTest, ReportCarriesReplayCommand) {
-  CrashOracleReport failing;
-  failing.scenarios_run = 1;
-  failing.crash_points = 4;
+/// A failing scenario appended to the report a sweep of `options` starts
+/// from (a sweep of no scenarios runs nothing).
+SweepReport FailingReport(CrashOracleOptions options) {
+  options.sweep.scenarios = 0;
+  SweepReport report = RunSweep(options);
+  report.scenarios_run = 1;
+  report.crash_points = 4;
   ScenarioResult scenario;
   scenario.seed = 42;
   scenario.scenario = "synthetic";
   scenario.violations.push_back(
       {"crash-recovery", "mail", 3, "state diverged"});
-  failing.failures.push_back(scenario);
+  report.failures.push_back(scenario);
+  return report;
+}
 
-  const std::string text = FormatCrashReport(failing);
+TEST(CrashOracleTest, ReportCarriesReplayCommand) {
+  const std::string text = FormatSweepReport(FailingReport({}));
   EXPECT_NE(text.find("--crash-recovery"), std::string::npos);
   EXPECT_NE(text.find("--seed 42"), std::string::npos);
 
-  CrashOracleReport clean;
+  CrashOracleOptions options;
+  options.sweep.scenarios = 0;
+  SweepReport clean = RunSweep(options);
   clean.scenarios_run = 2;
   clean.crash_points = 64;
-  EXPECT_NE(FormatCrashReport(clean).find("matched"), std::string::npos);
+  EXPECT_NE(FormatSweepReport(clean).find("matched"), std::string::npos);
+}
+
+TEST(CrashOracleTest, ReplayLineCarriesEveryFlagTheSweepRead) {
+  // An induction sweep at non-default sizes replays only with all of
+  // them: the defaults would rerun a different scenario.
+  CrashOracleOptions options;
+  options.induction = true;
+  options.sweep.max_documents = 12;
+  options.max_crash_points = 16;
+  options.checkpoint_every = 5;
+  const std::string text = FormatSweepReport(FailingReport(options));
+  EXPECT_NE(text.find("  replay: dtdevolve check --crash-recovery --induction "
+                      "--seed 42 --scenarios 1 --max-documents 12 "
+                      "--crash-points 16 --checkpoint-every 5\n"),
+            std::string::npos)
+      << text;
 }
 
 }  // namespace

@@ -14,8 +14,8 @@
 namespace dtdevolve::check {
 namespace {
 
-std::string Explain(const OverloadOracleReport& report) {
-  std::string out = FormatOverloadReport(report);
+std::string Explain(const SweepReport& report) {
+  std::string out = FormatSweepReport(report);
   for (const ScenarioResult& failure : report.failures) {
     out += "\n" + FormatScenario(failure);
   }
@@ -24,12 +24,14 @@ std::string Explain(const OverloadOracleReport& report) {
 
 // Scenario kinds rotate by `seed % 5`; a kind is pinned by driving
 // individual seeds congruent to it.
-OverloadOracleReport RunKind(uint64_t kind, int rounds) {
-  OverloadOracleReport report;
+SweepReport RunKind(uint64_t kind, int rounds) {
+  SweepReport report;
+  report.mode = SweepMode::kOverload;
   for (int round = 0; round < rounds; ++round) {
     const uint64_t seed = 5 * static_cast<uint64_t>(round + 1) + kind;
-    ScenarioResult result = RunOverloadScenario(seed, {}, &report);
+    ScenarioResult result = RunOverloadScenario(seed);
     ++report.scenarios_run;
+    report += result;
     if (!result.ok()) report.failures.push_back(std::move(result));
   }
   return report;
@@ -38,25 +40,25 @@ OverloadOracleReport RunKind(uint64_t kind, int rounds) {
 TEST(OverloadOracleTest, RateLimitFloodScenariosHold) {
   // Flood one tenant against its token bucket while a victim tenant
   // ingests beside it.
-  const OverloadOracleReport report = RunKind(0, 2);
+  const SweepReport report = RunKind(0, 2);
   EXPECT_TRUE(report.ok()) << Explain(report);
   EXPECT_GE(report.rejections, 1u);
 }
 
 TEST(OverloadOracleTest, OversizedBodyScenarioHolds) {
-  const OverloadOracleReport report = RunKind(1, 1);
+  const SweepReport report = RunKind(1, 1);
   EXPECT_TRUE(report.ok()) << Explain(report);
   EXPECT_GE(report.rejections, 1u);
 }
 
 TEST(OverloadOracleTest, ConnectionCapScenarioHolds) {
-  const OverloadOracleReport report = RunKind(2, 1);
+  const SweepReport report = RunKind(2, 1);
   EXPECT_TRUE(report.ok()) << Explain(report);
   EXPECT_GE(report.rejections, 1u);
 }
 
 TEST(OverloadOracleTest, WalFaultScenarioRecoversReadiness) {
-  const OverloadOracleReport report = RunKind(3, 1);
+  const SweepReport report = RunKind(3, 1);
   EXPECT_TRUE(report.ok()) << Explain(report);
   EXPECT_GE(report.recoveries, 1u);
 }
@@ -64,17 +66,17 @@ TEST(OverloadOracleTest, WalFaultScenarioRecoversReadiness) {
 TEST(OverloadOracleTest, EvictionRecoveryScenariosHold) {
   // Two rounds (seeds 9 and 14) cover both repository-quota policies
   // (policy = seed % 2).
-  const OverloadOracleReport report = RunKind(4, 2);
+  const SweepReport report = RunKind(4, 2);
   EXPECT_TRUE(report.ok()) << Explain(report);
   EXPECT_GE(report.evictions, 1u);
 }
 
 TEST(OverloadOracleTest, MixedSweepAcrossAllKinds) {
   OverloadOracleOptions options;
-  options.seed = 101;
-  options.scenarios = 10;
-  options.max_failures = 10;
-  const OverloadOracleReport report = RunOverloadOracle(options);
+  options.sweep.seed = 101;
+  options.sweep.scenarios = 10;
+  options.sweep.max_failures = 10;
+  const SweepReport report = RunSweep(options);
   EXPECT_TRUE(report.ok()) << Explain(report);
   EXPECT_EQ(report.scenarios_run, 10u);
   EXPECT_GE(report.requests, 100u);

@@ -401,10 +401,10 @@ TEST(ParsePathTest, EveryOutcomeRelevantMutationBumpsSetEpoch) {
 
 TEST(ParsePathTest, ParsePathOracleHoldsOnSeededScenarios) {
   check::ParsePathOracleOptions options;
-  options.scenarios = 25;
-  options.seed = 1;
-  check::ParsePathOracleReport report = check::RunParsePathOracle(options);
-  EXPECT_TRUE(report.ok()) << check::FormatParsePathReport(report);
+  options.sweep.scenarios = 25;
+  options.sweep.seed = 1;
+  check::SweepReport report = check::RunSweep(options);
+  EXPECT_TRUE(report.ok()) << check::FormatSweepReport(report);
   EXPECT_EQ(report.scenarios_run, 25u);
   EXPECT_GT(report.documents, 500u);   // must actually exercise the pipeline
   EXPECT_GE(report.wal_replays, 1u);   // the sampled WAL leg must fire

@@ -4,12 +4,14 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "dtd/dtd_parser.h"
 #include "dtd/dtd_writer.h"
 #include "evolve/evolver.h"
 #include "evolve/persist.h"
 #include "evolve/recorder.h"
+#include "io/file.h"
 #include "workload/generator.h"
 #include "workload/mutator.h"
 #include "xml/parser.h"
@@ -149,12 +151,14 @@ TEST(PersistFileTest, SaveThenLoadRoundTrips) {
   recorder.RecordDocument(*doc);
 
   const std::string path = testing::TempDir() + "persist_file_test.dtdstate";
-  Status saved = SaveExtendedDtdFile(ext, path);
+  Status saved = io::WriteFileAtomic(path, SerializeExtendedDtd(ext));
   ASSERT_TRUE(saved.ok()) << saved.ToString();
   // The write is atomic (tmp + rename): no temp file may survive.
   EXPECT_FALSE(std::ifstream(path + ".tmp").good());
 
-  StatusOr<ExtendedDtd> restored = LoadExtendedDtdFile(path);
+  StatusOr<std::string> data = io::ReadFile(path);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  StatusOr<ExtendedDtd> restored = DeserializeExtendedDtd(*data);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored->documents_recorded(), 1u);
   EXPECT_EQ(SerializeExtendedDtd(*restored), SerializeExtendedDtd(ext));
@@ -164,26 +168,28 @@ TEST(PersistFileTest, SaveThenLoadRoundTrips) {
 TEST(PersistFileTest, SaveReplacesExistingSnapshot) {
   const std::string path = testing::TempDir() + "persist_file_replace.dtdstate";
   ExtendedDtd first = MakeExtended(kDtd);
-  ASSERT_TRUE(SaveExtendedDtdFile(first, path).ok());
+  ASSERT_TRUE(io::WriteFileAtomic(path, SerializeExtendedDtd(first)).ok());
 
   ExtendedDtd second = MakeExtended(kDtd);
   Recorder recorder(second);
   StatusOr<xml::Document> doc = xml::ParseDocument("<a><b>1</b><c>2</c></a>");
   ASSERT_TRUE(doc.ok());
   recorder.RecordDocument(*doc);
-  ASSERT_TRUE(SaveExtendedDtdFile(second, path).ok());
+  ASSERT_TRUE(io::WriteFileAtomic(path, SerializeExtendedDtd(second)).ok());
 
-  StatusOr<ExtendedDtd> restored = LoadExtendedDtdFile(path);
+  StatusOr<std::string> data = io::ReadFile(path);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  StatusOr<ExtendedDtd> restored = DeserializeExtendedDtd(*data);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored->documents_recorded(), 1u);
   std::remove(path.c_str());
 }
 
 TEST(PersistFileTest, LoadMissingFileIsNotFound) {
-  StatusOr<ExtendedDtd> restored =
-      LoadExtendedDtdFile(testing::TempDir() + "no_such_snapshot.dtdstate");
-  ASSERT_FALSE(restored.ok());
-  EXPECT_EQ(restored.status().code(), Status::Code::kNotFound);
+  StatusOr<std::string> data =
+      io::ReadFile(testing::TempDir() + "no_such_snapshot.dtdstate");
+  ASSERT_FALSE(data.ok());
+  EXPECT_EQ(data.status().code(), Status::Code::kNotFound);
 }
 
 TEST(PersistFileTest, TruncatedSnapshotRejectedWithCleanStatus) {
@@ -194,26 +200,12 @@ TEST(PersistFileTest, TruncatedSnapshotRejectedWithCleanStatus) {
   ASSERT_TRUE(doc.ok());
   recorder.RecordDocument(*doc);
 
-  const std::string path = testing::TempDir() + "persist_file_trunc.dtdstate";
-  ASSERT_TRUE(SaveExtendedDtdFile(ext, path).ok());
-
-  std::string data;
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    data = buffer.str();
-  }
+  const std::string data = SerializeExtendedDtd(ext);
   ASSERT_GT(data.size(), 8u);
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(data.data(), static_cast<std::streamsize>(data.size() / 2));
-  }
-
-  StatusOr<ExtendedDtd> restored = LoadExtendedDtdFile(path);
+  StatusOr<ExtendedDtd> restored =
+      DeserializeExtendedDtd(std::string_view(data).substr(0, data.size() / 2));
   EXPECT_FALSE(restored.ok());
   EXPECT_NE(restored.status().code(), Status::Code::kNotFound);
-  std::remove(path.c_str());
 }
 
 TEST(PersistTest, PreservesAttlists) {

@@ -36,10 +36,10 @@ namespace {
 
 TEST(ReplicationTest, OracleSweepIsCleanAndExercisesFaults) {
   check::ReplicationOracleOptions options;
-  options.scenarios = 30;
-  options.seed = 11;
-  check::ReplicationOracleReport report = check::RunReplicationOracle(options);
-  EXPECT_TRUE(report.ok()) << check::FormatReplicationReport(report);
+  options.sweep.scenarios = 30;
+  options.sweep.seed = 11;
+  check::SweepReport report = check::RunSweep(options);
+  EXPECT_TRUE(report.ok()) << check::FormatSweepReport(report);
   EXPECT_EQ(report.scenarios_run, 30u);
   EXPECT_GT(report.polls, 0u);
   // The sweep is only meaningful if the fault injector actually tore
@@ -50,14 +50,35 @@ TEST(ReplicationTest, OracleSweepIsCleanAndExercisesFaults) {
 
 TEST(ReplicationTest, OracleScenarioReplaysDeterministically) {
   check::ReplicationOracleOptions options;
-  options.scenarios = 1;
-  options.max_documents = 24;
+  options.sweep.max_documents = 24;
   check::ScenarioResult first = check::RunReplicationScenario(5, options);
   check::ScenarioResult second = check::RunReplicationScenario(5, options);
   EXPECT_TRUE(first.ok()) << check::FormatScenario(first);
   EXPECT_EQ(first.scenario, second.scenario);
   EXPECT_EQ(first.documents, second.documents);
   EXPECT_EQ(first.violations.size(), second.violations.size());
+}
+
+TEST(ReplicationTest, OracleReplayLineCarriesTheDocumentCap) {
+  // A failure found at a document cap replays at that cap, not at the
+  // default of 40.
+  check::ReplicationOracleOptions options;
+  options.sweep.scenarios = 0;  // the report's header only
+  options.sweep.max_documents = 24;
+  options.checkpoint_every = 3;
+  check::SweepReport report = check::RunSweep(options);
+  check::ScenarioResult failing;
+  failing.seed = 7;
+  failing.scenario = "replication synthetic";
+  failing.violations.push_back(
+      {"replication-convergence", "", 24, "follower stalled"});
+  report.failures.push_back(failing);
+  const std::string text = check::FormatSweepReport(report);
+  EXPECT_NE(text.find("  replay: dtdevolve check --replication --seed 7 "
+                      "--scenarios 1 --max-documents 24 "
+                      "--checkpoint-every 3\n"),
+            std::string::npos)
+      << text;
 }
 
 // --- Torn frames ------------------------------------------------------------

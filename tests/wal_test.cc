@@ -28,6 +28,7 @@
 #include "io/fault.h"
 #include "io/file.h"
 #include "obs/metrics.h"
+#include "store/checkpoint.h"
 #include "store/wal.h"
 
 namespace dtdevolve::store {
@@ -728,31 +729,36 @@ TEST(WalConcurrencyTest, ConcurrentWritesCommitsAndTruncationsStayGapless) {
   }
 }
 
-// --- persist.cc durability regression ---------------------------------------
+// --- checkpoint durability regression ---------------------------------------
 
-TEST(WalTest, SnapshotSaveFsyncsTheParentDirectory) {
-  const std::string dir = FreshDir("persist_dirsync");
+TEST(WalTest, CheckpointWriteFsyncsTheParentDirectory) {
+  const std::string dir = FreshDir("checkpoint_dirsync");
   ASSERT_TRUE(io::CreateDir(dir).ok());
   StatusOr<dtd::Dtd> dtd = dtd::ParseDtd("<!ELEMENT a (#PCDATA)>");
   ASSERT_TRUE(dtd.ok());
-  evolve::ExtendedDtd ext(std::move(*dtd));
-  const std::string path = dir + "/a.dtdstate";
+  CheckpointData data;
+  data.lsn = 1;
+  data.dtds.emplace_back(
+      "a", evolve::SerializeExtendedDtd(evolve::ExtendedDtd(std::move(*dtd))));
 
   {
-    // If SaveExtendedDtdFile skipped the parent-directory fsync after its
-    // rename, this plan would never fire and the save would "succeed".
+    // If the checkpoint writer skipped the parent-directory fsync after
+    // its renames, this plan would never fire and the write would
+    // "succeed".
     io::FaultPlan plan;
     plan.fail_at = 1;
     plan.op_mask = static_cast<uint32_t>(io::FaultOp::kFsyncDir);
     io::ScopedFaultPlan guard(plan);
-    Status saved = evolve::SaveExtendedDtdFile(ext, path);
-    ASSERT_FALSE(saved.ok())
-        << "save must surface a parent-dir fsync failure";
+    Status written = WriteCheckpoint(dir, data);
+    ASSERT_FALSE(written.ok())
+        << "checkpoint write must surface a parent-dir fsync failure";
   }
-  Status saved = evolve::SaveExtendedDtdFile(ext, path);
-  ASSERT_TRUE(saved.ok()) << saved.ToString();
-  StatusOr<evolve::ExtendedDtd> loaded = evolve::LoadExtendedDtdFile(path);
+  Status written = WriteCheckpoint(dir, data);
+  ASSERT_TRUE(written.ok()) << written.ToString();
+  StatusOr<CheckpointData> loaded = ReadCheckpoint(dir);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->lsn, 1u);
+  EXPECT_EQ(loaded->dtds, data.dtds);
 }
 
 }  // namespace

@@ -4,9 +4,9 @@
 # `overload` and `parsepath` ctest labels — the suites that replay the
 # differential, crash-recovery, replication, overload and parse-path
 # oracles and fan out threads, where sanitizer findings actually live.
-# A RelWithDebInfo leg reruns the durability suites and the crash sweep
-# with their files on tmpfs (/dev/shm) and then runs the bounded-memory
-# soak (`ctest -L soak`), a fuzz leg runs the two XML fuzz targets under
+# A RelWithDebInfo leg reruns the durability suites, the crash sweeps
+# among them, with their files on tmpfs (/dev/shm) and then runs the
+# bounded-memory soak (`ctest -L soak`), a fuzz leg runs the two XML fuzz targets under
 # ASan+UBSan, and the last leg runs the repo benchmark's own smoke test
 # (perfbench/smoke_test.py). The soak never runs under a
 # sanitizer: RSS there measures the sanitizer's shadow memory and
@@ -50,11 +50,12 @@ run_leg() {
 run_leg asan-ubsan
 run_leg tsan
 
-# The durability suites and the crash-recovery sweep once more with every
-# WAL and checkpoint on tmpfs, so the WAL's space reservation (written
-# zeros) and fdatasync commit also run on a filesystem other than the
-# build tree's. gtest's TempDir() reads TEST_TMPDIR, the oracles'
-# temp_directory_path() reads TMPDIR.
+# The durability suites once more with every WAL and checkpoint on
+# tmpfs, so the WAL's space reservation (written zeros) and fdatasync
+# commit also run on a filesystem other than the build tree's. The label
+# includes check_crash_summaries, the two full crash-recovery sweeps
+# (drift and induction) with their summaries pinned. gtest's TempDir()
+# reads TEST_TMPDIR, the oracles' temp_directory_path() reads TMPDIR.
 echo "=== leg: durability-tmpfs ==="
 cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 cmake --build build -j "$JOBS"
@@ -62,8 +63,6 @@ SHM_TMP=$(mktemp -d /dev/shm/dtdevolve-ci.XXXXXX)
 trap 'rm -rf "$SHM_TMP"' EXIT
 TMPDIR="$SHM_TMP" TEST_TMPDIR="$SHM_TMP/" \
   ctest --test-dir build -L durability --output-on-failure -j "$JOBS"
-TMPDIR="$SHM_TMP" build/tools/dtdevolve check --crash-recovery
-TMPDIR="$SHM_TMP" build/tools/dtdevolve check --crash-recovery --induction
 
 # The bounded-memory soak on the uninstrumented build: VmRSS may grow by
 # at most 256 B/doc after the 25 % mark (src/check/soak.h).

@@ -15,8 +15,11 @@
 //                        [--tenant-config FILE]
 //                        [--auto-induce-threshold N]
 //   dtdevolve check      [--scenarios N] [--seed S] [--max-documents N]
-//                        [--max-failures K] [--no-persistence]
-//                        [--no-minimize] [--induction] [--soak]
+//                        [--max-failures K] [--no-minimize]
+//                        [--crash-recovery] [--crash-points N]
+//                        [--checkpoint-every K] [--induction]
+//                        [--replication] [--overload] [--parse-path]
+//                        [--soak]
 //
 // `evolve --jobs 0` and `induce --jobs 0` score on every core.
 //
@@ -33,6 +36,7 @@
 // server). `--fsync-policy none` skips the per-document fsync; a
 // graceful stop still fsyncs the log and checkpoints.
 
+#include <algorithm>
 #include <cerrno>
 #include <csignal>
 #include <cstdint>
@@ -40,9 +44,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "adapt/adapter.h"
@@ -138,8 +144,7 @@ int Usage() {
                "evict-oldest|reject-new]\n"
                "  dtdevolve check      [--scenarios N] [--seed S] "
                "[--max-documents N]\n"
-               "                       [--max-failures K] [--no-persistence] "
-               "[--no-minimize]\n"
+               "                       [--max-failures K] [--no-minimize]\n"
                "                       [--crash-recovery] [--crash-points N] "
                "[--checkpoint-every K]\n"
                "                       [--induction] [--replication] "
@@ -953,24 +958,48 @@ int CmdServe(std::vector<std::string> args) {
   return 0;
 }
 
-/// The differential correctness oracle (src/check): replays seeded drift
-/// scenarios through the full pipeline and checks the evolution
-/// invariants after every step. On failure the first failing scenario is
-/// shrunk to the shortest document prefix that still fails and a replay
-/// command line is printed.
+/// The correctness oracles (src/check). Without a mode flag, the
+/// differential oracle replays seeded drift scenarios through the full
+/// pipeline and checks the evolution invariants after every step; on
+/// failure the first failing scenario is shrunk to the shortest document
+/// prefix that still fails. Every failure prints a replay command line.
 int CmdCheck(std::vector<std::string> args) {
-  dtdevolve::check::OracleOptions options;
-  dtdevolve::check::CrashOracleOptions crash_options;
-  dtdevolve::check::InductionOracleOptions induction_options;
-  dtdevolve::check::ReplicationOracleOptions replication_options;
-  dtdevolve::check::OverloadOracleOptions overload_options;
-  dtdevolve::check::ParsePathOracleOptions parse_path_options;
-  bool crash_recovery = false;
-  bool induction = false;
-  bool replication = false;
-  bool overload = false;
-  bool parse_path = false;
-  bool soak = false;
+  namespace check = dtdevolve::check;
+  auto has = [&args](std::string_view flag) {
+    return std::find(args.begin(), args.end(), flag) != args.end();
+  };
+  check::OracleOptions oracle;
+  check::CrashOracleOptions crash;
+  check::InductionOracleOptions induction;
+  check::ReplicationOracleOptions replication;
+  check::OverloadOracleOptions overload;
+  check::ParsePathOracleOptions parse_path;
+  crash.induction = has("--induction");
+
+  // The mode's options start at its defaults; the flags below override
+  // its sweep. --induction with --crash-recovery sweeps induction
+  // scenarios through the crash sweep; replication scenarios already mix
+  // induction in.
+  check::SweepOptions* sweep = nullptr;
+  std::function<check::SweepReport()> run;
+  auto mode = [&](auto& options) {
+    sweep = &options.sweep;
+    run = [&options] { return check::RunSweep(options); };
+  };
+  if (has("--parse-path")) {
+    mode(parse_path);
+  } else if (has("--overload")) {
+    mode(overload);
+  } else if (has("--replication")) {
+    mode(replication);
+  } else if (has("--crash-recovery")) {
+    mode(crash);
+  } else if (has("--induction")) {
+    mode(induction);
+  } else {
+    mode(oracle);
+  }
+
   bool minimize = true;
   for (size_t i = 0; i < args.size(); ++i) {
     bool bad_value = false;
@@ -986,81 +1015,38 @@ int CmdCheck(std::vector<std::string> args) {
     long value = 0;
     if (long_value("--scenarios", 1, &value)) {
       if (bad_value) return Usage();
-      options.scenarios = static_cast<uint64_t>(value);
-      crash_options.scenarios = static_cast<uint64_t>(value);
-      induction_options.scenarios = static_cast<uint64_t>(value);
-      replication_options.scenarios = static_cast<uint64_t>(value);
-      overload_options.scenarios = static_cast<uint64_t>(value);
-      parse_path_options.scenarios = static_cast<uint64_t>(value);
+      sweep->scenarios = static_cast<uint64_t>(value);
       continue;
     }
     if (long_value("--seed", 0, &value)) {
       if (bad_value) return Usage();
-      options.seed = static_cast<uint64_t>(value);
-      crash_options.seed = static_cast<uint64_t>(value);
-      induction_options.seed = static_cast<uint64_t>(value);
-      replication_options.seed = static_cast<uint64_t>(value);
-      overload_options.seed = static_cast<uint64_t>(value);
-      parse_path_options.seed = static_cast<uint64_t>(value);
+      sweep->seed = static_cast<uint64_t>(value);
       continue;
     }
     if (long_value("--max-documents", 0, &value)) {
       if (bad_value) return Usage();
-      options.max_documents = static_cast<uint64_t>(value);
-      crash_options.max_documents = static_cast<uint64_t>(value);
-      induction_options.max_documents = static_cast<uint64_t>(value);
-      replication_options.max_documents = static_cast<uint64_t>(value);
-      overload_options.max_documents = static_cast<uint64_t>(value);
-      parse_path_options.max_documents = static_cast<uint64_t>(value);
+      sweep->max_documents = static_cast<uint64_t>(value);
       continue;
     }
     if (long_value("--max-failures", 1, &value)) {
       if (bad_value) return Usage();
-      options.max_failures = static_cast<uint64_t>(value);
-      crash_options.max_failures = static_cast<uint64_t>(value);
-      induction_options.max_failures = static_cast<uint64_t>(value);
-      replication_options.max_failures = static_cast<uint64_t>(value);
-      overload_options.max_failures = static_cast<uint64_t>(value);
-      parse_path_options.max_failures = static_cast<uint64_t>(value);
+      sweep->max_failures = static_cast<uint64_t>(value);
       continue;
     }
     if (long_value("--crash-points", 0, &value)) {
       if (bad_value) return Usage();
-      crash_options.max_crash_points = static_cast<uint64_t>(value);
+      crash.max_crash_points = static_cast<uint64_t>(value);
       continue;
     }
     if (long_value("--checkpoint-every", 0, &value)) {
       if (bad_value) return Usage();
-      crash_options.checkpoint_every = static_cast<uint64_t>(value);
-      replication_options.checkpoint_every = static_cast<uint64_t>(value);
+      crash.checkpoint_every = static_cast<uint64_t>(value);
+      replication.checkpoint_every = static_cast<uint64_t>(value);
       continue;
     }
-    if (args[i] == "--crash-recovery") {
-      crash_recovery = true;
-      continue;
-    }
-    if (args[i] == "--replication") {
-      replication = true;
-      continue;
-    }
-    if (args[i] == "--overload") {
-      overload = true;
-      continue;
-    }
-    if (args[i] == "--parse-path") {
-      parse_path = true;
-      continue;
-    }
-    if (args[i] == "--soak") {
-      soak = true;
-      continue;
-    }
-    if (args[i] == "--induction") {
-      induction = true;
-      continue;
-    }
-    if (args[i] == "--no-persistence") {
-      options.check_persistence = false;
+    if (args[i] == "--crash-recovery" || args[i] == "--replication" ||
+        args[i] == "--overload" || args[i] == "--parse-path" ||
+        args[i] == "--soak" || args[i] == "--induction") {
       continue;
     }
     if (args[i] == "--no-minimize") {
@@ -1071,77 +1057,22 @@ int CmdCheck(std::vector<std::string> args) {
     return Usage();  // check takes no positional arguments
   }
 
-  if (soak) {
+  if (has("--soak")) {
     // Bounded memory: a fixed-length serving stream through one source
     // and through a live 4-tenant manager; RSS must plateau.
-    dtdevolve::check::SoakReport soak_report = dtdevolve::check::RunSoak();
-    std::printf("%s", dtdevolve::check::FormatSoakReport(soak_report).c_str());
+    check::SoakReport soak_report = check::RunSoak();
+    std::printf("%s", check::FormatSoakReport(soak_report).c_str());
     return soak_report.ok() ? 0 : 2;
   }
 
-  if (parse_path) {
-    // Streaming-vs-DOM parse-path equivalence, including sampled
-    // crash-recovery scenarios (WAL replay must hit the same code path).
-    dtdevolve::check::ParsePathOracleReport parse_path_report =
-        dtdevolve::check::RunParsePathOracle(parse_path_options);
-    std::printf(
-        "%s",
-        dtdevolve::check::FormatParsePathReport(parse_path_report).c_str());
-    return parse_path_report.ok() ? 0 : 2;
-  }
-
-  if (overload) {
-    // Hostile-load scenarios against a live in-process server: floods,
-    // oversized bodies, connection churn, injected WAL faults, and
-    // repository-quota eviction with crash recovery.
-    dtdevolve::check::OverloadOracleReport overload_report =
-        dtdevolve::check::RunOverloadOracle(overload_options);
-    std::printf(
-        "%s", dtdevolve::check::FormatOverloadReport(overload_report).c_str());
-    return overload_report.ok() ? 0 : 2;
-  }
-
-  if (replication) {
-    // Replication scenarios mix induction in by default (alternating
-    // seeds), so the streamed WAL covers the induce-accept record type;
-    // --induction here narrows nothing, it is already the default.
-    dtdevolve::check::ReplicationOracleReport replication_report =
-        dtdevolve::check::RunReplicationOracle(replication_options);
-    std::printf(
-        "%s",
-        dtdevolve::check::FormatReplicationReport(replication_report).c_str());
-    return replication_report.ok() ? 0 : 2;
-  }
-
-  if (crash_recovery) {
-    // --induction switches the sweep to induction scenarios, covering
-    // the induce-accept WAL record type.
-    crash_options.induction = induction;
-    dtdevolve::check::CrashOracleReport crash_report =
-        dtdevolve::check::RunCrashOracle(crash_options);
-    std::printf("%s",
-                dtdevolve::check::FormatCrashReport(crash_report).c_str());
-    return crash_report.ok() ? 0 : 2;
-  }
-
-  if (induction) {
-    dtdevolve::check::InductionOracleReport induction_report =
-        dtdevolve::check::RunInductionOracle(induction_options);
-    std::printf(
-        "%s",
-        dtdevolve::check::FormatInductionReport(induction_report).c_str());
-    return induction_report.ok() ? 0 : 2;
-  }
-
-  dtdevolve::check::OracleReport report = dtdevolve::check::RunOracle(options);
-  std::printf("%s", dtdevolve::check::FormatReport(report).c_str());
+  const check::SweepReport report = run();
+  std::printf("%s", check::FormatSweepReport(report).c_str());
   if (report.ok()) return 0;
 
-  if (minimize) {
-    const dtdevolve::check::ScenarioResult& first = report.failures.front();
-    dtdevolve::check::ScenarioResult shrunk =
-        dtdevolve::check::MinimizeFailure(first.seed, options);
-    std::printf("minimized %s", dtdevolve::check::FormatScenario(shrunk).c_str());
+  if (report.mode == check::SweepMode::kDifferential && minimize) {
+    const check::ScenarioResult shrunk =
+        check::MinimizeFailure(report.failures.front().seed, oracle);
+    std::printf("minimized %s", check::FormatScenario(shrunk).c_str());
     std::printf(
         "  replay: dtdevolve check --seed %llu --scenarios 1 "
         "--max-documents %llu\n",
