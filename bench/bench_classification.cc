@@ -9,11 +9,20 @@
 // The parse rows time the step every arriving document pays before it is
 // classified: the one-pass arena reader (the ingest path) and the DOM
 // parser (the reference), over the serialized drift-scenario documents.
+//
+// The restore row times checkpoint load of a 12 000-document repository
+// (`store::RestoreSourceState`): every stored document parsed, compacted
+// and filed with the clusterer, as a restart or a follower bootstrap
+// pays it.
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "bench_util.h"
 #include "classify/classifier.h"
+#include "core/source.h"
+#include "store/checkpoint.h"
 #include "workload/scenarios.h"
 #include "xml/parser.h"
 #include "xml/stream_reader.h"
@@ -157,6 +166,58 @@ void BM_ParseDom_DriftScenarios(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_ParseDom_DriftScenarios)->Unit(benchmark::kMicrosecond);
+
+/// A source whose one DTD matches no mixed-population family, so every
+/// family document stays in the repository.
+std::unique_ptr<core::XmlSource> RepositorySource() {
+  core::SourceOptions options;
+  options.auto_evolve = false;
+  auto source = std::make_unique<core::XmlSource>(options);
+  if (!source->AddDtd("bibliography",
+                      workload::MakeBibliographyScenario(1).InitialDtd())
+           .ok()) {
+    return nullptr;
+  }
+  return source;
+}
+
+/// The source state of a repository filled with 3 families × 4 000
+/// documents, ingested as text.
+const std::string& MixedPopulationCheckpoint() {
+  static const std::string* state = [] {
+    std::unique_ptr<core::XmlSource> source = RepositorySource();
+    workload::ScenarioStream stream =
+        workload::MakeMixedPopulationScenario(1, 3, 4000);
+    xml::WriteOptions compact;
+    compact.indent = false;
+    while (!stream.Done()) {
+      (void)source->ProcessText(xml::WriteDocument(stream.Next(), compact));
+    }
+    return new std::string(store::SerializeSourceState(*source));
+  }();
+  return *state;
+}
+
+void BM_RestoreSourceState_MixedPopulation(benchmark::State& state) {
+  const std::string& checkpoint = MixedPopulationCheckpoint();
+  size_t documents = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::unique_ptr<core::XmlSource> source = RepositorySource();
+    state.ResumeTiming();
+    if (!store::RestoreSourceState(*source, checkpoint).ok()) {
+      state.SkipWithError("checkpoint failed to restore");
+    }
+    state.PauseTiming();
+    documents = source->repository().size();
+    source.reset();
+    state.ResumeTiming();
+  }
+  state.counters["documents"] = static_cast<double>(documents);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * documents));
+}
+BENCHMARK(BM_RestoreSourceState_MixedPopulation)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace dtdevolve

@@ -15,10 +15,15 @@
 // the score cache off and on. The score check traps if arena and DOM
 // content symbols ever diverge, e.g. on text runs split by comments or
 // CDATA sections, which the DOM parse keeps as separate text nodes.
+// Every accepted document is also compacted the way the repository
+// stores it: the compact copy must write the same bytes and carry the
+// same root fingerprint as the parse, and the arena writer must write
+// the bytes the DOM writer writes for the DOM parse.
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 #include "dtd/dtd_parser.h"
@@ -28,6 +33,7 @@
 #include "xml/document.h"
 #include "xml/parser.h"
 #include "xml/stream_reader.h"
+#include "xml/writer.h"
 
 namespace {
 
@@ -104,6 +110,18 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (stats == nullptr || stats->fp_hi != root.fp_hi ||
       stats->fp_lo != root.fp_lo ||
       stats->element_count != root.element_count) {
+    __builtin_trap();
+  }
+  dtdevolve::xml::WriteOptions compact;
+  compact.indent = false;
+  const std::string written = dtdevolve::xml::WriteDocument(*arena, compact);
+  if (written != dtdevolve::xml::WriteDocument(*dom, compact)) {
+    __builtin_trap();
+  }
+  const dtdevolve::xml::ArenaDocument copy = arena->CompactCopy();
+  if (dtdevolve::xml::WriteDocument(copy, compact) != written ||
+      copy.root().fp_hi != root.fp_hi || copy.root().fp_lo != root.fp_lo ||
+      copy.arena().bytes_reserved() != copy.arena().bytes_allocated()) {
     __builtin_trap();
   }
   // One evaluator and one small cache for the whole run: later inputs

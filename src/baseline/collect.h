@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "xml/arena.h"
 #include "xml/document.h"
 
 namespace dtdevolve::baseline {
@@ -21,8 +22,12 @@ struct TagContent {
 };
 
 /// Walks every element of every document and groups content by tag.
+/// One walk serves both trees; an arena tree groups exactly what its
+/// `ToDocument()` would.
 std::map<std::string, TagContent> CollectTagContent(
     const std::vector<const xml::Element*>& roots);
+std::map<std::string, TagContent> CollectTagContent(
+    const std::vector<const xml::ArenaElement*>& roots);
 
 /// Convenience overload over stored documents.
 std::map<std::string, TagContent> CollectTagContent(

@@ -116,6 +116,11 @@ dtd::Dtd InferNaiveDtd(const std::vector<const xml::Element*>& roots,
   return InferFromContent(CollectTagContent(roots), root_name);
 }
 
+dtd::Dtd InferNaiveDtd(const std::vector<const xml::ArenaElement*>& roots,
+                       const std::string& root_name) {
+  return InferFromContent(CollectTagContent(roots), root_name);
+}
+
 dtd::Dtd InferNaiveDtd(const std::vector<xml::Document>& docs,
                        const std::string& root_name) {
   return InferFromContent(CollectTagContent(docs), root_name);

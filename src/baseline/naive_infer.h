@@ -6,6 +6,7 @@
 
 #include "baseline/collect.h"
 #include "dtd/dtd.h"
+#include "xml/arena.h"
 #include "xml/document.h"
 
 namespace dtdevolve::baseline {
@@ -21,6 +22,8 @@ namespace dtdevolve::baseline {
 /// character data get mixed content; childless tags get `(#PCDATA)` or
 /// `EMPTY`.
 dtd::Dtd InferNaiveDtd(const std::vector<const xml::Element*>& roots,
+                       const std::string& root_name);
+dtd::Dtd InferNaiveDtd(const std::vector<const xml::ArenaElement*>& roots,
                        const std::string& root_name);
 
 /// Overload over stored documents.

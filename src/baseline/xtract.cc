@@ -190,6 +190,12 @@ dtd::Dtd InferXtractDtd(const std::vector<const xml::Element*>& roots,
   return InferFromContent(CollectTagContent(roots), root_name, options);
 }
 
+dtd::Dtd InferXtractDtd(const std::vector<const xml::ArenaElement*>& roots,
+                        const std::string& root_name,
+                        const XtractOptions& options) {
+  return InferFromContent(CollectTagContent(roots), root_name, options);
+}
+
 dtd::Dtd InferXtractDtd(const std::vector<xml::Document>& docs,
                         const std::string& root_name,
                         const XtractOptions& options) {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "dtd/dtd.h"
+#include "xml/arena.h"
 #include "xml/document.h"
 
 namespace dtdevolve::baseline {
@@ -36,6 +37,9 @@ struct XtractOptions {
 /// documents on every run — the incremental-cost experiment (E4)
 /// contrasts exactly that.
 dtd::Dtd InferXtractDtd(const std::vector<const xml::Element*>& roots,
+                        const std::string& root_name,
+                        const XtractOptions& options = {});
+dtd::Dtd InferXtractDtd(const std::vector<const xml::ArenaElement*>& roots,
                         const std::string& root_name,
                         const XtractOptions& options = {});
 

@@ -318,7 +318,8 @@ Status SeedDtds(const Scenario& scenario, core::XmlSource& src) {
   return Status::Ok();
 }
 
-std::string CompactText(const xml::Document& doc) {
+template <typename DocT>
+std::string CompactText(const DocT& doc) {
   xml::WriteOptions compact;
   compact.indent = false;
   return xml::WriteDocument(doc, compact);
@@ -1273,7 +1274,7 @@ void CheckCandidateInvariants(const core::XmlSource& src,
   validate::Validator validator(dtd);
   std::set<int> recount;
   for (int id : candidate.members) {
-    const xml::Document& doc = src.repository().Get(id);
+    const xml::ArenaDocument& doc = src.repository().Get(id);
     if (doc.has_root() && validator.Validate(doc).valid) recount.insert(id);
   }
   std::set<int> claimed(candidate.validated.begin(),
@@ -1348,9 +1349,9 @@ ScenarioResult RunInductionScenario(uint64_t scenario_seed,
     // Accept consumes repository documents — clone the claimed set first
     // so accept-member-validity can recount against the *live* DTD.
     const std::string accept_name = best.name;
-    std::vector<xml::Document> claimed_docs;
+    std::vector<xml::ArenaDocument> claimed_docs;
     for (int id : best.validated) {
-      claimed_docs.push_back(reference.repository().Get(id).Clone());
+      claimed_docs.push_back(reference.repository().Get(id).CompactCopy());
     }
     const size_t repo_before = reference.repository().size();
 
@@ -1371,7 +1372,7 @@ ScenarioResult RunInductionScenario(uint64_t scenario_seed,
     } else {
       validate::Validator live_validator(*live);
       size_t invalid = 0;
-      for (const xml::Document& doc : claimed_docs) {
+      for (const xml::ArenaDocument& doc : claimed_docs) {
         if (!doc.has_root() || !live_validator.Validate(doc).valid) {
           ++invalid;
         }

@@ -4,10 +4,15 @@
 
 namespace dtdevolve::classify {
 
-int Repository::Add(xml::Document doc) {
+int Repository::Add(const xml::ArenaDocument& doc) {
   int id = next_id_++;
-  docs_.emplace(id, std::move(doc));
+  docs_.emplace(id, doc.CompactCopy());
   return id;
+}
+
+void Repository::Restore(int id, const xml::ArenaDocument& doc) {
+  if (id >= next_id_) next_id_ = id + 1;
+  docs_.insert_or_assign(id, doc.CompactCopy());
 }
 
 std::vector<int> Repository::Ids() const {
@@ -17,9 +22,9 @@ std::vector<int> Repository::Ids() const {
   return ids;
 }
 
-xml::Document Repository::Take(int id) {
+xml::ArenaDocument Repository::Take(int id) {
   auto it = docs_.find(id);
-  xml::Document doc = std::move(it->second);
+  xml::ArenaDocument doc = std::move(it->second);
   docs_.erase(it);
   return doc;
 }

@@ -6,6 +6,7 @@
 #include "dtd/dtd_parser.h"
 #include "util/thread_pool.h"
 #include "xml/stream_reader.h"
+#include "xml/writer.h"
 
 namespace dtdevolve::core {
 
@@ -16,6 +17,18 @@ namespace {
 SourceOptions SyncInduceOptions(SourceOptions options) {
   options.induce.cluster.similarity = options.similarity;
   return options;
+}
+
+/// The repository's arena tree for a DOM-fed document: one compact write,
+/// read back by the one-pass reader. A DOM the reader rejects (rootless,
+/// or built with names no parser accepts) is stored rootless, as no
+/// checkpoint could have held it either.
+xml::ArenaDocument ArenaOf(const xml::Document& doc) {
+  xml::WriteOptions compact;
+  compact.indent = false;
+  StatusOr<xml::ArenaDocument> arena =
+      xml::ParseArenaDocument(xml::WriteDocument(doc, compact));
+  return arena.ok() ? std::move(arena).value() : xml::ArenaDocument();
 }
 
 }  // namespace
@@ -66,8 +79,8 @@ void XmlSource::RestoreCounters(uint64_t processed, uint64_t classified,
   evolutions_performed_ = evolutions;
 }
 
-void XmlSource::RestoreRepositoryDoc(int id, xml::Document doc) {
-  repository_.Restore(id, std::move(doc));
+void XmlSource::RestoreRepositoryDoc(int id, const xml::ArenaDocument& doc) {
+  repository_.Restore(id, doc);
   clusterer_.Add(id, repository_.Get(id));
 }
 
@@ -124,7 +137,9 @@ XmlSource::ProcessOutcome XmlSource::ApplyClassification(
   outcome.similarity = classification.similarity;
 
   if (!classification.classified) {
-    const int repo_id = repository_.Add(doc.TakeDom());
+    const int repo_id = doc.arena != nullptr
+                            ? repository_.Add(*doc.arena)
+                            : repository_.Add(ArenaOf(*doc.dom));
     clusterer_.Add(repo_id, repository_.Get(repo_id));
     if (metrics_.documents_unclassified != nullptr) {
       metrics_.documents_unclassified->Increment();
@@ -446,7 +461,7 @@ size_t XmlSource::ReclassifyRepository(util::ThreadPool* pool) {
   // documents can be scored up front — in parallel on `pool` — and the
   // serial recording pass below matches the sequential behavior.
   const std::vector<int> ids = repository_.Ids();
-  std::vector<const xml::Document*> docs;
+  std::vector<const xml::ArenaDocument*> docs;
   docs.reserve(ids.size());
   for (int id : ids) docs.push_back(&repository_.Get(id));
   const std::vector<classify::ClassificationOutcome> classifications =
@@ -456,13 +471,13 @@ size_t XmlSource::ReclassifyRepository(util::ThreadPool* pool) {
   for (size_t k = 0; k < ids.size(); ++k) {
     const classify::ClassificationOutcome& classification = classifications[k];
     if (!classification.classified) continue;
-    xml::Document doc = repository_.Take(ids[k]);
+    const xml::ArenaDocument doc = repository_.Take(ids[k]);
     clusterer_.Remove(ids[k]);
     const std::string& name = classification.dtd_name;
     recorders_.at(name)->RecordDocument(doc);
     ++documents_classified_;
     if (options_.keep_documents) {
-      instances_.at(name).push_back(std::move(doc));
+      instances_.at(name).push_back(doc.ToDocument());
     }
     events_.push_back({SourceEvent::Kind::kReclassified, name,
                        classification.similarity, 0, ""});

@@ -103,7 +103,7 @@ class XmlSource {
   /// process).
   void RestoreCounters(uint64_t processed, uint64_t classified,
                        uint64_t evolutions);
-  void RestoreRepositoryDoc(int id, xml::Document doc);
+  void RestoreRepositoryDoc(int id, const xml::ArenaDocument& doc);
   /// Raises the repository's id counter to `next`. An eviction leaves
   /// the counter ahead of max(id)+1, so restoring docs alone would
   /// re-issue ids the live run already assigned — and WAL eviction
@@ -125,14 +125,16 @@ class XmlSource {
     size_t reclassified = 0;  // repository documents recovered afterwards
   };
 
-  /// Classifies, records and (when the check phase fires) evolves.
+  /// Classifies, records and (when the check phase fires) evolves. An
+  /// unclassified DOM enters the repository, which holds arena trees,
+  /// through one compact write read back by the one-pass reader — the
+  /// bytes a checkpoint would hold for it.
   ProcessOutcome Process(xml::Document doc);
   /// Streaming twin: classifies memo-first from the arena's parse-time
-  /// root fingerprint, scores a miss on the arena tree itself and
-  /// records from it, so no DOM is built unless the document is
-  /// unclassified (the repository stores DOMs) or `keep_documents` needs
-  /// a copy. Outcome-equivalent to converting and calling the DOM
-  /// overload.
+  /// root fingerprint, scores a miss on the arena tree itself, records
+  /// from it and stores it in the repository as is (compacted), so no
+  /// DOM is built unless `keep_documents` needs a copy.
+  /// Outcome-equivalent to converting and calling the DOM overload.
   ProcessOutcome Process(xml::ArenaDocument doc);
   /// Parses `xml_text` once, through the streaming reader, into an
   /// arena tree and processes it. This is the one way text is ingested:
@@ -285,8 +287,8 @@ class XmlSource {
   /// A document on its way through classification and the apply tail,
   /// in whichever representation it still has: a DOM caller fills `dom`
   /// only; ingest points `arena` at the caller's arena tree, which is
-  /// classified and recorded as is, and fills `dom` only when the
-  /// repository or `keep_documents` needs an owning DOM.
+  /// classified, recorded and stored in the repository as is, and fills
+  /// `dom` only when `keep_documents` needs an owning DOM.
   struct PendingDocument {
     const xml::ArenaDocument* arena = nullptr;
     std::optional<xml::Document> dom;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "baseline/naive_infer.h"
-#include "similarity/score_cache.h"
 
 namespace dtdevolve::induce {
 
@@ -29,13 +28,11 @@ double RepositoryClusterer::ClusterSimilarity(const Group& g,
   return best;
 }
 
-void RepositoryClusterer::Add(int id, const xml::Document& doc) {
+void RepositoryClusterer::Add(int id, const xml::ArenaDocument& doc) {
   Remove(id);
   if (!doc.has_root()) return;
 
-  similarity::SubtreeFingerprints fingerprints(doc.root());
-  const similarity::SubtreeStats* stats = fingerprints.Find(&doc.root());
-  const std::pair<uint64_t, uint64_t> key{stats->fp_hi, stats->fp_lo};
+  const std::pair<uint64_t, uint64_t> key{doc.root().fp_hi, doc.root().fp_lo};
 
   auto it = by_fingerprint_.find(key);
   if (it != by_fingerprint_.end()) {
@@ -48,9 +45,9 @@ void RepositoryClusterer::Add(int id, const xml::Document& doc) {
   auto group = std::make_unique<Group>();
   group->fp_hi = key.first;
   group->fp_lo = key.second;
-  group->exemplar = doc.Clone();
+  group->exemplar = doc.CompactCopy();
   group->dtd = std::make_unique<dtd::Dtd>(baseline::InferNaiveDtd(
-      {&group->exemplar.root()}, group->exemplar.root().tag()));
+      {&group->exemplar.root()}, std::string(group->exemplar.root().tag)));
   group->evaluator = std::make_unique<similarity::SimilarityEvaluator>(
       *group->dtd, options_.similarity);
   group->ids.insert(id);

@@ -11,7 +11,7 @@
 
 #include "dtd/dtd.h"
 #include "similarity/similarity.h"
-#include "xml/document.h"
+#include "xml/arena.h"
 
 namespace dtdevolve::induce {
 
@@ -59,9 +59,11 @@ struct ClusterStats {
 
 /// Incremental structural clustering over the repository of unclassified
 /// documents. Documents are first collapsed by their root subtree
-/// fingerprint (`similarity::SubtreeFingerprints`) — identical structures
-/// join their group in O(1) without any similarity evaluation. A *new*
-/// structure gets a single-document union DTD (`baseline::InferNaiveDtd`)
+/// fingerprint (the arena root's parse-time `fp_hi`/`fp_lo`) — identical
+/// structures join their group in O(1) without any similarity evaluation.
+/// A *new* structure keeps a compact copy of its first document as the
+/// group exemplar and gets a single-document union DTD
+/// (`baseline::InferNaiveDtd`)
 /// plus a `SimilarityEvaluator` over it, is scored against bounded
 /// max-linkage exemplars of every existing cluster with the symmetrized
 /// measure 0.5·(sim(A→B) + sim(B→A)), and joins the best cluster at or
@@ -80,7 +82,7 @@ class RepositoryClusterer {
 
   /// Tracks repository document `id`. Re-adding a known id re-files it
   /// under the (possibly changed) document's structure.
-  void Add(int id, const xml::Document& doc);
+  void Add(int id, const xml::ArenaDocument& doc);
 
   /// Untracks `id` (the document was re-classified out of the
   /// repository). Unknown ids are ignored. The structure group and its
@@ -106,7 +108,7 @@ class RepositoryClusterer {
   struct Group {
     uint64_t fp_hi = 0;
     uint64_t fp_lo = 0;
-    xml::Document exemplar;
+    xml::ArenaDocument exemplar;
     std::unique_ptr<dtd::Dtd> dtd;
     std::unique_ptr<similarity::SimilarityEvaluator> evaluator;
     std::set<int> ids;

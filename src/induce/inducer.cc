@@ -15,9 +15,11 @@ namespace {
 
 /// Most frequent root tag among the members; ties break toward the
 /// lexicographically smallest (std::map iteration order).
-std::string PickRootName(const std::vector<const xml::Document*>& docs) {
+std::string PickRootName(const std::vector<const xml::ArenaDocument*>& docs) {
   std::map<std::string, size_t> counts;
-  for (const xml::Document* doc : docs) ++counts[doc->root().tag()];
+  for (const xml::ArenaDocument* doc : docs) {
+    ++counts[std::string(doc->root().tag)];
+  }
   std::string best;
   size_t best_count = 0;
   for (const auto& [tag, count] : counts) {
@@ -51,12 +53,12 @@ std::vector<Candidate> InduceClusterCandidates(
   std::vector<Candidate> candidates;
 
   for (const Cluster& cluster : clusters) {
-    std::vector<const xml::Document*> docs;
-    std::vector<const xml::Element*> roots;
+    std::vector<const xml::ArenaDocument*> docs;
+    std::vector<const xml::ArenaElement*> roots;
     std::vector<int> doc_ids;
     docs.reserve(cluster.members.size());
     for (int id : cluster.members) {
-      const xml::Document& doc = repository.Get(id);
+      const xml::ArenaDocument& doc = repository.Get(id);
       if (!doc.has_root()) continue;
       docs.push_back(&doc);
       roots.push_back(&doc.root());
@@ -75,7 +77,7 @@ std::vector<Candidate> InduceClusterCandidates(
     evolve::ExtendedDtd ext(std::move(skeleton));
     {
       evolve::Recorder recorder(ext);
-      for (const xml::Document* doc : docs) recorder.RecordDocument(*doc);
+      for (const xml::ArenaDocument* doc : docs) recorder.RecordDocument(*doc);
     }
     if (options.refine && ext.MeanDivergence() > 0.0) {
       evolve::EvolveDtd(ext, options.evolution);
@@ -102,11 +104,11 @@ std::vector<Candidate> InduceClusterCandidates(
     similarity::SimilarityEvaluator evaluator(ext.dtd(),
                                               options.cluster.similarity);
     double margin_sum = 0.0;
-    for (const xml::Document* doc : docs) {
+    for (const xml::ArenaDocument* doc : docs) {
       double own = evaluator.DocumentSimilarity(*doc);
       double existing = 0.0;
       if (classifier != nullptr && classifier->size() > 0) {
-        existing = classifier->Classify(*doc).similarity;
+        existing = classifier->ClassifyArena(*doc, nullptr).similarity;
       }
       margin_sum += own - existing;
     }

@@ -49,12 +49,8 @@ std::atomic<uint64_t> g_epoch_counter{0};
 // Shape adapters: the global recursion reads an element through these,
 // so one template serves the DOM and the arena tree.
 
-std::string_view TagOf(const xml::Element& element) { return element.tag(); }
-std::string_view TagOf(const xml::ArenaElement& element) {
-  return element.tag;
-}
-int32_t TagIdOf(const xml::Element& element) { return element.tag_id(); }
-int32_t TagIdOf(const xml::ArenaElement& element) { return element.tag_id; }
+using xml::TagIdOf;
+using xml::TagOf;
 
 /// The structural fingerprint of `element`'s subtree, or false when none
 /// is known (a DOM scored without an index).

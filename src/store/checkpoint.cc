@@ -2,6 +2,7 @@
 
 #include <dirent.h>
 
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -10,7 +11,7 @@
 #include "io/file.h"
 #include "store/evict_record.h"
 #include "store/induce_record.h"
-#include "xml/parser.h"
+#include "xml/stream_reader.h"
 #include "xml/writer.h"
 
 namespace dtdevolve::store {
@@ -20,6 +21,8 @@ namespace {
 constexpr std::string_view kSourceHeader = "dtdevolve-source 1";
 constexpr std::string_view kMetaHeader = "dtdevolve-checkpoint 1";
 constexpr const char* kMetaName = "checkpoint.meta";
+/// Initial buffer per repository document in `SerializeSourceState`.
+constexpr size_t kReserveBytesPerDoc = 256;
 
 std::string DtdSnapshotPath(const std::string& dir, uint64_t lsn, size_t i) {
   return dir + "/ckpt-" + std::to_string(lsn) + "-" + std::to_string(i) +
@@ -94,13 +97,17 @@ void CleanupStaleCheckpointFiles(const std::string& dir, uint64_t keep_lsn) {
 }  // namespace
 
 std::string SerializeSourceState(const core::XmlSource& source) {
-  std::string out(kSourceHeader);
+  const classify::Repository& repo = source.repository();
+  const std::vector<int> ids = repo.Ids();
+  std::string out;
+  // One buffer for the whole state: a typical repository document writes
+  // a few hundred bytes, and growth past the estimate is geometric.
+  out.reserve(64 + ids.size() * kReserveBytesPerDoc);
+  out += kSourceHeader;
   out.push_back('\n');
   out += "counters " + std::to_string(source.documents_processed()) + " " +
          std::to_string(source.documents_classified()) + " " +
          std::to_string(source.evolutions_performed()) + "\n";
-  const classify::Repository& repo = source.repository();
-  const std::vector<int> ids = repo.Ids();
   // The second field is the next id `Add` would assign — after an
   // eviction it is ahead of max(id)+1, and WAL eviction records name
   // explicit ids, so replay after restore must keep issuing the same
@@ -110,10 +117,15 @@ std::string SerializeSourceState(const core::XmlSource& source) {
   xml::WriteOptions compact;
   compact.indent = false;
   for (int id : ids) {
-    const std::string xml_text = xml::WriteDocument(repo.Get(id), compact);
-    out += "doc " + std::to_string(id) + " " +
-           std::to_string(xml_text.size()) + "\n";
-    out += xml_text;
+    // The document goes straight into the buffer; its length-prefixed
+    // header line is slotted in front of it once the length is known.
+    const size_t start = out.size();
+    xml::AppendDocument(repo.Get(id), compact, &out);
+    const size_t nbytes = out.size() - start;
+    char line[48];
+    const int length =
+        std::snprintf(line, sizeof(line), "doc %d %zu\n", id, nbytes);
+    out.insert(start, line, static_cast<size_t>(length));
     out.push_back('\n');
   }
   return out;
@@ -175,15 +187,15 @@ Status RestoreSourceState(core::XmlSource& source, std::string_view data) {
     if (offset + nbytes > data.size()) {
       return Status::ParseError("source state: doc payload truncated");
     }
-    StatusOr<xml::Document> doc =
-        xml::ParseDocument(data.substr(offset, nbytes));
+    StatusOr<xml::ArenaDocument> doc =
+        xml::ParseArenaDocument(data.substr(offset, nbytes));
     if (!doc.ok()) {
       return Status::ParseError("source state: doc " + std::to_string(id) +
                                 ": " + doc.status().message());
     }
     offset += nbytes;
     if (offset < data.size() && data[offset] == '\n') ++offset;
-    source.RestoreRepositoryDoc(static_cast<int>(id), std::move(*doc));
+    source.RestoreRepositoryDoc(static_cast<int>(id), *doc);
   }
   source.RestoreRepositoryNextId(static_cast<int>(next_id));
   return Status::Ok();

@@ -1,9 +1,13 @@
 #include "validate/validator.h"
 
+#include <optional>
+
 #include "util/string_util.h"
 #include "util/symbol_table.h"
 
 namespace dtdevolve::validate {
+
+using xml::TagOf;
 
 std::vector<std::string> ContentSymbols(const xml::Element& element) {
   std::vector<std::string> symbols;
@@ -147,27 +151,48 @@ bool Validator::ElementLocallyValid(const xml::ArenaElement& element,
   return automaton.AcceptsIds(ids.data(), ids.size());
 }
 
-void Validator::CheckAttributes(const xml::Element& element,
+namespace {
+
+/// The value of attribute `name` on either tree, or nullopt when absent.
+std::optional<std::string_view> AttributeOf(const xml::Element& element,
+                                            std::string_view name) {
+  const std::string* value = element.FindAttribute(name);
+  if (value == nullptr) return std::nullopt;
+  return *value;
+}
+std::optional<std::string_view> AttributeOf(const xml::ArenaElement& element,
+                                            std::string_view name) {
+  for (const xml::ArenaAttribute& attr : element.attributes()) {
+    if (attr.name == name) return attr.value;
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
+template <typename ElementT>
+void Validator::CheckAttributes(const ElementT& element,
                                 const std::string& path,
                                 ValidationResult& result) const {
-  const dtd::ElementDecl* decl = dtd_->FindElement(element.tag());
+  const dtd::ElementDecl* decl = dtd_->FindElement(TagOf(element));
   if (decl == nullptr) return;
   for (const dtd::AttributeDecl& attr : decl->attributes) {
-    const std::string* value = element.FindAttribute(attr.name);
+    const std::optional<std::string_view> value =
+        AttributeOf(element, attr.name);
     if (attr.default_kind == dtd::AttributeDecl::DefaultKind::kRequired &&
-        value == nullptr) {
+        !value) {
       result.valid = false;
       result.errors.push_back(
           {path, "missing required attribute '" + attr.name + "'"});
     }
     if (attr.default_kind == dtd::AttributeDecl::DefaultKind::kFixed &&
-        value != nullptr && *value != attr.default_value) {
+        value && *value != attr.default_value) {
       result.valid = false;
       result.errors.push_back(
           {path, "attribute '" + attr.name + "' must be fixed to \"" +
                      attr.default_value + "\""});
     }
-    if (!attr.type.empty() && attr.type.front() == '(' && value != nullptr) {
+    if (!attr.type.empty() && attr.type.front() == '(' && value) {
       // Enumerated type `(a|b|c)`.
       std::vector<std::string> allowed =
           Split(attr.type.substr(1, attr.type.size() - 2), '|');
@@ -181,36 +206,38 @@ void Validator::CheckAttributes(const xml::Element& element,
       if (!found) {
         result.valid = false;
         result.errors.push_back(
-            {path, "attribute '" + attr.name + "' value \"" + *value +
-                       "\" not in enumeration " + attr.type});
+            {path, "attribute '" + attr.name + "' value \"" +
+                       std::string(*value) + "\" not in enumeration " +
+                       attr.type});
       }
     }
   }
 }
 
-void Validator::ValidateRec(const xml::Element& element,
-                            const std::string& path,
+template <typename ElementT>
+void Validator::ValidateRec(const ElementT& element, const std::string& path,
                             ValidationResult& result) const {
   ++result.total_elements;
-  const dtd::Automaton* automaton = FindAutomaton(element.tag());
+  const std::string_view tag = TagOf(element);
+  const dtd::Automaton* automaton = FindAutomaton(tag);
   if (automaton == nullptr) {
     result.valid = false;
     ++result.invalid_elements;
-    result.errors.push_back({path, "element '" + element.tag() +
+    result.errors.push_back({path, "element '" + std::string(tag) +
                                        "' is not declared in the DTD"});
   } else if (!automaton->Accepts(ContentSymbols(element))) {
     result.valid = false;
     ++result.invalid_elements;
-    const dtd::ElementDecl* decl = dtd_->FindElement(element.tag());
+    const dtd::ElementDecl* decl = dtd_->FindElement(tag);
     result.errors.push_back(
         {path, "content does not match declaration " +
                    (decl->content ? decl->content->ToString() : "ANY")});
   }
   CheckAttributes(element, path, result);
   size_t child_index = 0;
-  for (const xml::Element& child : element.child_elements()) {
+  for (const ElementT& child : element.child_elements()) {
     ValidateRec(child,
-                path + "/" + child.tag() + "[" +
+                path + "/" + std::string(TagOf(child)) + "[" +
                     std::to_string(child_index++) + "]",
                 result);
   }
@@ -222,22 +249,32 @@ ValidationResult Validator::ValidateSubtree(const xml::Element& root) const {
   return result;
 }
 
-ValidationResult Validator::Validate(const xml::Document& doc) const {
+template <typename DocT>
+ValidationResult Validator::ValidateDocument(const DocT& doc) const {
   ValidationResult result;
   if (!doc.has_root()) {
     result.valid = false;
     result.errors.push_back({"", "document has no root element"});
     return result;
   }
-  if (doc.root().tag() != dtd_->root_name()) {
+  const std::string root_tag(TagOf(doc.root()));
+  if (root_tag != dtd_->root_name()) {
     result.valid = false;
     result.errors.push_back(
-        {doc.root().tag(), "root element '" + doc.root().tag() +
-                               "' does not match DTD root '" +
-                               dtd_->root_name() + "'"});
+        {root_tag, "root element '" + root_tag +
+                       "' does not match DTD root '" + dtd_->root_name() +
+                       "'"});
   }
-  ValidateRec(doc.root(), doc.root().tag(), result);
+  ValidateRec(doc.root(), root_tag, result);
   return result;
+}
+
+ValidationResult Validator::Validate(const xml::Document& doc) const {
+  return ValidateDocument(doc);
+}
+
+ValidationResult Validator::Validate(const xml::ArenaDocument& doc) const {
+  return ValidateDocument(doc);
 }
 
 }  // namespace dtdevolve::validate

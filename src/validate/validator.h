@@ -48,8 +48,11 @@ class Validator {
   Validator& operator=(const Validator&) = delete;
 
   /// Full-document validation: the root tag must equal the DTD root name
-  /// and every element must locally satisfy its declaration.
+  /// and every element must locally satisfy its declaration. One walk
+  /// serves both trees: an arena tree yields the result (validity,
+  /// counts, every error's path and message) its `ToDocument()` would.
   ValidationResult Validate(const xml::Document& doc) const;
+  ValidationResult Validate(const xml::ArenaDocument& doc) const;
 
   /// Validates an element subtree without the root-name requirement.
   ValidationResult ValidateSubtree(const xml::Element& root) const;
@@ -86,10 +89,14 @@ class Validator {
   const dtd::Dtd& dtd() const { return *dtd_; }
 
  private:
-  void ValidateRec(const xml::Element& element, const std::string& path,
+  template <typename DocT>
+  ValidationResult ValidateDocument(const DocT& doc) const;
+  template <typename ElementT>
+  void ValidateRec(const ElementT& element, const std::string& path,
                    ValidationResult& result) const;
   const dtd::Automaton* FindAutomaton(std::string_view name) const;
-  void CheckAttributes(const xml::Element& element, const std::string& path,
+  template <typename ElementT>
+  void CheckAttributes(const ElementT& element, const std::string& path,
                        ValidationResult& result) const;
 
   const dtd::Dtd* dtd_;

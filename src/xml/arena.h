@@ -27,6 +27,12 @@ namespace dtdevolve::xml {
 class Arena {
  public:
   Arena() = default;
+  /// An arena whose first chunk holds exactly `exact_bytes`, for a
+  /// caller that knows its whole footprint up front (the compact copy);
+  /// an allocation past it falls back to default-size chunks.
+  explicit Arena(size_t exact_bytes) {
+    if (exact_bytes > 0) NewChunk(exact_bytes);
+  }
   /// Returns default-size chunks to a bounded thread-local pool, so a
   /// parse-per-document loop reuses warm chunks instead of paying a heap
   /// round-trip (and the attendant page faults) per document.
@@ -63,7 +69,8 @@ class Arena {
     if (bytes == 0) bytes = 1;
     size_t padding = -reinterpret_cast<uintptr_t>(cursor_) & (align - 1);
     if (padding + bytes > remaining_) {
-      NewChunk(bytes + align);
+      NewChunk(bytes + align > kDefaultChunkBytes ? bytes + align
+                                                  : kDefaultChunkBytes);
       padding = -reinterpret_cast<uintptr_t>(cursor_) & (align - 1);
     }
     void* result = cursor_ + padding;
@@ -81,7 +88,8 @@ class Arena {
     size_t size = 0;
   };
 
-  void NewChunk(size_t min_bytes);
+  /// Opens a chunk of exactly `size` bytes.
+  void NewChunk(size_t size);
 
   /// The first chunk is held inline, so a document that fits in one
   /// chunk (nearly every one) costs no vector allocation.
@@ -122,23 +130,27 @@ struct ArenaChild {
 /// the equivalent DOM tree), the subtree element count, and whether any
 /// direct text child exists (what `Element::HasTextContent` re-scans for
 /// on every call).
+///
+/// The 32-bit fields sit in pairs between the 64-bit ones, so a node is
+/// 72 bytes with padding only after `has_text`; every stored document
+/// holds one per element.
 struct ArenaElement {
   std::string_view tag;
   /// Dense id in `util::GlobalSymbols()`; `util::SymbolTable::kNoSymbol`
   /// past the table's bound, with the same fall-back-to-string contract
   /// as `Element::tag_id`.
   int32_t tag_id = -1;
-
-  const ArenaAttribute* attrs = nullptr;
   uint32_t attr_count = 0;
+  const ArenaAttribute* attrs = nullptr;
+
   const ArenaChild* children = nullptr;
   uint32_t child_count = 0;
+  /// Elements in this subtree, including this one.
+  uint32_t element_count = 1;
 
   /// Structural subtree fingerprint (see xml/fingerprint.h).
   uint64_t fp_hi = 0;
   uint64_t fp_lo = 0;
-  /// Elements in this subtree, including this one.
-  uint32_t element_count = 1;
   /// True iff the element has a (non-blank) direct text child — known at
   /// parse time, no child scan needed.
   bool has_text = false;
@@ -198,6 +210,15 @@ struct ArenaElement {
   }
 };
 
+// Shape adapters: code templated over the element type reads a tag
+// through these, so one body serves the DOM and the arena tree.
+inline std::string_view TagOf(const Element& element) { return element.tag(); }
+inline std::string_view TagOf(const ArenaElement& element) {
+  return element.tag;
+}
+inline int32_t TagIdOf(const Element& element) { return element.tag_id(); }
+inline int32_t TagIdOf(const ArenaElement& element) { return element.tag_id; }
+
 /// A document parsed by the streaming path: DOCTYPE info plus the root
 /// element, all storage owned by the embedded arena. Move-only, like
 /// `xml::Document`; moving never invalidates any view into the tree.
@@ -216,13 +237,21 @@ class ArenaDocument {
 
   const Arena& arena() const { return arena_; }
 
-  /// Conversion shim for DOM-only consumers (repository, persistence,
-  /// oracle, tests): materializes an equivalent `xml::Document`. Adjacent
+  /// Conversion shim for DOM-only consumers (`keep_documents`
+  /// instances, the parse-path reference, tests): materializes an equivalent `xml::Document`. Adjacent
   /// text runs arrive pre-merged, so the result can have fewer `Text`
   /// children than a direct DOM parse of the same input — every
   /// structural reader (content symbols, `TextContent`,
   /// `StructurallyEqual`, fingerprints) sees identical values.
   Document ToDocument() const;
+
+  /// A copy in one chunk of exactly the size it needs: every node, span
+  /// and string of this tree, with no padding and no spare capacity
+  /// (`arena().bytes_reserved() == arena().bytes_allocated()`). A parse
+  /// keeps its default 32 KiB chunk, which a document held for long —
+  /// the repository's — would otherwise pin. The copy's views, fingerprints
+  /// and written bytes are equal to this tree's.
+  ArenaDocument CompactCopy() const;
 
  private:
   friend class ArenaDocumentBuilder;

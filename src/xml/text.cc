@@ -12,27 +12,37 @@ bool IsValidName(std::string_view name) {
   return true;
 }
 
+void AppendEscaped(std::string_view text, std::string* out) {
+  size_t run = 0;  // start of the pending run of unescaped bytes
+  for (size_t i = 0; i < text.size(); ++i) {
+    std::string_view entity;
+    switch (text[i]) {
+      case '&':
+        entity = "&amp;";
+        break;
+      case '<':
+        entity = "&lt;";
+        break;
+      case '>':
+        entity = "&gt;";
+        break;
+      case '"':
+        entity = "&quot;";
+        break;
+      default:
+        continue;
+    }
+    out->append(text.data() + run, i - run);
+    out->append(entity);
+    run = i + 1;
+  }
+  out->append(text.data() + run, text.size() - run);
+}
+
 std::string EscapeText(std::string_view text) {
   std::string out;
   out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '&':
-        out += "&amp;";
-        break;
-      case '<':
-        out += "&lt;";
-        break;
-      case '>':
-        out += "&gt;";
-        break;
-      case '"':
-        out += "&quot;";
-        break;
-      default:
-        out += c;
-    }
-  }
+  AppendEscaped(text, &out);
   return out;
 }
 

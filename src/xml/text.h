@@ -56,6 +56,10 @@ bool IsValidName(std::string_view name);
 /// attribute values.
 std::string EscapeText(std::string_view text);
 
+/// `EscapeText` appending to `*out`, so a writer builds its output in one
+/// buffer with no temporary per text run.
+void AppendEscaped(std::string_view text, std::string* out);
+
 /// Decodes the five predefined entities (&amp; &lt; &gt; &quot; &apos;)
 /// and decimal/hex character references restricted to ASCII. Unknown
 /// entities are a parse error.

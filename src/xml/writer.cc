@@ -1,11 +1,34 @@
 #include "xml/writer.h"
 
-#include "util/string_util.h"
 #include "xml/text.h"
 
 namespace dtdevolve::xml {
 
 namespace {
+
+// Shape adapters: one writer body reads a child slot of either tree
+// through these.
+bool IsText(const std::unique_ptr<Node>& child) { return child->is_text(); }
+bool IsText(const ArenaChild& child) { return !child.is_element(); }
+
+std::string_view TextOf(const std::unique_ptr<Node>& child) {
+  return static_cast<const Text&>(*child).value();
+}
+std::string_view TextOf(const ArenaChild& child) { return child.text; }
+
+const Element& ElementOf(const std::unique_ptr<Node>& child) {
+  return child->AsElement();
+}
+const ArenaElement& ElementOf(const ArenaChild& child) {
+  return *child.element;
+}
+
+const std::vector<std::unique_ptr<Node>>& ChildrenOf(const Element& element) {
+  return element.children();
+}
+ArenaElement::ChildRange ChildrenOf(const ArenaElement& element) {
+  return element.child_nodes();
+}
 
 void WriteIndent(std::string& out, const WriteOptions& options, int depth) {
   if (!options.indent) return;
@@ -13,18 +36,20 @@ void WriteIndent(std::string& out, const WriteOptions& options, int depth) {
   out.append(static_cast<size_t>(depth) * options.indent_width, ' ');
 }
 
-void WriteElementRec(const Element& element, const WriteOptions& options,
+template <typename ElementT>
+void WriteElementRec(const ElementT& element, const WriteOptions& options,
                      int depth, std::string& out) {
   out += '<';
-  out += element.tag();
-  for (const Attribute& attr : element.attributes()) {
+  out += TagOf(element);
+  for (const auto& attr : element.attributes()) {
     out += ' ';
     out += attr.name;
     out += "=\"";
-    out += EscapeText(attr.value);
+    AppendEscaped(attr.value, &out);
     out += '"';
   }
-  if (element.children().empty()) {
+  const auto& children = ChildrenOf(element);
+  if (children.size() == 0) {
     out += "/>";
     return;
   }
@@ -32,42 +57,33 @@ void WriteElementRec(const Element& element, const WriteOptions& options,
   // Elements whose children are all text are written inline; mixed or
   // element content is indented one level per depth.
   bool all_text = true;
-  for (const auto& child : element.children()) {
-    if (!child->is_text()) {
+  for (const auto& child : children) {
+    if (!IsText(child)) {
       all_text = false;
       break;
     }
   }
   if (all_text) {
-    for (const auto& child : element.children()) {
-      out += EscapeText(static_cast<const Text&>(*child).value());
-    }
+    for (const auto& child : children) AppendEscaped(TextOf(child), &out);
   } else {
-    for (const auto& child : element.children()) {
+    for (const auto& child : children) {
       WriteIndent(out, options, depth + 1);
-      if (child->is_text()) {
-        out += EscapeText(static_cast<const Text&>(*child).value());
+      if (IsText(child)) {
+        AppendEscaped(TextOf(child), &out);
       } else {
-        WriteElementRec(child->AsElement(), options, depth + 1, out);
+        WriteElementRec(ElementOf(child), options, depth + 1, out);
       }
     }
     WriteIndent(out, options, depth);
   }
   out += "</";
-  out += element.tag();
+  out += TagOf(element);
   out += '>';
 }
 
-}  // namespace
-
-std::string WriteElement(const Element& element, const WriteOptions& options) {
-  std::string out;
-  WriteElementRec(element, options, 0, out);
-  return out;
-}
-
-std::string WriteDocument(const Document& doc, const WriteOptions& options) {
-  std::string out;
+template <typename DocT>
+void AppendDocumentImpl(const DocT& doc, const WriteOptions& options,
+                        std::string& out) {
   if (options.declaration) {
     out += "<?xml version=\"1.0\"?>";
     if (options.indent) out += '\n';
@@ -83,10 +99,38 @@ std::string WriteDocument(const Document& doc, const WriteOptions& options) {
     out += '>';
     if (options.indent) out += '\n';
   }
-  if (doc.has_root()) {
-    WriteElementRec(doc.root(), options, 0, out);
-  }
+  if (doc.has_root()) WriteElementRec(doc.root(), options, 0, out);
+}
+
+}  // namespace
+
+std::string WriteElement(const Element& element, const WriteOptions& options) {
+  std::string out;
+  WriteElementRec(element, options, 0, out);
   return out;
+}
+
+std::string WriteDocument(const Document& doc, const WriteOptions& options) {
+  std::string out;
+  AppendDocumentImpl(doc, options, out);
+  return out;
+}
+
+std::string WriteDocument(const ArenaDocument& doc,
+                          const WriteOptions& options) {
+  std::string out;
+  AppendDocumentImpl(doc, options, out);
+  return out;
+}
+
+void AppendDocument(const Document& doc, const WriteOptions& options,
+                    std::string* out) {
+  AppendDocumentImpl(doc, options, *out);
+}
+
+void AppendDocument(const ArenaDocument& doc, const WriteOptions& options,
+                    std::string* out) {
+  AppendDocumentImpl(doc, options, *out);
 }
 
 }  // namespace dtdevolve::xml

@@ -3,6 +3,7 @@
 
 #include <string>
 
+#include "xml/arena.h"
 #include "xml/document.h"
 
 namespace dtdevolve::xml {
@@ -21,8 +22,19 @@ std::string WriteElement(const Element& element,
                          const WriteOptions& options = WriteOptions());
 
 /// Serializes a whole document (declaration + DOCTYPE if present + root).
+/// One body writes both trees: an arena tree writes the bytes its
+/// `ToDocument()` would.
 std::string WriteDocument(const Document& doc,
                           const WriteOptions& options = WriteOptions());
+std::string WriteDocument(const ArenaDocument& doc,
+                          const WriteOptions& options = WriteOptions());
+
+/// `WriteDocument` appending to `*out`, so a caller serializing many
+/// documents fills one buffer.
+void AppendDocument(const Document& doc, const WriteOptions& options,
+                    std::string* out);
+void AppendDocument(const ArenaDocument& doc, const WriteOptions& options,
+                    std::string* out);
 
 }  // namespace dtdevolve::xml
 

@@ -4,6 +4,7 @@
 #include "classify/repository.h"
 #include "dtd/dtd_parser.h"
 #include "xml/parser.h"
+#include "xml/stream_reader.h"
 
 namespace dtdevolve::classify {
 namespace {
@@ -16,6 +17,12 @@ dtd::Dtd MakeDtd(const char* text) {
 
 xml::Document MakeDoc(const char* text) {
   StatusOr<xml::Document> doc = xml::ParseDocument(text);
+  EXPECT_TRUE(doc.ok()) << doc.status().ToString();
+  return std::move(*doc);
+}
+
+xml::ArenaDocument MakeArena(const char* text) {
+  StatusOr<xml::ArenaDocument> doc = xml::ParseArenaDocument(text);
   EXPECT_TRUE(doc.ok()) << doc.status().ToString();
   return std::move(*doc);
 }
@@ -141,13 +148,13 @@ TEST_F(ClassifierFixture, EqualScoresBreakTiesByLowestName) {
 TEST(RepositoryTest, AddGetTake) {
   Repository repo;
   EXPECT_TRUE(repo.empty());
-  int id1 = repo.Add(MakeDoc("<a/>"));
-  int id2 = repo.Add(MakeDoc("<b/>"));
+  int id1 = repo.Add(MakeArena("<a/>"));
+  int id2 = repo.Add(MakeArena("<b/>"));
   EXPECT_EQ(repo.size(), 2u);
   EXPECT_EQ(repo.Ids(), (std::vector<int>{id1, id2}));
-  EXPECT_EQ(repo.Get(id2).root().tag(), "b");
-  xml::Document taken = repo.Take(id1);
-  EXPECT_EQ(taken.root().tag(), "a");
+  EXPECT_EQ(repo.Get(id2).root().tag, "b");
+  xml::ArenaDocument taken = repo.Take(id1);
+  EXPECT_EQ(taken.root().tag, "a");
   EXPECT_EQ(repo.size(), 1u);
   repo.Clear();
   EXPECT_TRUE(repo.empty());
@@ -155,9 +162,9 @@ TEST(RepositoryTest, AddGetTake) {
 
 TEST(RepositoryTest, IdsAreNeverReused) {
   Repository repo;
-  int id1 = repo.Add(MakeDoc("<a/>"));
+  int id1 = repo.Add(MakeArena("<a/>"));
   repo.Take(id1);
-  int id2 = repo.Add(MakeDoc("<b/>"));
+  int id2 = repo.Add(MakeArena("<b/>"));
   EXPECT_NE(id1, id2);
 }
 

@@ -10,6 +10,8 @@
 #include "induce/inducer.h"
 #include "validate/validator.h"
 #include "workload/scenarios.h"
+#include "xml/stream_reader.h"
+#include "xml/writer.h"
 
 namespace dtdevolve {
 namespace {
@@ -25,6 +27,16 @@ std::unique_ptr<core::XmlSource> MakeSeededSource() {
   workload::ScenarioStream seed_stream = workload::MakeBibliographyScenario(1);
   EXPECT_TRUE(source->AddDtd("bibliography", seed_stream.InitialDtd()).ok());
   return source;
+}
+
+/// The arena tree the repository would hold for a generated document.
+xml::ArenaDocument ArenaOf(const xml::Document& doc) {
+  xml::WriteOptions compact;
+  compact.indent = false;
+  StatusOr<xml::ArenaDocument> arena =
+      xml::ParseArenaDocument(xml::WriteDocument(doc, compact));
+  EXPECT_TRUE(arena.ok()) << arena.status().message();
+  return std::move(arena).value();
 }
 
 void FeedMixedPopulation(core::XmlSource& source, uint64_t seed,
@@ -54,8 +66,8 @@ TEST(RepositoryClustererTest, IdenticalStructuresCollapseBeforeScoring) {
   induce::RepositoryClusterer clusterer;
   workload::ScenarioStream stream =
       workload::MakeMixedPopulationScenario(3, 1, 8);
-  std::vector<xml::Document> docs;
-  while (!stream.Done()) docs.push_back(stream.Next());
+  std::vector<xml::ArenaDocument> docs;
+  while (!stream.Done()) docs.push_back(ArenaOf(stream.Next()));
   for (size_t i = 0; i < docs.size(); ++i) {
     clusterer.Add(static_cast<int>(i), docs[i]);
   }
@@ -79,9 +91,9 @@ TEST(RepositoryClustererTest, MinClusterSizeFloorSuppressesSingletons) {
   workload::ScenarioStream b =
       workload::MakeMixedPopulationScenario(6, 2, 1);  // 1 doc per family
   int id = 0;
-  while (!a.Done()) clusterer.Add(id++, a.Next());
+  while (!a.Done()) clusterer.Add(id++, ArenaOf(a.Next()));
   b.Next();  // skip family 0 (already populated by `a`)
-  clusterer.Add(id++, b.Next());  // single family-1 document
+  clusterer.Add(id++, ArenaOf(b.Next()));  // single family-1 document
   std::vector<induce::Cluster> clusters = clusterer.Clusters();
   ASSERT_EQ(clusters.size(), 1u);
   EXPECT_EQ(clusters[0].members.size(), 3u);

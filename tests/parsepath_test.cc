@@ -151,6 +151,55 @@ TEST(ParsePathTest, WorkloadStreamsAgreeAcrossParsers) {
   EXPECT_GE(documents, 120u);
 }
 
+/// The writer has one body for both trees: an arena tree, and its
+/// compact copy, must write the bytes its DOM conversion writes, indented
+/// and compact, and the appending form must extend the caller's buffer
+/// with exactly those bytes.
+void ExpectWritersAgree(const xml::ArenaDocument& arena,
+                        const std::string& label) {
+  const xml::Document dom = arena.ToDocument();
+  const xml::ArenaDocument copy = arena.CompactCopy();
+  for (bool indent : {true, false}) {
+    xml::WriteOptions options;
+    options.indent = indent;
+    const std::string expected = xml::WriteDocument(dom, options);
+    const std::string where = label + (indent ? " (indented)" : " (compact)");
+    EXPECT_EQ(xml::WriteDocument(arena, options), expected) << where;
+    EXPECT_EQ(xml::WriteDocument(copy, options), expected) << where;
+    std::string appended = "<!-- prefix -->";
+    xml::AppendDocument(arena, options, &appended);
+    EXPECT_EQ(appended, "<!-- prefix -->" + expected) << where;
+  }
+}
+
+TEST(ParsePathTest, ArenaWriterMatchesDomWriter) {
+  size_t documents = 0;
+  const std::filesystem::path dir =
+      std::filesystem::path(DTDEVOLVE_CORPUS_DIR) / "xml";
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    StatusOr<xml::ArenaDocument> arena =
+        xml::ParseArenaDocument(Slurp(entry.path()));
+    if (!arena.ok()) continue;
+    ++documents;
+    ExpectWritersAgree(*arena, entry.path().filename().string());
+  }
+  EXPECT_GE(documents, 4u);
+  xml::WriteOptions compact;
+  compact.indent = false;
+  for (workload::ScenarioStream& stream : workload::MakeAllScenarios(17, 30)) {
+    while (!stream.Done()) {
+      StatusOr<xml::ArenaDocument> arena =
+          xml::ParseArenaDocument(xml::WriteDocument(stream.Next(), compact));
+      ASSERT_TRUE(arena.ok()) << arena.status().message();
+      ++documents;
+      ExpectWritersAgree(*arena,
+                         stream.name() + " #" + std::to_string(documents));
+    }
+  }
+  EXPECT_GE(documents, 124u);
+}
+
 TEST(ParsePathTest, TextRunCollapseMatchesDomSemantics) {
   // Comments and CDATA boundaries split text into multiple DOM runs; the
   // arena pre-merges adjacent non-blank runs and drops blank ones, which

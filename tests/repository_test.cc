@@ -1,18 +1,23 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "classify/repository.h"
 #include "core/source.h"
+#include "store/checkpoint.h"
 #include "workload/scenarios.h"
-#include "xml/parser.h"
+#include "xml/stream_reader.h"
+#include "xml/writer.h"
 
 namespace dtdevolve {
 namespace {
 
-xml::Document Doc(const std::string& text) {
-  StatusOr<xml::Document> doc = xml::ParseDocument(text);
+xml::ArenaDocument Doc(const std::string& text) {
+  StatusOr<xml::ArenaDocument> doc = xml::ParseArenaDocument(text);
   EXPECT_TRUE(doc.ok());
   return std::move(doc).value();
 }
@@ -72,7 +77,7 @@ TEST(RepositoryIdStabilityTest, IdsSurviveReclassificationRounds) {
   ASSERT_FALSE(before.empty());
   std::vector<std::string> tags;
   for (int id : before) {
-    tags.push_back(source.repository().Get(id).root().tag());
+    tags.emplace_back(source.repository().Get(id).root().tag);
   }
 
   // Induce + accept drains one family out of the repository.
@@ -85,7 +90,7 @@ TEST(RepositoryIdStabilityTest, IdsSurviveReclassificationRounds) {
     size_t index =
         std::find(before.begin(), before.end(), id) - before.begin();
     ASSERT_LT(index, before.size());
-    EXPECT_EQ(source.repository().Get(id).root().tag(), tags[index]);
+    EXPECT_EQ(source.repository().Get(id).root().tag, tags[index]);
   }
   // And the next unclassified arrival gets a brand-new id.
   workload::ScenarioStream more =
@@ -97,6 +102,87 @@ TEST(RepositoryIdStabilityTest, IdsSurviveReclassificationRounds) {
     const std::vector<int> after = source.repository().Ids();
     EXPECT_GT(after.back(), before.back());
   }
+}
+
+/// A source seeded with the bibliography DTD: every mixed-population
+/// document has a foreign root, so all of them stay unclassified.
+std::unique_ptr<core::XmlSource> RepositorySource() {
+  core::SourceOptions options;
+  options.sigma = 0.5;
+  options.auto_evolve = false;
+  auto source = std::make_unique<core::XmlSource>(options);
+  EXPECT_TRUE(source
+                  ->AddDtd("bibliography",
+                           workload::MakeBibliographyScenario(1).InitialDtd())
+                  .ok());
+  return source;
+}
+
+/// Fails unless every stored document sits in one chunk of its exact
+/// size: at most an alignment's worth of reserved bytes goes unused.
+void ExpectCompact(const classify::Repository& repository) {
+  constexpr size_t kAlignmentSlack = alignof(xml::ArenaElement);
+  for (int id : repository.Ids()) {
+    const xml::Arena& arena = repository.Get(id).arena();
+    ASSERT_LE(arena.bytes_reserved() - arena.bytes_allocated(),
+              kAlignmentSlack)
+        << "document " << id << " reserves " << arena.bytes_reserved()
+        << " bytes for " << arena.bytes_allocated();
+  }
+}
+
+TEST(RepositoryTest, StoredDocumentsAreCompact) {
+  std::unique_ptr<core::XmlSource> live = RepositorySource();
+  workload::ScenarioStream stream =
+      workload::MakeMixedPopulationScenario(5, 4, 250);
+  xml::WriteOptions compact;
+  compact.indent = false;
+  while (!stream.Done()) {
+    StatusOr<core::XmlSource::ProcessOutcome> outcome =
+        live->ProcessText(xml::WriteDocument(stream.Next(), compact));
+    ASSERT_TRUE(outcome.ok()) << outcome.status().message();
+    ASSERT_FALSE(outcome->classified);
+  }
+  ASSERT_EQ(live->repository().size(), 1000u);
+  ExpectCompact(live->repository());
+  // Evicting the newest document leaves the id counter ahead of
+  // max(id)+1, which the checkpoint must carry.
+  ASSERT_EQ(live->EvictRepositoryDocs({live->repository().Ids().back()}), 1u);
+
+  const std::string state = store::SerializeSourceState(*live);
+  std::unique_ptr<core::XmlSource> restored = RepositorySource();
+  ASSERT_TRUE(store::RestoreSourceState(*restored, state).ok());
+  ExpectCompact(restored->repository());
+  EXPECT_EQ(restored->repository().Ids(), live->repository().Ids());
+  EXPECT_EQ(restored->repository().next_id(), live->repository().next_id());
+  EXPECT_EQ(store::SerializeSourceState(*restored), state);
+}
+
+TEST(RepositoryTest, CheckpointWithoutNextIdContinuesAboveTheHighestId) {
+  // Checkpoints written before the id counter was persisted carry a bare
+  // `repository <count>` line; the restored documents alone then decide
+  // the counter.
+  std::unique_ptr<core::XmlSource> live = RepositorySource();
+  workload::ScenarioStream stream =
+      workload::MakeMixedPopulationScenario(9, 2, 4);
+  while (!stream.Done()) live->Process(stream.Next());
+  const std::vector<int> ids = live->repository().Ids();
+  ASSERT_EQ(ids.size(), 8u);
+  ASSERT_EQ(live->EvictRepositoryDocs({ids.back()}), 1u);
+  const int highest = ids[ids.size() - 2];
+  ASSERT_GT(live->repository().next_id(), highest + 1);
+
+  std::string state = store::SerializeSourceState(*live);
+  const std::string with_next_id =
+      "repository 7 " + std::to_string(live->repository().next_id()) + "\n";
+  const size_t at = state.find(with_next_id);
+  ASSERT_NE(at, std::string::npos);
+  state.replace(at, with_next_id.size(), "repository 7\n");
+
+  std::unique_ptr<core::XmlSource> restored = RepositorySource();
+  ASSERT_TRUE(store::RestoreSourceState(*restored, state).ok());
+  EXPECT_EQ(restored->repository().Ids(), live->repository().Ids());
+  EXPECT_EQ(restored->repository().next_id(), highest + 1);
 }
 
 }  // namespace

@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "dtd/dtd_parser.h"
 #include "validate/validator.h"
+#include "workload/scenarios.h"
 #include "xml/parser.h"
+#include "xml/stream_reader.h"
+#include "xml/writer.h"
 
 namespace dtdevolve::validate {
 namespace {
@@ -256,6 +263,79 @@ TEST(ContentSymbolsTest, SkipsBlankText) {
   xml::Document doc = MakeDoc("<a>\n  <b/>\n  <c/>\n</a>");
   EXPECT_EQ(ContentSymbols(doc.root()),
             (std::vector<std::string>{"b", "c"}));
+}
+
+/// Fails unless both overloads return the same result for one document.
+void ExpectOverloadsAgree(const Validator& validator, const xml::Document& dom,
+                          const xml::ArenaDocument& arena,
+                          const std::string& label) {
+  const ValidationResult a = validator.Validate(arena);
+  const ValidationResult d = validator.Validate(dom);
+  EXPECT_EQ(a.valid, d.valid) << label;
+  EXPECT_EQ(a.total_elements, d.total_elements) << label;
+  EXPECT_EQ(a.invalid_elements, d.invalid_elements) << label;
+  ASSERT_EQ(a.errors.size(), d.errors.size()) << label;
+  for (size_t i = 0; i < a.errors.size(); ++i) {
+    EXPECT_EQ(a.errors[i].path, d.errors[i].path) << label;
+    EXPECT_EQ(a.errors[i].message, d.errors[i].message) << label;
+  }
+}
+
+xml::ArenaDocument MakeArena(const std::string& text) {
+  StatusOr<xml::ArenaDocument> doc = xml::ParseArenaDocument(text);
+  EXPECT_TRUE(doc.ok()) << doc.status().ToString();
+  return std::move(*doc);
+}
+
+TEST(ValidatorTest, ArenaAndDomAgreeOnDriftScenarios) {
+  // Every document of the four drift scenarios against every phase DTD
+  // of its scenario: valid ones, content violations and undeclared
+  // elements alike.
+  xml::WriteOptions compact;
+  compact.indent = false;
+  size_t invalid = 0;
+  size_t checked = 0;
+  for (workload::ScenarioStream& stream : workload::MakeAllScenarios(23, 20)) {
+    std::vector<std::unique_ptr<Validator>> validators;
+    for (size_t phase = 0; phase < stream.num_phases(); ++phase) {
+      validators.push_back(
+          std::make_unique<Validator>(stream.TrueDtdAt(phase)));
+    }
+    while (!stream.Done()) {
+      const xml::Document dom = stream.Next();
+      const xml::ArenaDocument arena =
+          MakeArena(xml::WriteDocument(dom, compact));
+      for (size_t phase = 0; phase < validators.size(); ++phase) {
+        const std::string label = stream.name() + " phase " +
+                                  std::to_string(phase) + " doc " +
+                                  std::to_string(checked);
+        ExpectOverloadsAgree(*validators[phase], dom, arena, label);
+        if (!validators[phase]->Validate(dom).valid) ++invalid;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(invalid, 0u);
+  EXPECT_GT(checked, invalid);
+}
+
+TEST(ValidatorTest, ArenaAndDomAgreeOnAttributeAndRootErrors) {
+  dtd::Dtd dtd = MakeDtd(R"(
+    <!ELEMENT mail (from, body)>
+    <!ATTLIST mail lang (en|fr) #REQUIRED kind CDATA #FIXED "memo">
+    <!ELEMENT from (#PCDATA)>
+    <!ELEMENT body (#PCDATA)>
+  )");
+  Validator validator(dtd);
+  for (const char* text : {
+           "<mail lang=\"de\" kind=\"note\"><from>a</from><x/></mail>",
+           "<mail><from>a</from><body>b</body></mail>",
+           "<mail lang=\"fr\" kind=\"memo\"><from>a</from><body>b</body></mail>",
+           "<letter><from>a<y/></from></letter>",
+       }) {
+    ExpectOverloadsAgree(validator, MakeDoc(text), MakeArena(text), text);
+  }
+  EXPECT_FALSE(validator.Validate(xml::ArenaDocument()).valid);
 }
 
 }  // namespace

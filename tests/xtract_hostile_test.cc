@@ -11,12 +11,19 @@
 #include "induce/inducer.h"
 #include "validate/validator.h"
 #include "xml/parser.h"
+#include "xml/stream_reader.h"
 
 namespace dtdevolve {
 namespace {
 
 xml::Document Doc(const std::string& text) {
   StatusOr<xml::Document> doc = xml::ParseDocument(text);
+  EXPECT_TRUE(doc.ok()) << text;
+  return std::move(doc).value();
+}
+
+xml::ArenaDocument ArenaDoc(const std::string& text) {
+  StatusOr<xml::ArenaDocument> doc = xml::ParseArenaDocument(text);
   EXPECT_TRUE(doc.ok()) << text;
   return std::move(doc).value();
 }
@@ -141,7 +148,7 @@ TEST(XtractHostileTest, InducedCandidatesFromSingletonClustersRoundTrip) {
       "<pin/>",
   };
   for (const std::string& text : texts) {
-    int id = repository.Add(Doc(text));
+    int id = repository.Add(ArenaDoc(text));
     clusterer.Add(id, repository.Get(id));
   }
   clusterer.Consolidate();
