@@ -4,11 +4,18 @@
 // by analysis. Counter `similarity` reports the measured value. The
 // Arena/DomFromArena pair splits a classification-memo miss of the
 // streaming ingest path: the arena tree scored directly, against
-// converting it to a DOM first and scoring that.
+// converting it to a DOM first and scoring that. The ShardedLru pair
+// times the LRU behind the subtree score cache and the classification
+// memo on one shard filled to its default budget: a hit, and an insert
+// of a new key that evicts the least recently used one.
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "bench_util.h"
+#include "classify/classification_memo.h"
+#include "similarity/score_cache.h"
 #include "xml/stream_reader.h"
 #include "xml/writer.h"
 
@@ -131,6 +138,82 @@ void BM_PerElementReports(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PerElementReports)->Arg(10)->Arg(100);
+
+/// Score-cache entries: keys that share one shard, `Triple` values.
+struct TripleEntries {
+  using Lru = similarity::SubtreeScoreCache;
+  using Traits = similarity::SubtreeScoreTraits;
+  static Lru::Key Key(uint64_t i) {
+    return {/*epoch=*/1, i * 0x9E3779B97F4A7C15ull, /*fp_lo=*/0xCD,
+            /*label_id=*/7};
+  }
+  static Lru::Value Value() { return similarity::Triple(1.0, 2.0, 3.0); }
+};
+
+/// Memo entries: keys that share one shard, outcomes over four DTDs.
+struct OutcomeEntries {
+  using Lru = classify::ClassificationMemo;
+  using Traits = classify::ClassificationMemoTraits;
+  static Lru::Key Key(uint64_t i) {
+    return {/*epoch=*/1, i * 0x9E3779B97F4A7C15ull, /*fp_lo=*/0xCD};
+  }
+  static Lru::Value Value() {
+    classify::ClassificationOutcome outcome;
+    outcome.classified = true;
+    outcome.dtd_name = "dtd0";
+    outcome.similarity = 0.9;
+    for (int i = 0; i < 4; ++i) {
+      outcome.scores.push_back({"dtd" + std::to_string(i), 0.5, false});
+    }
+    return outcome;
+  }
+};
+
+/// An LRU at its default capacity whose one loaded shard holds as many
+/// entries as its budget allows; `*entries` is that count.
+template <typename Entries>
+std::unique_ptr<typename Entries::Lru> FullShard(uint64_t* entries) {
+  using Lru = typename Entries::Lru;
+  auto lru = std::make_unique<Lru>();
+  const typename Lru::Value value = Entries::Value();
+  *entries =
+      lru->config().capacity_bytes / 16 / Entries::Traits::Cost(value);
+  for (uint64_t i = 0; i < *entries; ++i) lru->Insert(Entries::Key(i), value);
+  return lru;
+}
+
+template <typename Entries>
+void BM_ShardedLru_HitWarm(benchmark::State& state) {
+  uint64_t entries = 0;
+  auto lru = FullShard<Entries>(&entries);
+  typename Entries::Lru::Value out;
+  uint64_t i = 0;
+  for (auto _ : state) {
+    // A stride coprime to the entry count visits every entry in a
+    // scattered order.
+    benchmark::DoNotOptimize(
+        lru->Lookup(Entries::Key((i++ * 7919) % entries), &out));
+  }
+  state.counters["entries"] = static_cast<double>(entries);
+}
+BENCHMARK_TEMPLATE(BM_ShardedLru_HitWarm, TripleEntries);
+BENCHMARK_TEMPLATE(BM_ShardedLru_HitWarm, OutcomeEntries);
+
+template <typename Entries>
+void BM_ShardedLru_InsertEvict(benchmark::State& state) {
+  uint64_t entries = 0;
+  auto lru = FullShard<Entries>(&entries);
+  const typename Entries::Lru::Value value = Entries::Value();
+  const uint64_t evictions_before = lru->GetStats().evictions;
+  uint64_t next = entries;
+  for (auto _ : state) lru->Insert(Entries::Key(next++), value);
+  state.counters["evictions_per_insert"] =
+      static_cast<double>(lru->GetStats().evictions - evictions_before) /
+      static_cast<double>(next - entries);
+  state.counters["entries"] = static_cast<double>(entries);
+}
+BENCHMARK_TEMPLATE(BM_ShardedLru_InsertEvict, TripleEntries);
+BENCHMARK_TEMPLATE(BM_ShardedLru_InsertEvict, OutcomeEntries);
 
 }  // namespace
 }  // namespace dtdevolve

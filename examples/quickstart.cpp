@@ -23,6 +23,7 @@ int main() {
   options.evolution.psi = 0.1;            // window threshold ψ
   options.evolution.min_support = 0.1;    // sequence support µ
   options.min_documents_before_check = 10;
+  options.keep_events = true;             // keep the log printed below
 
   XmlSource source(options);
   dtdevolve::Status status = source.AddDtdText("paper", R"(

@@ -169,12 +169,21 @@ bool AcceptsSomeWordOver(const dtd::Automaton& automaton,
 
 // --- Scenario synthesis -----------------------------------------------------
 
+/// Library defaults plus the event log, which every source an oracle
+/// builds keeps: the digest's `events` section and `MirrorReclassified`
+/// read it.
+core::SourceOptions EventLoggingOptions() {
+  core::SourceOptions options;
+  options.keep_events = true;
+  return options;
+}
+
 /// A fully materialized scenario: the initial DTD set, the exact document
 /// stream, and the pipeline thresholds — everything a replica needs to
 /// reproduce the run bit-for-bit.
 struct Scenario {
   std::string label;
-  core::SourceOptions options;
+  core::SourceOptions options = EventLoggingOptions();
   std::vector<std::pair<std::string, dtd::Dtd>> dtds;
   std::vector<xml::Document> documents;
 };

@@ -11,8 +11,8 @@ uint64_t NextClassifierSetEpoch() {
 }
 
 size_t ClassificationMemoTraits::Cost(const ClassificationOutcome& outcome) {
-  // Key + list node + hash node + outcome header, plus one ScoreEntry
-  // (string + double + flag) per DTD of the set.
+  // Slot (key, outcome header, LRU links) and its index buckets, plus
+  // one ScoreEntry (string + double + flag) per DTD of the set.
   size_t cost = 160;
   for (const ScoreEntry& entry : outcome.scores) {
     cost += 64 + entry.dtd_name.size();

@@ -46,8 +46,9 @@ struct ClassificationMemoTraits {
     return key.fp_lo ^ (key.epoch * 0xC2B2AE3D27D4EB4Full);
   }
 
-  /// Approximate footprint of one entry: fixed node overhead plus the
-  /// outcome's per-DTD score entries, from the actual vector length.
+  /// Approximate footprint of one entry: fixed slot and index overhead
+  /// plus the outcome's per-DTD score entries, from the actual vector
+  /// length.
   static size_t Cost(const ClassificationOutcome& outcome);
 };
 

@@ -36,6 +36,14 @@ struct SourceOptions {
   /// copies, checkpoints do not persist them, and on a memo hit the copy
   /// would cost the DOM materialization the memo exists to skip.
   bool keep_documents = false;
+  /// Append a `SourceEvent` to `XmlSource::events()` for every document,
+  /// evolution, re-classification and induced DTD. Off by default: the
+  /// log grows by one entry per document without end, and serving never
+  /// reads it (`serve`, WAL replay and the follower keep nothing per
+  /// document). Readers of the log (the oracle's digest, tests,
+  /// examples) opt in; with it off `events()` stays empty and no
+  /// evolution summary text is built.
+  bool keep_events = false;
 
   evolve::EvolutionOptions evolution;
   /// Repository clustering → candidate-DTD induction knobs.

@@ -144,9 +144,11 @@ XmlSource::ProcessOutcome XmlSource::ApplyClassification(
     if (metrics_.documents_unclassified != nullptr) {
       metrics_.documents_unclassified->Increment();
     }
-    events_.push_back({SourceEvent::Kind::kUnclassified,
-                       classification.dtd_name, classification.similarity,
-                       index, ""});
+    if (options_.keep_events) {
+      events_.push_back({SourceEvent::Kind::kUnclassified,
+                         classification.dtd_name, classification.similarity,
+                         index, ""});
+    }
     return outcome;
   }
 
@@ -168,8 +170,10 @@ XmlSource::ProcessOutcome XmlSource::ApplyClassification(
   if (options_.keep_documents) {
     instances_.at(name).push_back(doc.TakeDom());
   }
-  events_.push_back({SourceEvent::Kind::kClassified, name,
-                     classification.similarity, index, ""});
+  if (options_.keep_events) {
+    events_.push_back({SourceEvent::Kind::kClassified, name,
+                       classification.similarity, index, ""});
+  }
 
   if (!trigger_rules_.empty()) {
     // The trigger language replaces the plain τ check.
@@ -277,9 +281,12 @@ void XmlSource::AfterEvolution(const std::string& name,
   recorder->set_metrics(metrics_.documents_recorded,
                         metrics_.elements_recorded);
   recorders_[name] = std::move(recorder);
-  events_.push_back({SourceEvent::Kind::kEvolved, name, 0.0,
-                     documents_processed_ == 0 ? 0 : documents_processed_ - 1,
-                     FormatEvolution(result)});
+  if (options_.keep_events) {
+    events_.push_back(
+        {SourceEvent::Kind::kEvolved, name, 0.0,
+         documents_processed_ == 0 ? 0 : documents_processed_ - 1,
+         FormatEvolution(result)});
+  }
 }
 
 std::vector<std::string> XmlSource::DtdNames() const {
@@ -432,9 +439,11 @@ Status XmlSource::AdoptInducedDtd(const std::string& name,
   if (metrics_.candidates_accepted != nullptr) {
     metrics_.candidates_accepted->Increment();
   }
-  events_.push_back({SourceEvent::Kind::kDtdInduced, name, 0.0,
-                     documents_processed_ == 0 ? 0 : documents_processed_ - 1,
-                     ""});
+  if (options_.keep_events) {
+    events_.push_back(
+        {SourceEvent::Kind::kDtdInduced, name, 0.0,
+         documents_processed_ == 0 ? 0 : documents_processed_ - 1, ""});
+  }
   const size_t recovered = ReclassifyRepository(pool);
   if (reclassified != nullptr) *reclassified = recovered;
   return Status::Ok();
@@ -479,8 +488,10 @@ size_t XmlSource::ReclassifyRepository(util::ThreadPool* pool) {
     if (options_.keep_documents) {
       instances_.at(name).push_back(doc.ToDocument());
     }
-    events_.push_back({SourceEvent::Kind::kReclassified, name,
-                       classification.similarity, 0, ""});
+    if (options_.keep_events) {
+      events_.push_back({SourceEvent::Kind::kReclassified, name,
+                         classification.similarity, 0, ""});
+    }
     if (metrics_.documents_reclassified != nullptr) {
       metrics_.documents_reclassified->Increment();
     }

@@ -181,6 +181,7 @@ class XmlSource {
   /// Documents classified into `name` (empty unless keep_documents).
   const std::vector<xml::Document>& InstancesOf(const std::string& name) const;
 
+  /// The event log, in order (empty unless keep_events).
   const std::vector<SourceEvent>& events() const { return events_; }
   uint64_t documents_processed() const { return documents_processed_; }
   uint64_t documents_classified() const { return documents_classified_; }
@@ -335,7 +336,7 @@ class XmlSource {
   uint64_t candidates_accepted_ = 0;
   uint64_t candidates_rejected_ = 0;
   std::vector<TriggerRule> trigger_rules_;
-  std::vector<SourceEvent> events_;
+  std::vector<SourceEvent> events_;  // only with keep_events
   uint64_t documents_processed_ = 0;
   uint64_t documents_classified_ = 0;
   uint64_t evolutions_performed_ = 0;

@@ -1,6 +1,7 @@
 #include "evolve/recorder.h"
 
 #include <algorithm>
+#include <set>
 
 #include "util/string_util.h"
 
@@ -112,35 +113,47 @@ Recorder::TagLookup Recorder::ResolveTag(std::string_view tag) {
   return lookup;
 }
 
+void Recorder::Mark(ElementStats* stats, uint64_t* stamp,
+                    std::vector<ElementStats*>& marked) {
+  if (stamp != nullptr) {
+    if (*stamp == doc_stamp_) return;
+    *stamp = doc_stamp_;
+  } else if (std::find(marked.begin(), marked.end(), stats) != marked.end()) {
+    return;
+  }
+  marked.push_back(stats);
+}
+
 template <typename ElementT>
-void Recorder::Walk(const ElementT& element,
-                    std::set<std::string_view>& doc_valid,
-                    std::set<std::string_view>& doc_invalid, uint64_t& total,
+void Recorder::Walk(const ElementT& element, uint64_t& total,
                     uint64_t& invalid) {
   ++total;
   const std::string_view tag = TagOf(element);
-  TagLookup lookup;
+  // `lookup` may point into `tag_lookup_`, which a child's walk can
+  // grow: it is not used past the recursion below.
+  TagLookup sparse;
+  TagLookup* lookup = &sparse;
   const int32_t tag_id = TagIdOf(element);
   if (tag_id >= 0 && static_cast<size_t>(tag_id) < kMaxDenseTagIds) {
     if (static_cast<size_t>(tag_id) >= tag_lookup_.size()) {
       tag_lookup_.resize(tag_id + 1);
     }
-    TagLookup& cached = tag_lookup_[tag_id];
-    if (!cached.resolved) cached = ResolveTag(tag);
-    lookup = cached;
+    lookup = &tag_lookup_[tag_id];
+    if (!lookup->resolved) *lookup = ResolveTag(tag);
   } else {
-    lookup = ResolveTag(tag);
+    sparse = ResolveTag(tag);
   }
-  const dtd::ElementDecl* decl = lookup.decl;
+  const bool dense = lookup != &sparse;
+  const dtd::ElementDecl* decl = lookup->decl;
   if (decl != nullptr && decl->content != nullptr) {
-    bool valid = lookup.automaton != nullptr &&
-                 validator_->ElementLocallyValid(element, *lookup.automaton);
-    ElementStats& stats = *lookup.stats;
+    bool valid = lookup->automaton != nullptr &&
+                 validator_->ElementLocallyValid(element, *lookup->automaton);
+    ElementStats& stats = *lookup->stats;
     RecordInstanceOf(element, stats, valid);
     if (valid) {
-      doc_valid.insert(tag);
+      Mark(&stats, dense ? &lookup->valid_stamp : nullptr, doc_valid_);
     } else {
-      doc_invalid.insert(tag);
+      Mark(&stats, dense ? &lookup->invalid_stamp : nullptr, doc_invalid_);
       ++invalid;
       // Record the structure of plus labels (present in the instance,
       // absent from the declaration) for later extraction.
@@ -162,44 +175,37 @@ void Recorder::Walk(const ElementT& element,
     ++invalid;
   }
   for (const auto& child : element.child_elements()) {
-    Walk(child, doc_valid, doc_invalid, total, invalid);
+    Walk(child, total, invalid);
   }
 }
 
 template <typename ElementT>
-void Recorder::RecordTreeImpl(const ElementT& root) {
-  std::set<std::string_view> doc_valid;
-  std::set<std::string_view> doc_invalid;
+uint64_t Recorder::RecordTreeImpl(const ElementT& root, uint64_t* invalid) {
+  ++doc_stamp_;
+  doc_valid_.clear();
+  doc_invalid_.clear();
   uint64_t total = 0;
-  uint64_t invalid = 0;
-  Walk(root, doc_valid, doc_invalid, total, invalid);
-  for (const std::string_view tag : doc_valid) {
-    target_->StatsFor(tag).BumpDocsWithValid();
-  }
-  for (const std::string_view tag : doc_invalid) {
-    target_->StatsFor(tag).BumpDocsWithInvalid();
-  }
+  Walk(root, total, *invalid);
+  // The counters are per tag, so the order of the bumps is immaterial.
+  for (ElementStats* stats : doc_valid_) stats->BumpDocsWithValid();
+  for (ElementStats* stats : doc_invalid_) stats->BumpDocsWithInvalid();
+  return total;
 }
 
-void Recorder::RecordTree(const xml::Element& root) { RecordTreeImpl(root); }
+void Recorder::RecordTree(const xml::Element& root) {
+  uint64_t invalid = 0;
+  RecordTreeImpl(root, &invalid);
+}
 
 void Recorder::RecordTree(const xml::ArenaElement& root) {
-  RecordTreeImpl(root);
+  uint64_t invalid = 0;
+  RecordTreeImpl(root, &invalid);
 }
 
 template <typename ElementT>
 double Recorder::RecordRootImpl(const ElementT& root) {
-  std::set<std::string_view> doc_valid;
-  std::set<std::string_view> doc_invalid;
-  uint64_t total = 0;
   uint64_t invalid = 0;
-  Walk(root, doc_valid, doc_invalid, total, invalid);
-  for (const std::string_view tag : doc_valid) {
-    target_->StatsFor(tag).BumpDocsWithValid();
-  }
-  for (const std::string_view tag : doc_invalid) {
-    target_->StatsFor(tag).BumpDocsWithInvalid();
-  }
+  const uint64_t total = RecordTreeImpl(root, &invalid);
   target_->RecordDocumentDivergence(total, invalid);
   if (documents_recorded_metric_ != nullptr) {
     documents_recorded_metric_->Increment();

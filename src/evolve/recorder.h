@@ -3,7 +3,6 @@
 
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -63,20 +62,20 @@ class Recorder {
  private:
   /// One traversal shared by the DOM and arena paths (instantiated in
   /// the .cc for `xml::Element` and `xml::ArenaElement`); small shape
-  /// adapters bridge the representation differences.
-  /// Tag views stay valid for the traversal (they point into the
-  /// document being recorded), so the per-document valid/invalid tag
-  /// sets never copy a string.
+  /// adapters bridge the representation differences. Marks each
+  /// declared tag's stats once per document in `doc_valid_` /
+  /// `doc_invalid_`.
   template <typename ElementT>
-  void Walk(const ElementT& element, std::set<std::string_view>& doc_valid,
-            std::set<std::string_view>& doc_invalid, uint64_t& total,
-            uint64_t& invalid);
+  void Walk(const ElementT& element, uint64_t& total, uint64_t& invalid);
   /// Recursively records a plus-element instance against an implicit
   /// empty declaration: every child is again a plus element.
   template <typename ElementT>
   void RecordPlusInstance(ElementStats& stats, const ElementT& element);
+  /// Walks `root` and bumps each marked tag's per-document counters
+  /// once; returns the element count and adds the non-valid ones to
+  /// `*invalid`.
   template <typename ElementT>
-  void RecordTreeImpl(const ElementT& root);
+  uint64_t RecordTreeImpl(const ElementT& root, uint64_t* invalid);
   template <typename ElementT>
   double RecordRootImpl(const ElementT& root);
 
@@ -97,13 +96,30 @@ class Recorder {
     const dtd::ElementDecl* decl = nullptr;
     const dtd::Automaton* automaton = nullptr;
     ElementStats* stats = nullptr;
+    /// The last document (`doc_stamp_`) that marked this tag as having
+    /// a valid / non-valid instance.
+    uint64_t valid_stamp = 0;
+    uint64_t invalid_stamp = 0;
   };
   static constexpr size_t kMaxDenseTagIds = 4096;
   TagLookup ResolveTag(std::string_view tag);
 
+  /// Adds `stats` to `marked` unless this document already marked it:
+  /// through the dense entry's stamp when there is one (`*stamp`), else
+  /// by a scan of `marked` (tags outside the dense ids are rare, and a
+  /// tag is always dense or never).
+  void Mark(ElementStats* stats, uint64_t* stamp,
+            std::vector<ElementStats*>& marked);
+
   ExtendedDtd* target_;
   std::unique_ptr<validate::Validator> validator_;
   std::vector<TagLookup> tag_lookup_;
+  uint64_t doc_stamp_ = 0;
+  /// The stats of the tags with a valid / non-valid instance in the
+  /// document being recorded, each once: reused across documents, so
+  /// recording allocates nothing once they have grown.
+  std::vector<ElementStats*> doc_valid_;
+  std::vector<ElementStats*> doc_invalid_;
   std::map<const void*, std::vector<std::string>> declared_symbols_;
   obs::Counter* documents_recorded_metric_ = nullptr;
   obs::Counter* elements_recorded_metric_ = nullptr;

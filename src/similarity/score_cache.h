@@ -80,9 +80,11 @@ struct SubtreeScoreTraits {
             0xC2B2AE3D27D4EB4Full);
   }
 
-  /// Approximate footprint of one entry (key + triple + list node + hash
-  /// node), so a shard holds `capacity_bytes / 2560` entries (at least
-  /// one).
+  /// The unit of the byte budget and of `dtdevolve_score_cache_bytes`:
+  /// a fixed 160 B per entry, above what one entry occupies (a 72-byte
+  /// slot holding key, triple and LRU links, plus two to four 8-byte
+  /// index buckets), so a shard holds `capacity_bytes / 2560` entries
+  /// (at least one).
   static size_t Cost(const Triple&) { return 160; }
 };
 

@@ -1,14 +1,15 @@
 #ifndef DTDEVOLVE_SIMILARITY_SHARDED_LRU_H_
 #define DTDEVOLVE_SIMILARITY_SHARDED_LRU_H_
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <list>
+#include <limits>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "obs/metrics.h"
 
@@ -20,7 +21,7 @@ namespace dtdevolve::similarity {
 /// only what differs between them, as `Traits`:
 ///
 ///   static constexpr size_t kDefaultCapacityBytes;
-///   static size_t Hash(const Key&);         // the shard's hash index
+///   static size_t Hash(const Key&);         // low 32 bits index a shard
 ///   static uint64_t ShardHash(const Key&);  // top byte picks the shard
 ///   static size_t Cost(const Value&);       // approximate entry bytes
 ///
@@ -29,6 +30,15 @@ namespace dtdevolve::similarity {
 ///
 /// Eviction: a shard evicts least-recently-used entries while its bytes
 /// exceed `capacity_bytes / 16`, always keeping the newest entry.
+///
+/// Layout: each shard keeps its entries in one slot vector, linked into
+/// the LRU order by `uint32_t` indices, with freed slots on a free list,
+/// and finds them through an open-addressing index (linear probing,
+/// backward-shift deletion, a power-of-two table grown at half load).
+/// Both grow on demand and never shrink until `Clear`, so once a shard
+/// has reached its budget a lookup, insert, refresh or eviction
+/// allocates no node: an insert reuses the slot the last eviction freed,
+/// and assigning into it reuses the old value's buffers.
 ///
 /// Thread-safety: all entry points are safe for concurrent use; each of
 /// the 16 shards has its own mutex, so batch workers rarely contend, and
@@ -81,10 +91,10 @@ class ShardedLru {
     bool hit = false;
     {
       std::lock_guard<std::mutex> lock(shard.mutex);
-      auto it = shard.index.find(key);
-      if (it != shard.index.end()) {
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-        *out = it->second->second;
+      const uint32_t slot = shard.Find(key, HashOf(key));
+      if (slot != kNil) {
+        shard.MoveToFront(slot);
+        *out = shard.slots[slot].value;
         ++shard.hits;
         hit = true;
       } else {
@@ -101,24 +111,22 @@ class ShardedLru {
   void Insert(const Key& key, const Value& value) {
     Shard& shard = ShardFor(key);
     const size_t cost = Traits::Cost(value);
+    const uint32_t hash = HashOf(key);
     uint64_t evicted = 0;
     {
       std::lock_guard<std::mutex> lock(shard.mutex);
-      auto it = shard.index.find(key);
-      if (it != shard.index.end()) {
-        shard.bytes -= Traits::Cost(it->second->second);
-        it->second->second = value;
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+      const uint32_t slot = shard.Find(key, hash);
+      if (slot != kNil) {
+        shard.bytes -= Traits::Cost(shard.slots[slot].value);
+        shard.slots[slot].value = value;
+        shard.MoveToFront(slot);
       } else {
-        shard.lru.emplace_front(key, value);
-        shard.index.emplace(key, shard.lru.begin());
+        shard.Emplace(key, value, hash);
       }
       shard.bytes += cost;
-      while (shard.bytes > max_bytes_per_shard_ && shard.lru.size() > 1) {
-        const Entry& victim = shard.lru.back();
-        shard.bytes -= Traits::Cost(victim.second);
-        shard.index.erase(victim.first);
-        shard.lru.pop_back();
+      while (shard.bytes > max_bytes_per_shard_ && shard.size > 1) {
+        shard.bytes -= Traits::Cost(shard.slots[shard.tail].value);
+        shard.EvictTail();
         ++shard.evictions;
         ++evicted;
       }
@@ -128,12 +136,15 @@ class ShardedLru {
     }
   }
 
-  /// Drops every entry and resets the statistics.
+  /// Drops every entry, releases the shards' storage and resets the
+  /// statistics.
   void Clear() {
     for (Shard& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard.mutex);
-      shard.lru.clear();
-      shard.index.clear();
+      std::vector<Slot>().swap(shard.slots);
+      std::vector<Bucket>().swap(shard.index);
+      shard.head = shard.tail = shard.free = kNil;
+      shard.size = 0;
       shard.bytes = 0;
       shard.hits = 0;
       shard.misses = 0;
@@ -148,7 +159,7 @@ class ShardedLru {
       stats.hits += shard.hits;
       stats.misses += shard.misses;
       stats.evictions += shard.evictions;
-      stats.entries += shard.index.size();
+      stats.entries += shard.size;
       stats.bytes += shard.bytes;
     }
     return stats;
@@ -166,23 +177,134 @@ class ShardedLru {
   }
 
  private:
-  using Entry = std::pair<Key, Value>;
-  struct KeyHash {
-    size_t operator()(const Key& key) const { return Traits::Hash(key); }
+  static constexpr uint32_t kNil = std::numeric_limits<uint32_t>::max();
+  static constexpr size_t kMinIndexBuckets = 16;
+
+  /// One entry. A free slot keeps its last key and value (assigned over
+  /// on reuse) and chains the free list through `next`.
+  struct Slot {
+    Key key;
+    Value value;
+    uint32_t prev = kNil;  // toward the most recently used
+    uint32_t next = kNil;  // toward the least recently used
+    uint32_t hash = 0;     // `HashOf(key)`, to find the slot's bucket
   };
+  /// One index bucket: a slot and its hash, so a probe compares keys
+  /// only on a full 32-bit hash match and a rehash reads no slot.
+  struct Bucket {
+    uint32_t slot = kNil;
+    uint32_t hash = 0;
+  };
+
   struct Shard {
     mutable std::mutex mutex;
-    /// Front = most recently used.
-    std::list<Entry> lru;
-    std::unordered_map<Key, typename std::list<Entry>::iterator, KeyHash>
-        index;
+    std::vector<Slot> slots;
+    std::vector<Bucket> index;  // empty, or a power of two > 2 * size
+    uint32_t head = kNil;       // most recently used
+    uint32_t tail = kNil;       // least recently used
+    uint32_t free = kNil;       // free-list head
+    size_t size = 0;
     size_t bytes = 0;
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t evictions = 0;
+
+    uint32_t Find(const Key& key, uint32_t hash) const {
+      if (index.empty()) return kNil;
+      const size_t mask = index.size() - 1;
+      for (size_t i = hash & mask;; i = (i + 1) & mask) {
+        const Bucket& bucket = index[i];
+        if (bucket.slot == kNil) return kNil;
+        if (bucket.hash == hash && slots[bucket.slot].key == key) {
+          return bucket.slot;
+        }
+      }
+    }
+
+    /// Adds an absent key as the most recent entry.
+    void Emplace(const Key& key, const Value& value, uint32_t hash) {
+      if ((size + 1) * 2 > index.size()) {
+        GrowIndex();
+      }
+      uint32_t slot = free;
+      if (slot != kNil) {
+        free = slots[slot].next;
+        slots[slot].key = key;
+        slots[slot].value = value;
+      } else {
+        slot = static_cast<uint32_t>(slots.size());
+        slots.push_back(Slot{key, value});
+      }
+      slots[slot].hash = hash;
+      LinkFront(slot);
+      PlaceInIndex({slot, hash});
+      ++size;
+    }
+
+    /// Unlinks the least recently used entry, deletes its bucket by
+    /// shifting the rest of its probe run back, and frees its slot.
+    void EvictTail() {
+      const uint32_t victim = tail;
+      Unlink(victim);
+      const size_t mask = index.size() - 1;
+      size_t hole = slots[victim].hash & mask;
+      while (index[hole].slot != victim) hole = (hole + 1) & mask;
+      for (size_t i = (hole + 1) & mask; index[i].slot != kNil;
+           i = (i + 1) & mask) {
+        // The bucket at `i` may fill the hole only if its home bucket
+        // does not lie cyclically after the hole.
+        const size_t home = index[i].hash & mask;
+        if (((i - home) & mask) >= ((i - hole) & mask)) {
+          index[hole] = index[i];
+          hole = i;
+        }
+      }
+      index[hole] = Bucket();
+      slots[victim].next = free;
+      free = victim;
+      --size;
+    }
+
+    void MoveToFront(uint32_t slot) {
+      if (slot == head) return;
+      Unlink(slot);
+      LinkFront(slot);
+    }
+
+    void Unlink(uint32_t slot) {
+      const Slot& s = slots[slot];
+      (s.prev != kNil ? slots[s.prev].next : head) = s.next;
+      (s.next != kNil ? slots[s.next].prev : tail) = s.prev;
+    }
+
+    void LinkFront(uint32_t slot) {
+      slots[slot].prev = kNil;
+      slots[slot].next = head;
+      (head != kNil ? slots[head].prev : tail) = slot;
+      head = slot;
+    }
+
+    void PlaceInIndex(Bucket bucket) {
+      const size_t mask = index.size() - 1;
+      size_t i = bucket.hash & mask;
+      while (index[i].slot != kNil) i = (i + 1) & mask;
+      index[i] = bucket;
+    }
+
+    void GrowIndex() {
+      std::vector<Bucket> old = std::move(index);
+      index.assign(std::max(kMinIndexBuckets, 2 * old.size()), Bucket());
+      for (const Bucket& bucket : old) {
+        if (bucket.slot != kNil) PlaceInIndex(bucket);
+      }
+    }
   };
 
   static constexpr size_t kNumShards = 16;
+
+  static uint32_t HashOf(const Key& key) {
+    return static_cast<uint32_t>(Traits::Hash(key));
+  }
 
   Shard& ShardFor(const Key& key) {
     return shards_[(Traits::ShardHash(key) >> 56) % kNumShards];

@@ -23,6 +23,7 @@ std::unique_ptr<core::XmlSource> MakeSeededSource() {
   core::SourceOptions options;
   options.sigma = 0.5;
   options.auto_evolve = false;
+  options.keep_events = true;
   auto source = std::make_unique<core::XmlSource>(options);
   workload::ScenarioStream seed_stream = workload::MakeBibliographyScenario(1);
   EXPECT_TRUE(source->AddDtd("bibliography", seed_stream.InitialDtd()).ok());

@@ -40,6 +40,7 @@ core::SourceOptions SeedOptions() {
   core::SourceOptions options;
   options.sigma = 0.5;
   options.auto_evolve = false;
+  options.keep_events = true;
   return options;
 }
 

@@ -101,6 +101,7 @@ core::SourceOptions EvolvingOptions() {
   options.sigma = 0.3;
   options.tau = 0.1;  // low enough that the mixed stream evolves mid-batch
   options.min_documents_before_check = 15;
+  options.keep_events = true;  // ExpectSameState compares the logs
   return options;
 }
 
@@ -364,6 +365,7 @@ TEST(ProcessBatchTest, ArenaBatchOverDriftScenariosMatchesSequentialText) {
   core::SourceOptions options;
   options.tau = 0.1;
   options.min_documents_before_check = 10;
+  options.keep_events = true;
   for (workload::ScenarioStream& stream :
        workload::MakeAllScenarios(/*seed=*/11, /*docs_per_phase=*/40)) {
     SCOPED_TRACE(stream.name());

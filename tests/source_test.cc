@@ -57,7 +57,9 @@ TEST(XmlSourceTest, ClassifiesIntoBestDtd) {
 }
 
 TEST(XmlSourceTest, UnclassifiedGoesToRepository) {
-  XmlSource source;
+  SourceOptions options;
+  options.keep_events = true;
+  XmlSource source(options);
   ASSERT_TRUE(source.AddDtdText("mail", kMailDtd).ok());
   StatusOr<XmlSource::ProcessOutcome> outcome =
       source.ProcessText("<unrelated><z/></unrelated>");
@@ -81,6 +83,7 @@ TEST(XmlSourceTest, AutoEvolutionTriggersOnDivergence) {
   options.sigma = 0.3;
   options.tau = 0.2;
   options.min_documents_before_check = 10;
+  options.keep_events = true;
   XmlSource source(options);
   ASSERT_TRUE(source.AddDtdText("mail", kMailDtd).ok());
 
@@ -134,6 +137,7 @@ TEST(XmlSourceTest, RepositoryReclassifiedAfterEvolution) {
   options.sigma = 0.6;  // strict enough to reject heavy drift at first
   options.tau = 0.1;
   options.min_documents_before_check = 5;
+  options.keep_events = true;
   XmlSource source(options);
   ASSERT_TRUE(source.AddDtdText("mail", kMailDtd).ok());
 
@@ -204,6 +208,29 @@ TEST(XmlSourceTest, KeepDocumentsFlag) {
                   .ok());
   EXPECT_TRUE(source.InstancesOf("mail").empty());
   EXPECT_EQ(source.FindExtended("mail")->documents_recorded(), 1u);
+}
+
+TEST(XmlSourceTest, KeepsNoEventsByDefault) {
+  EXPECT_FALSE(SourceOptions().keep_events);
+  SourceOptions options;
+  options.sigma = 0.3;
+  options.tau = 0.2;
+  options.min_documents_before_check = 10;
+  XmlSource source(options);
+  ASSERT_TRUE(source.AddDtdText("mail", kMailDtd).ok());
+  // Valid, drifted (an evolution fires) and foreign documents: every
+  // kind the log would record.
+  const char* texts[] = {
+      "<mail><from>a</from><to>b</to><body>x</body></mail>",
+      "<mail><from>a</from><to>b</to><cc>c</cc><body>x</body></mail>",
+      "<unrelated><z/></unrelated>",
+  };
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(source.ProcessText(texts[i % 3]).ok());
+  }
+  EXPECT_EQ(source.documents_processed(), 1000u);
+  EXPECT_GE(source.evolutions_performed(), 1u);
+  EXPECT_TRUE(source.events().empty());
 }
 
 TEST(FormatEvolutionTest, MentionsWindowsAndModels) {
